@@ -42,6 +42,7 @@ pub fn from_value<T: Deserialize>(value: Value) -> Result<T> {
 /// Parses JSON text into a `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     let mut p = JsonParser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -138,6 +139,7 @@ fn write_escaped(out: &mut String, s: &str) {
 // ---------- parser ----------
 
 struct JsonParser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -229,12 +231,15 @@ impl JsonParser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy a full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // piece. Both are ASCII, so the run ends on a character
+                    // boundary of the (already valid UTF-8) input.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -335,6 +340,18 @@ mod tests {
         )]);
         let s = to_string_pretty(&v).unwrap();
         assert!(s.contains("\"xs\": [\n"));
+    }
+
+    #[test]
+    fn long_strings_keep_every_character() {
+        let body: String = "fact: Emp(d\u{e9}pt1,x)\t\u{1f600}\n".repeat(4000);
+        let text = to_string(&Value::String(body.clone())).unwrap();
+        assert_eq!(from_str::<Value>(&text).unwrap(), Value::String(body));
+        assert_eq!(
+            from_str::<Value>("\"a\\\"b\\u00e9\u{e9}\\\\\"").unwrap(),
+            Value::String("a\"b\u{e9}\u{e9}\\".into())
+        );
+        assert!(from_str::<Value>("\"open \u{e9}").is_err());
     }
 
     #[test]

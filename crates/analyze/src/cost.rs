@@ -219,15 +219,13 @@ impl ChaseAnalysis {
 
     /// Derives the [`ChasePlan`] for the chase engines: firing order from
     /// the analysis, termination guarantee iff the program is richly
-    /// acyclic (the engines' fixpoint semantics is oblivious), the size
-    /// degree for index pre-sizing, and `budget` as the step budget for
-    /// programs without a guarantee.
+    /// acyclic (the engines' fixpoint semantics is oblivious), and
+    /// `budget` as the step budget for programs without a guarantee.
     pub fn plan(&self, budget: Option<usize>) -> ChasePlan {
         let guaranteed = self.termination.class == TerminationClass::RichlyAcyclic;
         ChasePlan {
             order: self.firing_order.clone(),
             guaranteed_terminating: guaranteed,
-            size_degree: self.cost.size_degree.unwrap_or(1),
             step_budget: if guaranteed { None } else { budget },
             diagnosis: self.termination.diagnosis(),
             schedule: None,

@@ -11,9 +11,8 @@
 //! program can diverge outright.
 //!
 //! The engine therefore takes a [`ChasePlan`]: it refuses programs the plan
-//! marks non-terminating (unless a step budget is supplied), fires clauses
-//! in the planned statement order, and pre-sizes its trigger index from the
-//! plan's chase-size degree.
+//! marks non-terminating (unless a step budget is supplied) and fires
+//! clauses in the planned statement order.
 //!
 //! The engine is instrumented through [`ChaseObserver`]
 //! ([`chase_fixpoint_with`]): triggers examined vs. fired per statement,
@@ -152,10 +151,9 @@ pub fn chase_fixpoint_with<O: ChaseObserver>(
     }
 
     let mut instance = source.clone();
-    // Pre-size the trigger index from the plan's chase-size prediction; the
-    // index then grows incrementally instead of being rebuilt per round.
-    let cap = plan.predicted_tuples(source.len());
-    let mut index = TupleIndex::with_capacity(cap, cap.saturating_mul(2));
+    // The trigger index starts at the source's size and grows by amortized
+    // doubling instead of being rebuilt per round.
+    let mut index = TupleIndex::with_capacity(source.len(), source.len() * 2);
     for f in instance.facts() {
         index.insert(f.rel, f.args);
     }

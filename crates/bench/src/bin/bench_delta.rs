@@ -116,6 +116,10 @@ fn analyze_into(syms: &mut SymbolTable, text: &str, w: &mut Workload) {
     let analysis = ChaseAnalysis::analyze(syms, &stmts);
     w.tgds = analysis.so_tgds().into_iter().map(|(_, t)| t).collect();
     w.plan = analysis.tgd_plan(None);
+    // The workload's source is not part of `text`, so the dataflow
+    // certificate (derived from the program's own facts) would claim
+    // every statement dead and the engines would reject it.
+    w.plan.cert = None;
     assert!(
         w.plan.guaranteed_terminating,
         "{}: bench workloads must complete under the default (no) budget",

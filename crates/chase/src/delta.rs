@@ -112,14 +112,10 @@ pub fn chase_fixpoint_delta_with<O: ChaseObserver>(
     // `BTreeSet` lookups.
     let dead_mask: Vec<bool> = (0..tgds.len()).map(|i| dead.contains(&i)).collect();
 
-    // Same growing state as the naive engine, pre-sized from the plan's
-    // chase-size prediction. The watermark starts at 0, so round one is
-    // the full enumeration — exactly the naive engine's round one.
-    let cap = plan.predicted_tuples(source.len());
-    let mut index = TupleIndex::with_capacity(cap, cap.saturating_mul(2));
-    for f in source.facts() {
-        index.insert(f.rel, f.args);
-    }
+    // Same growing state as the naive engine, started at the source's
+    // size. The watermark starts at 0, so round one is the full
+    // enumeration — exactly the naive engine's round one.
+    let mut index = TupleIndex::from_instance(source);
 
     let order = plan.firing_order(tgds.len());
     // The frontier watermark is only meaningful while ids stay stable:
@@ -593,11 +589,7 @@ pub fn chase_fixpoint_delta_parallel_with<O: ChaseObserver>(
         })
         .collect();
 
-    let cap = plan.predicted_tuples(source.len());
-    let mut index = TupleIndex::with_capacity(cap, cap.saturating_mul(2));
-    for f in source.facts() {
-        index.insert(f.rel, f.args);
-    }
+    let mut index = TupleIndex::from_instance(source);
     let mut committed = source.len();
 
     // As in the sequential delta engine: the frontier is only meaningful

@@ -11,9 +11,8 @@
 //! program can diverge outright.
 //!
 //! The engine therefore takes a [`ChasePlan`]: it refuses programs the plan
-//! marks non-terminating (unless a step budget is supplied), fires clauses
-//! in the planned statement order, and pre-sizes its trigger index from the
-//! plan's chase-size degree.
+//! marks non-terminating (unless a step budget is supplied) and fires
+//! clauses in the planned statement order.
 //!
 //! The engine is instrumented through [`ChaseObserver`]
 //! ([`chase_fixpoint_with`]): triggers examined vs. fired per statement,
@@ -193,13 +192,9 @@ pub fn chase_fixpoint_with<O: ChaseObserver>(
     // The single growing state of the chase: one tuple index whose store
     // holds every committed fact. Dedup, the budget check and the final
     // instance all come from it — no shadow `Instance` is maintained.
-    // Pre-sized from the plan's chase-size prediction, the index grows
-    // incrementally instead of being rebuilt per round.
-    let cap = plan.predicted_tuples(source.len());
-    let mut index = TupleIndex::with_capacity(cap, cap.saturating_mul(2));
-    for f in source.facts() {
-        index.insert(f.rel, f.args);
-    }
+    // It starts at the source's size and grows by amortized doubling,
+    // never rebuilt per round.
+    let mut index = TupleIndex::from_instance(source);
 
     let order = plan.firing_order(tgds.len());
     let mut rounds = 0usize;

@@ -13,7 +13,7 @@
 //!   (Definition 5.4);
 //! - [`fixpoint`] — the oblivious **fixpoint** chase for recursive SO-tgd
 //!   programs, driven by a [`plan::ChasePlan`] (firing order, termination
-//!   verdict, step budget, index sizing) from the static analyzer;
+//!   verdict, step budget) from the static analyzer;
 //! - [`delta`] — the **semi-naive** fixpoint chase: each round matches
 //!   only triggers reaching the previous round's delta frontier
 //!   (`TupleIndex::mark_frontier`), with an optional sharded-parallel
@@ -39,7 +39,6 @@ pub mod cert;
 pub mod config;
 pub mod delta;
 pub mod egd;
-pub mod fingerprint;
 pub mod fixpoint;
 pub mod nested;
 pub mod null;
@@ -56,7 +55,6 @@ pub use delta::{
     chase_fixpoint_delta_with,
 };
 pub use egd::{chase_egds, satisfies_egds, EgdChase, EgdConflict, RigidPolicy};
-pub use fingerprint::{chase_fixpoint_fingerprinted, instance_fingerprint, outcome_fingerprint};
 pub use fixpoint::{
     chase_fixpoint, chase_fixpoint_with, FixpointChase, FixpointError, FixpointProgress,
 };

@@ -131,7 +131,7 @@ pub fn chase_nested(source: &Instance, tgds: &[Prepared], nulls: &mut NullFactor
 /// Chases with a [`ChasePlan`](crate::plan::ChasePlan): statements fire in
 /// the planned order (TrigId numbering and the forest follow that order;
 /// `tgd_idx` still refers to positions in `tgds`), and the trigger index
-/// over the source is pre-sized from the plan's prediction.
+/// over the source is sized to the source.
 ///
 /// The single-pass nested chase always terminates, so — unlike the
 /// fixpoint engine — this never refuses a plan; the plan's termination

@@ -402,11 +402,7 @@ pub fn chase_fixpoint_parallel_with<O: ChaseObserver>(
         })
         .collect();
 
-    let cap = plan.predicted_tuples(source.len());
-    let mut index = TupleIndex::with_capacity(cap, cap.saturating_mul(2));
-    for f in source.facts() {
-        index.insert(f.rel, f.args);
-    }
+    let mut index = TupleIndex::from_instance(source);
     let mut committed = source.len();
 
     let mut rounds = 0usize;

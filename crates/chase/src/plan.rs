@@ -3,11 +3,11 @@
 //! A [`ChasePlan`] is what the static analyzer (`ndl-analyze`) hands the
 //! chase engines: a clause firing order, a termination verdict derived
 //! from the position graph of the Skolemized program (weak/rich
-//! acyclicity), a worst-case chase-size degree for index pre-sizing, and —
-//! for programs whose chase is *not* provably terminating — either a step
-//! budget or an instruction to refuse outright. The engines stay usable
-//! without an analyzer: [`ChasePlan::trusting`] reproduces the historical
-//! behavior (natural order, no budget, assume termination).
+//! acyclicity), and — for programs whose chase is *not* provably
+//! terminating — either a step budget or an instruction to refuse
+//! outright. The engines stay usable without an analyzer:
+//! [`ChasePlan::trusting`] reproduces the historical behavior (natural
+//! order, no budget, assume termination).
 
 /// A stratification of a firing order into conflict-free stages.
 ///
@@ -71,9 +71,6 @@ pub struct ChasePlan {
     /// Is the (oblivious, fixpoint) chase provably terminating — i.e. did
     /// the analyzer certify rich acyclicity of the position graph?
     pub guaranteed_terminating: bool,
-    /// Worst-case chase-size polynomial degree: `|chase(I)| = O(|I|^d)`.
-    /// Meaningful only when `guaranteed_terminating`.
-    pub size_degree: usize,
     /// Step budget (count of derived facts) for programs without a
     /// termination guarantee. `None` means: refuse to chase such a
     /// program at all.
@@ -99,7 +96,6 @@ impl ChasePlan {
         ChasePlan {
             order: (0..statements).collect(),
             guaranteed_terminating: true,
-            size_degree: 1,
             step_budget: None,
             diagnosis: None,
             schedule: None,
@@ -121,18 +117,6 @@ impl ChasePlan {
         }
         out.extend((0..n).filter(|&i| !seen[i]));
         out
-    }
-
-    /// Predicted number of chase facts for a source of `n` facts, from the
-    /// size degree — the trigger-index pre-sizing hint. Clamped so a
-    /// pessimistic degree cannot ask for absurd allocations.
-    pub fn predicted_tuples(&self, n: usize) -> usize {
-        const CAP: usize = 1 << 20;
-        if !self.guaranteed_terminating {
-            return self.step_budget.unwrap_or(0).min(CAP).max(n.min(CAP));
-        }
-        n.saturating_pow(self.size_degree.min(6) as u32)
-            .clamp(n.min(CAP), CAP)
     }
 }
 
@@ -176,19 +160,5 @@ mod tests {
         };
         assert_eq!(s.flattened(), vec![0, 1, 2, 3, 4]);
         assert_eq!(s.width(), 2);
-    }
-
-    #[test]
-    fn predicted_tuples_scales_and_clamps() {
-        let mut p = ChasePlan::trusting(1);
-        p.size_degree = 2;
-        assert_eq!(p.predicted_tuples(100), 10_000);
-        p.size_degree = 6;
-        assert_eq!(p.predicted_tuples(1_000_000), 1 << 20);
-        p.guaranteed_terminating = false;
-        p.step_budget = Some(500);
-        assert_eq!(p.predicted_tuples(10), 500);
-        p.step_budget = None;
-        assert_eq!(p.predicted_tuples(10), 10);
     }
 }

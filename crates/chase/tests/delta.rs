@@ -184,43 +184,66 @@ fn empty_delta_round_does_not_rescan() {
     );
 }
 
-#[test]
-fn presized_plan_avoids_store_rehashes() {
-    // The engines pre-size the store and posting map from the plan's
-    // chase-size degree bound; when the prediction covers the actual
-    // chase, the store must never rehash its dedup table nor regrow its
-    // row arena — the counters prove it.
-    let mut syms = SymbolTable::new();
-    let tgd = parse_so_tgd(&mut syms, "E(x,y) & E(y,z) -> E(x,z)").unwrap();
-    let e = syms.rel("E");
-    let vals: Vec<Value> = (0..=10)
-        .map(|i| Value::Const(syms.constant(&format!("v{i}"))))
-        .collect();
-    let source = Instance::from_facts((0..10).map(|i| Fact::new(e, vec![vals[i], vals[i + 1]])));
-    // Size degree 2 (the analyzer's bound for binary TC) predicts
-    // 10² = 100 tuples; the TC of a 10-chain is 55 edges, well under it.
-    let plan = ChasePlan {
-        size_degree: 2,
-        ..ChasePlan::trusting(1)
-    };
+/// Chases the transitive-closure rule over `source` with the delta
+/// engine; returns the chased fact count and the store counters' rehash
+/// and regrow counts.
+fn tc_growth(syms: &mut SymbolTable, source: &Instance) -> (usize, u64, u64) {
+    let tgd = parse_so_tgd(syms, "E(x,y) & E(y,z) -> E(x,z)").unwrap();
+    let plan = ChasePlan::trusting(1);
     let mut nulls = NullFactory::new();
     let mut stats = ChaseStats::new();
-    chase_fixpoint_delta_with(
-        &source,
+    let out = chase_fixpoint_delta_with(
+        source,
         std::slice::from_ref(&tgd),
         &plan,
         &mut nulls,
         &mut stats,
     )
     .unwrap();
-    assert_eq!(
-        stats.store.rehashes, 0,
-        "store dedup table rehashed despite plan pre-sizing"
+    (
+        out.instance.len(),
+        stats.store.rehashes,
+        stats.store.regrows,
+    )
+}
+
+#[test]
+fn index_sized_to_the_source_grows_by_doubling() {
+    // The engines start the store at the source's size and grow it by
+    // amortized doubling. A chase whose result fits in that size (here a
+    // transitively closed source: every trigger fires, every fact is a
+    // dedup hit) never rehashes; a chase growing from `s` to `f` facts
+    // rehashes at most ⌈log2(f/s)⌉+1 times.
+    let mut syms = SymbolTable::new();
+    let e = syms.rel("E");
+    let vals: Vec<Value> = (0..=40)
+        .map(|i| Value::Const(syms.constant(&format!("v{i}"))))
+        .collect();
+
+    let closed = Instance::from_facts(
+        (0..12)
+            .flat_map(|i| (i + 1..12).map(move |j| (i, j)))
+            .map(|(i, j)| Fact::new(e, vec![vals[i], vals[j]])),
     );
-    assert_eq!(
-        stats.store.regrows, 0,
-        "store row arena regrew despite plan pre-sizing"
-    );
+    let (f, rehashes, regrows) = tc_growth(&mut syms, &closed);
+    assert_eq!(f, closed.len(), "a closed source derives nothing");
+    assert_eq!(rehashes, 0, "store rehashed though the result fit");
+    assert_eq!(regrows, 0, "row arena regrew though the result fit");
+
+    for s in [1usize, 5, 10, 40] {
+        let chain = Instance::from_facts((0..s).map(|i| Fact::new(e, vec![vals[i], vals[i + 1]])));
+        let (f, rehashes, regrows) = tc_growth(&mut syms, &chain);
+        assert_eq!(f, s * (s + 1) / 2, "TC of an {s}-chain");
+        let bound = u64::from((f as f64 / s as f64).log2().ceil() as u32) + 1;
+        assert!(
+            rehashes <= bound,
+            "{s}-chain grew to {f} facts with {rehashes} rehashes (bound {bound})"
+        );
+        assert!(
+            regrows <= bound,
+            "{s}-chain grew to {f} facts with {regrows} regrows (bound {bound})"
+        );
+    }
 }
 
 #[test]

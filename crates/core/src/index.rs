@@ -54,8 +54,7 @@ impl TupleIndex {
     }
 
     /// Creates an empty index pre-sized for roughly `tuples` facts of
-    /// `cells` total tuple cells — the chase planner passes its predicted
-    /// chase size here so hot loops avoid rehash-and-grow cycles.
+    /// `cells` total tuple cells; it grows by amortized doubling beyond.
     pub fn with_capacity(tuples: usize, cells: usize) -> Self {
         TupleIndex {
             store: FactStore::with_capacity(tuples),

@@ -243,9 +243,8 @@ impl FactStore {
         Self::default()
     }
 
-    /// Creates an empty store pre-sized for roughly `facts` rows — the
-    /// chase planner passes its predicted chase size here so hot loops
-    /// avoid rehash-and-grow cycles.
+    /// Creates an empty store pre-sized for roughly `facts` rows; it
+    /// grows by amortized doubling beyond.
     pub fn with_capacity(facts: usize) -> Self {
         FactStore {
             slots: Vec::with_capacity(facts),
@@ -527,15 +526,16 @@ impl FactStore {
         self.epoch
     }
 
-    /// Debug-asserts that no compaction happened since `observed` was
+    /// Asserts that no compaction happened since `observed` was
     /// snapshotted via [`FactStore::epoch`]. Consumers holding `FactId`s
     /// or a frontier watermark across mutations (a [`crate::index::TupleIndex`]
     /// posting list, an in-flight delta chase, a retraction worklist) call
-    /// this at their re-entry points; release builds compile it away.
+    /// this at their re-entry points. It stays on in release builds: the
+    /// check is one integer compare per call.
     #[inline]
     #[track_caller]
     pub fn assert_epoch(&self, observed: u64) {
-        debug_assert_eq!(
+        assert_eq!(
             self.epoch, observed,
             "stale FactIds: the store was compacted (epoch {} -> {}) after \
              these ids were captured; compaction renumbers every id and \
@@ -719,7 +719,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "stale FactIds")]
-    #[cfg(debug_assertions)]
     fn assert_epoch_panics_on_stale_snapshot() {
         let (_syms, r, a, b, _) = setup();
         let mut s = FactStore::new();

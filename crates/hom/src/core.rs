@@ -163,15 +163,6 @@ pub fn instance_value_fingerprint(inst: &Instance) -> u64 {
     fp.value()
 }
 
-/// [`core_of`] plus the value fingerprint of the computed core — the
-/// hash-fingerprinted entry point the incremental query graph memoizes
-/// behind (equal fingerprints let dependents of the core stay green).
-pub fn core_of_fingerprinted(inst: &Instance) -> (Instance, u64) {
-    let core = core_of(inst);
-    let fp = instance_value_fingerprint(&core);
-    (core, fp)
-}
-
 /// Finds an endomorphism retracting `block` into the indexed instance
 /// while avoiding the null `n` (identity outside the block), if one
 /// exists.
@@ -263,52 +254,60 @@ impl<'o, O: HomObserver> CoreEngine<'o, O> {
     }
 
     /// Finds the smallest dirty null admitting a retraction, cleaning every
-    /// probed-and-failed null along the way. Probes run in parallel chunks
-    /// above the configured cutoff; the smallest-null-first retraction
-    /// order (and hence the result) is independent of the worker count.
+    /// probed-and-failed null along the way. Above the configured cutoff
+    /// one scope of workers probes the dirty nulls in ascending order; the
+    /// smallest-null-first retraction order (and hence the result) is
+    /// independent of the worker count.
     fn find_retraction(&mut self) -> Option<(NullId, HomMap)> {
         let workers = HomConfig::from_env().effective_threads(self.dirty.len(), self.index.len());
-        loop {
-            let chunk: Vec<NullId> = self.dirty.iter().copied().take(workers.max(1)).collect();
-            if chunk.is_empty() {
-                return None;
-            }
-            if workers <= 1 {
-                let n = chunk[0];
+        if workers <= 1 {
+            while let Some(&n) = self.dirty.first() {
                 match self.probe(n) {
                     Some(h) => return Some((n, h)),
                     None => {
                         self.dirty.remove(&n);
-                        continue;
                     }
                 }
             }
-            // Parallel chunk: probe all, then commit the smallest success.
-            // Failures are clean regardless of position — a failed probe
-            // stays failed while the block is unchanged and the instance
-            // shrinks; `retract` re-dirties any null whose block changes.
-            self.obs.threads_dispatched(workers);
-            let probes: Vec<OnceLock<Option<HomMap>>> =
-                (0..chunk.len()).map(|_| OnceLock::new()).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&n) = chunk.get(i) else { return };
-                        let _ = probes[i].set(self.probe(n));
-                    });
-                }
-            });
-            for (i, &n) in chunk.iter().enumerate() {
-                match probes[i].get().expect("probed") {
-                    Some(h) => return Some((n, h.clone())),
-                    None => {
-                        self.dirty.remove(&n);
+            return None;
+        }
+        // Workers claim nulls in ascending order and stop claiming past the
+        // smallest success seen so far, so every null below the smallest
+        // success has been probed when the scope ends. Failures are clean
+        // regardless of position — a failed probe stays failed while the
+        // block is unchanged and the instance shrinks; `retract` re-dirties
+        // any null whose block changes. Spawning once per call, not once
+        // per `workers` nulls, keeps thread start-up off the per-probe cost.
+        self.obs.threads_dispatched(workers);
+        let nulls: Vec<NullId> = self.dirty.iter().copied().collect();
+        let probes: Vec<OnceLock<Option<HomMap>>> =
+            (0..nulls.len()).map(|_| OnceLock::new()).collect();
+        let next = AtomicUsize::new(0);
+        let first_hit = AtomicUsize::new(usize::MAX);
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= nulls.len() || i > first_hit.load(Ordering::Relaxed) {
+                        return;
                     }
+                    let found = self.probe(nulls[i]);
+                    if found.is_some() {
+                        first_hit.fetch_min(i, Ordering::Relaxed);
+                    }
+                    let _ = probes[i].set(found);
+                });
+            }
+        });
+        for (i, &n) in nulls.iter().enumerate() {
+            match probes[i].get().expect("probed") {
+                Some(h) => return Some((n, h.clone())),
+                None => {
+                    self.dirty.remove(&n);
                 }
             }
         }
+        None
     }
 
     /// Applies the retraction `h` of the block of `n`: removes the block

@@ -30,7 +30,9 @@
 //! statement lines in order, then the rendered `fact:` lines sorted).
 //! Every front end — `ndl chase` on a file, the daemon, this graph —
 //! funnels through [`ProgramArtifacts::build`] and the same chase entry
-//! points, so a memoized result is byte-identical to a from-scratch run
+//! points (the recompute runs the semi-naive delta engine, `ndl chase`'s
+//! default, which is bit-identical to the naive `--no-delta` oracle), so
+//! a memoized result is byte-identical to a from-scratch run
 //! *whenever it is computed at all*; the red-green machinery only decides
 //! **whether** to run, never **what** the answer is. The proptests in
 //! `tests/incr_props.rs` pin exactly this: after every prefix of a random
@@ -40,13 +42,10 @@
 use crate::edit::EditOp;
 use crate::query::{deps_of, DepKey, QueryKey, QueryOutput};
 use ndl_analyze::ProgramArtifacts;
-use ndl_chase::{
-    chase_fixpoint_fingerprinted, instance_fingerprint, satisfies_egds, FixpointChase,
-    FixpointError, NullFactory,
-};
+use ndl_chase::{chase_fixpoint_delta, satisfies_egds, FixpointChase, FixpointError, NullFactory};
 use ndl_core::prelude::*;
 use ndl_core::revision::{fingerprint_str, Fingerprint, Revision, TrackedStore};
-use ndl_hom::{core_of_fingerprinted, f_block_size, null_blocks};
+use ndl_hom::{core_of, f_block_size, null_blocks};
 use ndl_obs::{IncrObserver, IncrStats};
 use ndl_reasoning::{equivalent_fingerprinted, implies_fingerprinted, ImpliesOptions};
 use std::collections::BTreeMap;
@@ -96,8 +95,6 @@ pub struct ChaseData {
     /// One-line status, used by downstream queries to report why the
     /// instance is unavailable (budget exhaustion, refusal, parse error).
     pub summary: String,
-    value_fp: u64,
-    instance_fp: u64,
 }
 
 #[derive(Clone, Debug)]
@@ -476,7 +473,7 @@ impl IncrDb {
             }
             QueryKey::Chase => {
                 let data = self.compute_chase();
-                let (vh, ih) = (data.value_fp, data.instance_fp);
+                let (vh, ih) = data.fingerprints();
                 (MemoValue::Chase(Arc::new(data)), vh, ih)
             }
             QueryKey::Core => {
@@ -540,10 +537,9 @@ impl IncrDb {
             return ChaseData::unavailable(art, nulls, msg);
         }
         let plan = art.analysis.tgd_plan(self.opts.budget);
-        let (outcome, value_fp) =
-            chase_fixpoint_fingerprinted(&art.source, &art.tgds, &plan, &mut nulls, &art.syms);
+        let outcome = chase_fixpoint_delta(&art.source, &art.tgds, &plan, &mut nulls);
         let mut rendered = QueryOutput::default();
-        let (result, summary, instance_fp) = match outcome {
+        let (result, summary) = match outcome {
             Ok(res) => {
                 let summary = format!(
                     "fixpoint: {} facts ({} derived, {} nulls) in {} rounds",
@@ -560,8 +556,7 @@ impl IncrDb {
                         nulls.display_fact_ref(fact, &art.syms)
                     );
                 }
-                let ifp = instance_fingerprint(&res.instance, &nulls, &art.syms);
-                (Some(res), summary, ifp)
+                (Some(res), summary)
             }
             Err(FixpointError::BudgetExhausted {
                 budget, progress, ..
@@ -571,20 +566,17 @@ impl IncrDb {
                     progress.derived, progress.rounds, budget
                 );
                 let _ = writeln!(rendered.stdout, "{summary}");
-                let ifp = fingerprint_str(&summary);
-                (None, summary, ifp)
+                (None, summary)
             }
             Err(e @ FixpointError::NonTerminating { .. }) => {
                 let summary = e.to_string();
                 rendered.error = Some(format!("{e}; re-run with --budget N to chase it anyway"));
-                let ifp = fingerprint_str(&summary);
-                (None, summary, ifp)
+                (None, summary)
             }
             Err(e) => {
                 let summary = e.to_string();
                 rendered.error = Some(summary.clone());
-                let ifp = fingerprint_str(&summary);
-                (None, summary, ifp)
+                (None, summary)
             }
         };
         ChaseData {
@@ -593,8 +585,6 @@ impl IncrDb {
             result,
             rendered,
             summary,
-            value_fp,
-            instance_fp,
         }
     }
 
@@ -675,10 +665,24 @@ impl ChaseData {
             nulls,
             result: None,
             rendered: QueryOutput::err(msg.clone()),
-            instance_fp: fingerprint_str(&msg),
-            value_fp: fingerprint_str(&msg),
             summary: msg,
         }
+    }
+
+    /// The memo's `(value, instance)` fingerprints, both read off the
+    /// rendered output. The value fingerprint is the whole output's, so
+    /// it changes exactly when the output does. The instance fingerprint
+    /// covers the fact lines (everything after the summary line) when the
+    /// chase reached a fixpoint, and the summary otherwise.
+    fn fingerprints(&self) -> (u64, u64) {
+        let instance = match self.result {
+            Some(_) => {
+                let stdout = &self.rendered.stdout;
+                fingerprint_str(stdout.split_once('\n').map_or("", |(_, facts)| facts))
+            }
+            None => fingerprint_str(&self.summary),
+        };
+        (output_hash(&self.rendered), instance)
     }
 }
 
@@ -696,7 +700,7 @@ fn compute_core(chase: &ChaseData) -> QueryOutput {
     let Some(res) = &chase.result else {
         return QueryOutput::err(format!("chase unavailable: {}", chase.summary));
     };
-    let (core, _fp) = core_of_fingerprinted(&res.instance);
+    let core = core_of(&res.instance);
     let mut out = QueryOutput::default();
     let _ = writeln!(
         out.stdout,
