@@ -124,6 +124,12 @@ echo "==> bench_incr smoke: incremental replay identity-checked against scratch"
 cargo build --release --offline -p ndl-bench --bin bench_incr
 ./target/release/bench_incr --smoke target/experiments
 
+echo "==> bench_analyze: analysis cost stays near-linear up to 10^3 statements"
+# Exits non-zero when a 10^3-statement program costs more than 20x per
+# statement what a 10-statement one does.
+cargo build --release --offline -p ndl-bench --bin bench_analyze
+./target/release/bench_analyze target/experiments
+
 echo "==> engine tests: cargo test -q -p ndl-hom"
 cargo test -q -p ndl-hom --offline
 

@@ -13,6 +13,7 @@
 //! growing through a special cycle), the bound is reported as `None`.
 
 use crate::dataflow::{DataflowAnalysis, DataflowSummary};
+use crate::footprint::ProgramFootprints;
 use crate::graph::{ClauseView, ProgramGraphs};
 use crate::interference::InterferenceAnalysis;
 use crate::program::Statement;
@@ -22,6 +23,7 @@ use ndl_chase::{ChasePlan, DataflowCert, ParallelSchedule};
 use ndl_core::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
 /// Degrees never exceed this cap; hitting it means divergence.
 const DEGREE_CAP: usize = 64;
@@ -107,11 +109,9 @@ impl CostModel {
             }
         }
         let size_degree = if converged && vdeg.iter().all(|&d| d < DEGREE_CAP) {
-            let max_tdeg = graphs
-                .clauses
+            let max_tdeg = clause_body_pos
                 .iter()
-                .map(|cv| {
-                    let body_pos = body_positions(cv, &ids);
+                .map(|body_pos| {
                     body_pos
                         .values()
                         .map(|ps| ps.iter().map(|&p| vdeg[p]).min().unwrap_or(1))
@@ -185,19 +185,65 @@ pub struct ChaseAnalysis {
     /// in **statement-index** space ([`Self::tgd_plan`] remaps it to tgd
     /// positions for the fixpoint engine).
     pub schedule: ParallelSchedule,
+    /// Wall time of each pass of [`Self::analyze`].
+    pub passes_ns: PassTimings,
+}
+
+/// Wall time of each analysis pass in nanoseconds — the `passes_ns`
+/// object of the `ndl analyze --stats` / `ndl lint --stats` line.
+/// `graphs` covers Skolemization, the position and Skolem graphs and the
+/// shared statement footprints.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+pub struct PassTimings {
+    /// Position graph, Skolem graph and footprints.
+    pub graphs: u64,
+    /// Termination classification.
+    pub termination: u64,
+    /// Value-degree cost model.
+    pub cost: u64,
+    /// Producer-before-consumer firing order.
+    pub firing_order: u64,
+    /// Statement conflict graph.
+    pub interference: u64,
+    /// Conflict-free stage schedule.
+    pub schedule: u64,
+    /// Reachability, liveness, groundness and provenance.
+    pub dataflow: u64,
+}
+
+impl PassTimings {
+    /// Compact one-line JSON object, fields in pass order.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("timings serialize infallibly")
+    }
 }
 
 impl ChaseAnalysis {
     /// Analyzes parsed statements. Skolemization interns fresh function
     /// symbols into `syms`.
     pub fn analyze(syms: &mut SymbolTable, stmts: &[Statement]) -> ChaseAnalysis {
+        let mut passes_ns = PassTimings::default();
+        let mut clock = Instant::now();
+        let mut lap = |slot: &mut u64| {
+            let now = Instant::now();
+            *slot = (now - clock).as_nanos() as u64;
+            clock = now;
+        };
         let graphs = ProgramGraphs::build(syms, stmts);
+        let footprints = ProgramFootprints::of(&graphs, stmts);
+        lap(&mut passes_ns.graphs);
         let termination = Termination::of(&graphs, syms);
+        lap(&mut passes_ns.termination);
         let cost = CostModel::of(&graphs);
-        let firing_order = firing_order(&graphs);
-        let interference = InterferenceAnalysis::of(&graphs, stmts);
+        lap(&mut passes_ns.cost);
+        let firing_order = firing_order(graphs.statements, &footprints);
+        lap(&mut passes_ns.firing_order);
+        let dataflow = DataflowAnalysis::of(&graphs, stmts, &footprints);
+        lap(&mut passes_ns.dataflow);
+        let interference = InterferenceAnalysis::of(footprints);
+        lap(&mut passes_ns.interference);
         let schedule = crate::schedule::build_schedule(&interference, &firing_order);
-        let dataflow = DataflowAnalysis::of(&graphs, stmts);
+        lap(&mut passes_ns.schedule);
         ChaseAnalysis {
             graphs,
             termination,
@@ -206,6 +252,7 @@ impl ChaseAnalysis {
             interference,
             dataflow,
             schedule,
+            passes_ns,
         }
     }
 
@@ -382,30 +429,52 @@ impl ChaseAnalysis {
 /// algorithm with smallest-index tie-breaking; cycles (recursive programs)
 /// are broken at the smallest remaining index, so the order is total,
 /// deterministic and stable for acyclic programs.
-fn firing_order(graphs: &ProgramGraphs) -> Vec<usize> {
-    let n = graphs.statements;
-    let mut succs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    let mut indeg = vec![0usize; n];
-    for (&s, (_, heads)) in &graphs.stmt_rels {
-        for (&t, (bodies, _)) in &graphs.stmt_rels {
-            if s != t && heads.intersection(bodies).next().is_some() && succs[s].insert(t) {
-                indeg[t] += 1;
-            }
+///
+/// Successors come from a relation → readers index over the shared
+/// footprints of the scheduled statements, and the in-degree-0 statements
+/// wait in an ordered ready set, so the pass costs the number of
+/// producer/consumer pairs rather than the square of the statement count.
+fn firing_order(statements: usize, fps: &ProgramFootprints) -> Vec<usize> {
+    let mut readers: BTreeMap<RelId, Vec<usize>> = BTreeMap::new();
+    for &t in &fps.scheduled {
+        for &r in &fps.footprints[&t].reads {
+            readers.entry(r).or_default().push(t);
         }
     }
-    let mut remaining: BTreeSet<usize> = (0..n).collect();
-    let mut order = Vec::with_capacity(n);
-    while !remaining.is_empty() {
-        let next = remaining
-            .iter()
-            .copied()
-            .find(|&s| indeg[s] == 0)
-            .unwrap_or_else(|| *remaining.iter().next().expect("nonempty"));
-        remaining.remove(&next);
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); statements];
+    let mut indeg = vec![0usize; statements];
+    for &s in &fps.scheduled {
+        let out = &mut succs[s];
+        for r in &fps.footprints[&s].writes {
+            out.extend(readers.get(r).into_iter().flatten().filter(|&&t| t != s));
+        }
+        out.sort_unstable();
+        out.dedup();
+        for &t in out.iter() {
+            indeg[t] += 1;
+        }
+    }
+    let mut ready: BTreeSet<usize> = (0..statements).filter(|&s| indeg[s] == 0).collect();
+    let mut placed = vec![false; statements];
+    // Smallest unplaced index: the cycle breaker. Placed statements never
+    // return, so it only moves forward.
+    let mut first_unplaced = 0;
+    let mut order = Vec::with_capacity(statements);
+    while order.len() < statements {
+        let next = ready.pop_first().unwrap_or_else(|| {
+            while placed[first_unplaced] {
+                first_unplaced += 1;
+            }
+            first_unplaced
+        });
+        placed[next] = true;
         order.push(next);
         for &t in &succs[next] {
-            if remaining.contains(&t) {
-                indeg[t] = indeg[t].saturating_sub(1);
+            if !placed[t] {
+                indeg[t] -= 1;
+                if indeg[t] == 0 {
+                    ready.insert(t);
+                }
             }
         }
     }

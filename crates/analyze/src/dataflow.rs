@@ -39,7 +39,7 @@
 //! `ndl analyze --dataflow [--json]`, and `--dot=dataflow`.
 
 use crate::footprint::{collect_funcs, ProgramFootprints};
-use crate::graph::{PosId, ProgramGraphs};
+use crate::graph::{scc_ids, PosId, ProgramGraphs};
 use crate::program::{Statement, StmtAst};
 use ndl_core::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -101,9 +101,13 @@ pub struct DataflowAnalysis {
 impl DataflowAnalysis {
     /// Runs the dataflow fixpoints. `graphs` supplies the Skolemized
     /// clauses and the position vocabulary; `stmts` supplies facts (the
-    /// sources) and egds (extra readers).
-    pub fn of(graphs: &ProgramGraphs, stmts: &[Statement]) -> DataflowAnalysis {
-        let fps = ProgramFootprints::of(graphs, stmts);
+    /// sources) and egds (extra readers); `fps` are the program's
+    /// footprints, shared with the interference pass.
+    pub fn of(
+        graphs: &ProgramGraphs,
+        stmts: &[Statement],
+        fps: &ProgramFootprints,
+    ) -> DataflowAnalysis {
         let mut a = DataflowAnalysis::default();
 
         // Sources: fact-populated relations, or (assumed mode) the
@@ -151,13 +155,14 @@ impl DataflowAnalysis {
             .collect();
 
         // Statement liveness: dead iff *every* clause fails to fire.
+        let alive: BTreeSet<usize> = graphs
+            .clauses
+            .iter()
+            .zip(&firing)
+            .filter_map(|(cv, &f)| f.then_some(cv.stmt))
+            .collect();
         for &s in &fps.scheduled {
-            let alive = graphs
-                .clauses
-                .iter()
-                .zip(&firing)
-                .any(|(cv, &f)| cv.stmt == s && f);
-            if alive {
+            if alive.contains(&s) {
                 a.live.insert(s);
             } else {
                 a.dead.insert(s);
@@ -501,26 +506,55 @@ fn provenance(
             }
         }
     }
-    loop {
-        let mut changed = false;
-        for &(p, q) in &copies {
-            if p == q {
-                continue;
-            }
-            let (src, fns): (Vec<PosId>, Vec<FuncId>) = (
-                prov[p].sources.iter().copied().collect(),
-                prov[p].funcs.iter().copied().collect(),
-            );
-            for s in src {
-                changed |= prov[q].sources.insert(s);
-            }
-            for f in fns {
-                changed |= prov[q].funcs.insert(f);
-            }
+    // The least fixpoint of `prov[q] ⊇ prov[p]` over the copy edges,
+    // solved once per strongly connected component: every position of a
+    // component reaches every other, so all share one set — the union of
+    // their own seeds and of the sets of the components copying into
+    // them. Component ids are topologically ordered, so predecessors are
+    // final when a component is visited.
+    let n = prov.len();
+    let mut fwd: Vec<Vec<PosId>> = vec![Vec::new(); n];
+    let mut back: Vec<Vec<PosId>> = vec![Vec::new(); n];
+    for &(p, q) in copies.iter().filter(|(p, q)| p != q) {
+        fwd[p].push(q);
+        back[q].push(p);
+    }
+    let comp = scc_ids(&fwd);
+    let ncomp = comp.iter().map(|&c| c + 1).max().unwrap_or(0);
+    let mut members: Vec<Vec<PosId>> = vec![Vec::new(); ncomp];
+    for (p, &c) in comp.iter().enumerate() {
+        members[c].push(p);
+    }
+    // Sorted, deduplicated vectors while solving: a union is one
+    // sort of the concatenation rather than a set insert per element.
+    let mut solved: Vec<(Vec<PosId>, Vec<FuncId>)> = Vec::with_capacity(ncomp);
+    let mut preds: Vec<usize> = Vec::new();
+    for (c, ps) in members.iter().enumerate() {
+        let (mut sources, mut funcs) = (Vec::new(), Vec::new());
+        preds.clear();
+        for &q in ps {
+            sources.extend(prov[q].sources.iter().copied());
+            funcs.extend(prov[q].funcs.iter().copied());
+            preds.extend(back[q].iter().map(|&p| comp[p]).filter(|&d| d != c));
         }
-        if !changed {
-            break;
+        preds.sort_unstable();
+        preds.dedup();
+        for &d in &preds {
+            sources.extend_from_slice(&solved[d].0);
+            funcs.extend_from_slice(&solved[d].1);
         }
+        sources.sort_unstable();
+        sources.dedup();
+        funcs.sort_unstable();
+        funcs.dedup();
+        solved.push((sources, funcs));
+    }
+    for (p, slot) in prov.iter_mut().enumerate() {
+        let (sources, funcs) = &solved[comp[p]];
+        *slot = Provenance {
+            sources: sources.iter().copied().collect(),
+            funcs: funcs.iter().copied().collect(),
+        };
     }
     prov
 }
@@ -666,7 +700,7 @@ mod tests {
         let (stmts, errs) = parse_program(&mut syms, src);
         assert!(errs.is_empty(), "{errs:?}");
         let graphs = ProgramGraphs::build(&mut syms, &stmts);
-        let a = DataflowAnalysis::of(&graphs, &stmts);
+        let a = DataflowAnalysis::of(&graphs, &stmts, &ProgramFootprints::of(&graphs, &stmts));
         (syms, graphs, a)
     }
 

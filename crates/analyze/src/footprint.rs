@@ -1,13 +1,14 @@
 //! Per-statement footprints: what each statement of a program reads,
 //! writes, and which Skolem functions it invents nulls through.
 //!
-//! Footprints are the shared vocabulary of two whole-program passes:
+//! Footprints are the shared vocabulary of the whole-program passes:
+//! the firing order follows producer-to-consumer relations through them,
 //! [`crate::interference`] builds the statement conflict graph from them
 //! (which pairs may fire in parallel within a round), and
 //! [`crate::dataflow`] runs the reachability/liveness/groundness fixpoints
-//! over them (which statements can ever fire at all). Factoring the
-//! computation here keeps the two passes byte-for-byte agreed on what a
-//! statement touches.
+//! over them (which statements can ever fire at all). The analysis
+//! computes them once and shares the one map, which keeps the passes
+//! byte-for-byte agreed on what a statement touches.
 //!
 //! Footprints deliberately mirror `ndl_chase::parallel::StmtFootprint`:
 //! reads are body relations, writes are head relations, and the Skolem
@@ -198,11 +199,11 @@ mod tests {
         assert_eq!(p.footprints[&0].funcs.len(), 1);
     }
 
-    /// Regression pin: the factored-out computation produces byte-identical
-    /// footprints to the PR-6 interference analysis (which now consumes
-    /// this module — the pin guards against the two ever diverging again).
+    /// Regression pin: the analysis computes footprints once and hands the
+    /// same map to the interference pass — it must equal a fresh
+    /// computation (the chase engines re-derive footprints themselves).
     #[test]
-    fn interference_footprints_are_exactly_program_footprints() {
+    fn analysis_footprints_are_exactly_program_footprints() {
         let src = "fact: S(a, b)\n\
                    egd: S(x,y) & S(x,z) -> y = z\n\
                    S(x,y) -> exists z R(x, z)\n\
@@ -211,8 +212,10 @@ mod tests {
                    V(x,y) & V(y,z) -> V(x,z)\n";
         let (_, stmts, graphs) = build(src);
         let p = ProgramFootprints::of(&graphs, &stmts);
-        let inter = crate::interference::InterferenceAnalysis::of(&graphs, &stmts);
-        assert_eq!(inter.footprints, p.footprints);
-        assert_eq!(inter.scheduled, p.scheduled);
+        // A fresh symbol table: Skolemization interns the same function
+        // ids as the `build` above.
+        let (a, _) = crate::ChaseAnalysis::analyze_source(&mut SymbolTable::new(), src);
+        assert_eq!(a.interference.footprints, p.footprints);
+        assert_eq!(a.interference.scheduled, p.scheduled);
     }
 }

@@ -93,56 +93,11 @@ impl PositionGraph {
     /// Strongly connected components of the chosen graph, as a component
     /// id per position (Kosaraju, iterative — safe on deep graphs).
     pub fn scc_ids(&self, wa: bool) -> Vec<usize> {
-        let n = self.positions.len();
-        let mut fwd: Vec<Vec<PosId>> = vec![Vec::new(); n];
-        let mut back: Vec<Vec<PosId>> = vec![Vec::new(); n];
+        let mut fwd: Vec<Vec<PosId>> = vec![Vec::new(); self.positions.len()];
         for e in self.graph_edges(wa) {
             fwd[e.from].push(e.to);
-            back[e.to].push(e.from);
         }
-        // Pass 1: finish order on the forward graph.
-        let mut order = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            let mut stack = vec![(start, 0usize)];
-            seen[start] = true;
-            while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-                if *i < fwd[v].len() {
-                    let w = fwd[v][*i];
-                    *i += 1;
-                    if !seen[w] {
-                        seen[w] = true;
-                        stack.push((w, 0));
-                    }
-                } else {
-                    order.push(v);
-                    stack.pop();
-                }
-            }
-        }
-        // Pass 2: reverse graph in reverse finish order.
-        let mut comp = vec![usize::MAX; n];
-        let mut next = 0;
-        for &start in order.iter().rev() {
-            if comp[start] != usize::MAX {
-                continue;
-            }
-            let mut stack = vec![start];
-            comp[start] = next;
-            while let Some(v) = stack.pop() {
-                for &w in &back[v] {
-                    if comp[w] == usize::MAX {
-                        comp[w] = next;
-                        stack.push(w);
-                    }
-                }
-            }
-            next += 1;
-        }
-        comp
+        scc_ids(&fwd)
     }
 
     /// A cycle through a special edge in the chosen graph, if one exists —
@@ -234,26 +189,6 @@ impl PositionGraph {
                 .collect(),
         )
     }
-
-    /// Positions reachable from `from` via regular edges (reflexive).
-    pub fn regular_reach(&self, from: &BTreeSet<PosId>) -> BTreeSet<PosId> {
-        let mut adj: Vec<Vec<PosId>> = vec![Vec::new(); self.positions.len()];
-        for e in &self.edges {
-            if !e.special {
-                adj[e.from].push(e.to);
-            }
-        }
-        let mut out = from.clone();
-        let mut stack: Vec<PosId> = from.iter().copied().collect();
-        while let Some(v) = stack.pop() {
-            for &w in &adj[v] {
-                if out.insert(w) {
-                    stack.push(w);
-                }
-            }
-        }
-        out
-    }
 }
 
 /// A Skolem function of the program, with the graph-derived metrics.
@@ -303,9 +238,6 @@ pub struct ProgramGraphs {
     pub statements: usize,
     /// Statements that entered the analysis (parsed, arity-consistent).
     pub analyzed: Vec<usize>,
-    /// Per analyzed statement: (relations read in bodies, relations
-    /// written in heads) — the input of firing-order computation.
-    pub stmt_rels: BTreeMap<usize, (BTreeSet<RelId>, BTreeSet<RelId>)>,
 }
 
 impl ProgramGraphs {
@@ -363,17 +295,12 @@ impl ProgramGraphs {
             for f in funcs {
                 func_stmt.insert(f, stmt.index);
             }
-            let mut body_rels = BTreeSet::new();
-            let mut head_rels = BTreeSet::new();
             for c in &so.clauses {
-                body_rels.extend(c.body.iter().map(|a| a.rel));
-                head_rels.extend(c.head.iter().map(|a| a.rel));
                 g.clauses.push(ClauseView {
                     stmt: stmt.index,
                     clause: c.clone(),
                 });
             }
-            g.stmt_rels.insert(stmt.index, (body_rels, head_rels));
         }
         g.build_position_graph(syms);
         g.build_skolem_graph(&func_stmt, syms);
@@ -509,22 +436,49 @@ impl ProgramGraphs {
         }
         let mut funcs: Vec<FuncId> = occ.keys().copied().collect();
         funcs.sort_by_key(|f| (func_stmt.get(f).copied().unwrap_or(usize::MAX), *f));
-        let reach: Vec<BTreeSet<PosId>> = funcs
+        // One regular-edge adjacency for every search; `reached[p] == i`
+        // marks position `p` as reachable from function `i`'s terms.
+        let npos = self.positions.positions.len();
+        let mut adj: Vec<Vec<PosId>> = vec![Vec::new(); npos];
+        for e in self.positions.edges.iter().filter(|e| !e.special) {
+            adj[e.from].push(e.to);
+        }
+        let inputs: Vec<Vec<PosId>> = funcs
             .iter()
-            .map(|f| self.positions.regular_reach(&occ[f]))
+            .map(|f| {
+                input
+                    .get(f)
+                    .map_or_else(Vec::new, |s| s.iter().copied().collect())
+            })
             .collect();
+        let mut reached = vec![usize::MAX; npos];
+        let mut stack: Vec<PosId> = Vec::new();
         let mut nodes = Vec::new();
         let mut edges = Vec::new();
         for (i, &f) in funcs.iter().enumerate() {
+            let mut fan_out = 0;
+            for &p in &occ[&f] {
+                reached[p] = i;
+                fan_out += 1;
+                stack.push(p);
+            }
+            while let Some(v) = stack.pop() {
+                for &w in &adj[v] {
+                    if reached[w] != i {
+                        reached[w] = i;
+                        fan_out += 1;
+                        stack.push(w);
+                    }
+                }
+            }
             nodes.push(SkolemFunc {
                 func: f,
                 stmt: func_stmt.get(&f).copied().unwrap_or(0),
-                fan_in: input.get(&f).map_or(0, BTreeSet::len),
-                fan_out: reach[i].len(),
+                fan_in: inputs[i].len(),
+                fan_out,
             });
-            for (j, &g) in funcs.iter().enumerate() {
-                let gin = input.get(&g).into_iter().flatten();
-                if gin.into_iter().any(|p| reach[i].contains(p)) {
+            for (j, gin) in inputs.iter().enumerate() {
+                if gin.iter().any(|&p| reached[p] == i) {
                     edges.push((i, j));
                 }
             }
@@ -578,6 +532,63 @@ impl ProgramGraphs {
         out.push_str("  }\n}\n");
         out
     }
+}
+
+/// Strongly connected components of a graph given as forward adjacency
+/// lists, as a component id per node (Kosaraju, iterative — safe on deep
+/// graphs). Ids are numbered in topological order of the condensation:
+/// every edge between components goes from a smaller id to a larger one.
+pub(crate) fn scc_ids(fwd: &[Vec<usize>]) -> Vec<usize> {
+    let n = fwd.len();
+    let mut back: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (v, outs) in fwd.iter().enumerate() {
+        for &w in outs {
+            back[w].push(v);
+        }
+    }
+    // Pass 1: finish order on the forward graph.
+    let mut order = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    for start in 0..n {
+        if seen[start] {
+            continue;
+        }
+        let mut stack = vec![(start, 0usize)];
+        seen[start] = true;
+        while let Some(&mut (v, ref mut i)) = stack.last_mut() {
+            if *i < fwd[v].len() {
+                let w = fwd[v][*i];
+                *i += 1;
+                if !seen[w] {
+                    seen[w] = true;
+                    stack.push((w, 0));
+                }
+            } else {
+                order.push(v);
+                stack.pop();
+            }
+        }
+    }
+    // Pass 2: reverse graph in reverse finish order.
+    let mut comp = vec![usize::MAX; n];
+    let mut next = 0;
+    for &start in order.iter().rev() {
+        if comp[start] != usize::MAX {
+            continue;
+        }
+        let mut stack = vec![start];
+        comp[start] = next;
+        while let Some(v) = stack.pop() {
+            for &w in &back[v] {
+                if comp[w] == usize::MAX {
+                    comp[w] = next;
+                    stack.push(w);
+                }
+            }
+        }
+        next += 1;
+    }
+    comp
 }
 
 /// Is a statement well-formed apart from side discipline? Validation runs

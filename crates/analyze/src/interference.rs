@@ -25,8 +25,6 @@
 //! re-exported here so pre-split import paths keep working.
 
 use crate::footprint::ProgramFootprints;
-use crate::graph::ProgramGraphs;
-use crate::program::Statement;
 use ndl_core::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -48,11 +46,13 @@ pub struct ConflictEdge {
 #[derive(Clone, Debug, Default)]
 pub struct InterferenceAnalysis {
     /// Footprint per statement that contributes reads or writes: tgd
-    /// statements that entered [`ProgramGraphs`], plus ground facts and
-    /// egds (which the graphs skip).
+    /// statements that entered
+    /// [`ProgramGraphs`](crate::graph::ProgramGraphs), plus ground facts
+    /// and egds (which the graphs skip).
     pub footprints: BTreeMap<usize, Footprint>,
     /// Statements eligible for scheduling — exactly the tgd statements
-    /// with Skolemized clauses in [`ProgramGraphs::clauses`].
+    /// with Skolemized clauses in
+    /// [`ProgramGraphs::clauses`](crate::graph::ProgramGraphs::clauses).
     pub scheduled: BTreeSet<usize>,
     /// Conflict edges among *scheduled* statements, ordered by `(a, b)`.
     pub edges: Vec<ConflictEdge>,
@@ -68,26 +68,65 @@ pub struct InterferenceAnalysis {
 }
 
 impl InterferenceAnalysis {
-    /// Computes footprints and the conflict graph. `graphs` supplies the
-    /// Skolemized clauses of analyzable tgd statements; `stmts` supplies
-    /// the facts and egds the graphs skip.
-    pub fn of(graphs: &ProgramGraphs, stmts: &[Statement]) -> InterferenceAnalysis {
-        let fps = ProgramFootprints::of(graphs, stmts);
+    /// Builds the conflict graph over the program's footprints (computed
+    /// once per analysis by [`ProgramFootprints::of`] and shared with the
+    /// dataflow pass).
+    ///
+    /// Output-sensitive: scheduled statements are indexed by written
+    /// relation, read relation and Skolem function, and only pairs sharing
+    /// a key are tested — a pair with no common key cannot conflict. The
+    /// cost is the number of such candidate pairs, not the square of the
+    /// statement count.
+    pub fn of(fps: ProgramFootprints) -> InterferenceAnalysis {
         let mut a = InterferenceAnalysis {
             footprints: fps.footprints,
             scheduled: fps.scheduled,
             ..InterferenceAnalysis::default()
         };
-        let sched: Vec<usize> = a.scheduled.iter().copied().collect();
-        for (i, &s) in sched.iter().enumerate() {
-            if a.footprints[&s].self_interfering() {
+        // Posting lists in ascending statement order (`scheduled` is).
+        let mut writers: BTreeMap<RelId, Vec<usize>> = BTreeMap::new();
+        let mut readers: BTreeMap<RelId, Vec<usize>> = BTreeMap::new();
+        let mut makers: BTreeMap<FuncId, Vec<usize>> = BTreeMap::new();
+        for &s in &a.scheduled {
+            let fp = &a.footprints[&s];
+            for &r in &fp.writes {
+                writers.entry(r).or_default().push(s);
+            }
+            for &r in &fp.reads {
+                readers.entry(r).or_default().push(s);
+            }
+            for &f in &fp.funcs {
+                makers.entry(f).or_default().push(s);
+            }
+        }
+        // The part of a posting list after `s`: each pair is found from
+        // its smaller end, so edges come out in `(a, b)` order.
+        fn after(list: Option<&Vec<usize>>, s: usize) -> &[usize] {
+            let list = list.map_or(&[][..], Vec::as_slice);
+            &list[list.partition_point(|&t| t <= s)..]
+        }
+        let mut candidates: Vec<usize> = Vec::new();
+        for &s in &a.scheduled {
+            let fp = &a.footprints[&s];
+            if fp.self_interfering() {
                 a.self_interfering.push(s);
             }
-            for &t in &sched[i + 1..] {
-                let kinds = a.footprints[&s].kinds_against(&a.footprints[&t]);
-                if !kinds.is_empty() {
-                    a.edges.push(ConflictEdge { a: s, b: t, kinds });
-                }
+            candidates.clear();
+            for r in &fp.writes {
+                candidates.extend(after(writers.get(r), s));
+                candidates.extend(after(readers.get(r), s));
+            }
+            for r in &fp.reads {
+                candidates.extend(after(writers.get(r), s));
+            }
+            for f in &fp.funcs {
+                candidates.extend(after(makers.get(f), s));
+            }
+            candidates.sort_unstable();
+            candidates.dedup();
+            for &t in &candidates {
+                let kinds = fp.kinds_against(&a.footprints[&t]);
+                a.edges.push(ConflictEdge { a: s, b: t, kinds });
             }
         }
         let mut read: BTreeSet<RelId> = BTreeSet::new();
@@ -102,12 +141,16 @@ impl InterferenceAnalysis {
     }
 
     /// Is the pair conflict-free (both scheduled, no edge between them)?
+    /// A binary search over the `(a, b)`-sorted edge list.
     pub fn independent(&self, a: usize, b: usize) -> bool {
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
         a != b
             && self.scheduled.contains(&a)
             && self.scheduled.contains(&b)
-            && !self.edges.iter().any(|e| e.a == a && e.b == b)
+            && self
+                .edges
+                .binary_search_by(|e| (e.a, e.b).cmp(&(a, b)))
+                .is_err()
     }
 
     /// Renders the conflict graph in Graphviz DOT: one box per scheduled
@@ -153,20 +196,21 @@ impl InterferenceAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::ProgramGraphs;
     use crate::program::parse_program;
 
-    fn build(src: &str) -> (SymbolTable, Vec<Statement>, ProgramGraphs) {
+    fn build(src: &str) -> (SymbolTable, InterferenceAnalysis) {
         let mut syms = SymbolTable::new();
         let (stmts, errs) = parse_program(&mut syms, src);
         assert!(errs.is_empty(), "{errs:?}");
         let graphs = ProgramGraphs::build(&mut syms, &stmts);
-        (syms, stmts, graphs)
+        let a = InterferenceAnalysis::of(ProgramFootprints::of(&graphs, &stmts));
+        (syms, a)
     }
 
     #[test]
     fn independent_statements_have_no_edge() {
-        let (_, stmts, graphs) = build("S(x) -> R(x)\nT(x) -> U(x)\n");
-        let a = InterferenceAnalysis::of(&graphs, &stmts);
+        let (_, a) = build("S(x) -> R(x)\nT(x) -> U(x)\n");
         assert!(a.edges.is_empty());
         assert!(a.independent(0, 1));
     }
@@ -174,8 +218,7 @@ mod tests {
     #[test]
     fn write_write_and_read_write_edges() {
         // Both write R: W–W. Statement 2 reads R which 0 and 1 write: R–W.
-        let (_, stmts, graphs) = build("S(x) -> R(x)\nT(x) -> R(x)\nR(x) -> U(x)\n");
-        let a = InterferenceAnalysis::of(&graphs, &stmts);
+        let (_, a) = build("S(x) -> R(x)\nT(x) -> R(x)\nR(x) -> U(x)\n");
         let edge = |x: usize, y: usize| a.edges.iter().find(|e| e.a == x && e.b == y).unwrap();
         assert_eq!(edge(0, 1).kinds, vec![ConflictKind::WriteWrite]);
         assert_eq!(edge(0, 2).kinds, vec![ConflictKind::ReadWrite]);
@@ -187,8 +230,7 @@ mod tests {
     fn shared_skolem_function_is_a_conflict() {
         // Two SO tgds invent nulls through the same declared function f.
         let src = "exists f . S(x) -> R(x, f(x))\nexists f . T(x) -> U(x, f(x))\n";
-        let (_, stmts, graphs) = build(src);
-        let a = InterferenceAnalysis::of(&graphs, &stmts);
+        let (_, a) = build(src);
         assert_eq!(a.edges.len(), 1);
         assert_eq!(a.edges[0].kinds, vec![ConflictKind::SharedNullFactory]);
     }
@@ -198,15 +240,13 @@ mod tests {
         // g is declared by both but only applied by the first: footprints
         // track *occurring* functions, so no shared-factory edge.
         let src = "exists f, g . S(x) -> R(x, f(x))\nexists f2, g . T(x) -> U(x, f2(x))\n";
-        let (_, stmts, graphs) = build(src);
-        let a = InterferenceAnalysis::of(&graphs, &stmts);
+        let (_, a) = build(src);
         assert!(a.edges.is_empty(), "{:?}", a.edges);
     }
 
     #[test]
     fn self_interfering_statement_is_flagged() {
-        let (_, stmts, graphs) = build("E(x,y) & R(y) -> R(x)\n");
-        let a = InterferenceAnalysis::of(&graphs, &stmts);
+        let (_, a) = build("E(x,y) & R(y) -> R(x)\n");
         assert_eq!(a.self_interfering, vec![0]);
         assert!(a.footprints[&0].self_interfering());
     }
@@ -214,8 +254,7 @@ mod tests {
     #[test]
     fn facts_write_and_egds_read() {
         let src = "fact: S(a, b)\negd: S(x,y) & S(x,z) -> y = z\nS(x,y) -> R(x)\n";
-        let (_, stmts, graphs) = build(src);
-        let a = InterferenceAnalysis::of(&graphs, &stmts);
+        let (_, a) = build(src);
         // The fact writes S; the egd reads S; only statement 2 schedules.
         assert_eq!(a.scheduled.iter().copied().collect::<Vec<_>>(), vec![2]);
         assert!(a.footprints[&0].writes.len() == 1 && a.footprints[&0].reads.is_empty());
@@ -227,16 +266,14 @@ mod tests {
 
     #[test]
     fn read_only_relation_is_reported() {
-        let (_, stmts, graphs) = build("S(x) -> R(x)\n");
-        let a = InterferenceAnalysis::of(&graphs, &stmts);
+        let (_, a) = build("S(x) -> R(x)\n");
         assert_eq!(a.read_only.len(), 1); // S: read, never written
         assert_eq!(a.write_only.len(), 1); // R: written, never read
     }
 
     #[test]
     fn dot_renders_nodes_and_labeled_edges() {
-        let (syms, stmts, graphs) = build("S(x) -> R(x)\nT(x) -> R(x)\n");
-        let a = InterferenceAnalysis::of(&graphs, &stmts);
+        let (syms, a) = build("S(x) -> R(x)\nT(x) -> R(x)\n");
         let dot = a.to_dot(&syms);
         assert!(dot.starts_with("graph conflicts {"));
         assert!(dot.contains("s0 -- s1"));

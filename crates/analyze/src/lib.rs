@@ -72,14 +72,14 @@ pub mod schedule;
 pub mod termination;
 
 pub use artifacts::ProgramArtifacts;
-pub use cost::{AnalysisReport, ChaseAnalysis, CostModel};
+pub use cost::{AnalysisReport, ChaseAnalysis, CostModel, PassTimings};
 pub use dataflow::{DataflowAnalysis, DataflowSummary};
 pub use diagnostic::{render, summary, Diagnostic, LineIndex, Note, Severity};
 pub use footprint::ProgramFootprints;
 pub use graph::{PositionGraph, ProgramGraphs, SkolemGraph};
 pub use interference::{ConflictEdge, ConflictKind, Footprint, InterferenceAnalysis};
 pub use program::{parse_program, Statement, StmtAst};
-pub use rules::{lint_source, LintOptions};
+pub use rules::{lint_source, lint_source_timed, LintOptions};
 pub use schedule::{build_schedule, ConflictReport, ScheduleReport};
 pub use termination::{Termination, TerminationClass};
 

@@ -55,7 +55,7 @@
 //! accuse the assumption rather than the program. NDL044/NDL045 are
 //! reports surfacing what `ndl analyze --dataflow` proves.
 
-use crate::cost::ChaseAnalysis;
+use crate::cost::{ChaseAnalysis, PassTimings};
 use crate::diagnostic::{Diagnostic, LineIndex, Note, Severity};
 use crate::program::{parse_program, Statement, StmtAst};
 use crate::termination::TerminationClass;
@@ -194,6 +194,17 @@ impl Default for LintOptions {
 /// well-formed statements, and chases the critical instance of the overall
 /// mapping for NDL016. Diagnostics come back ordered by position.
 pub fn lint_source(syms: &mut SymbolTable, src: &str, opts: &LintOptions) -> Vec<Diagnostic> {
+    lint_source_timed(syms, src, opts).0
+}
+
+/// [`lint_source`], also returning the wall time of each pass of the
+/// semantic analysis behind the NDL020+ lints (the `passes_ns` object of
+/// `ndl lint --stats`).
+pub fn lint_source_timed(
+    syms: &mut SymbolTable,
+    src: &str,
+    opts: &LintOptions,
+) -> (Vec<Diagnostic>, PassTimings) {
     let index = LineIndex::new(src);
     let (stmts, parse_errs) = parse_program(syms, src);
     let mut diags = Vec::new();
@@ -249,7 +260,7 @@ pub fn lint_source(syms: &mut SymbolTable, src: &str, opts: &LintOptions) -> Vec
         &index,
         &mut diags,
     );
-    semantic_lints(syms, &stmts, opts, &index, &mut diags);
+    let passes_ns = semantic_lints(syms, &stmts, opts, &index, &mut diags);
 
     diags.sort_by(|a, b| {
         let key = |d: &Diagnostic| {
@@ -261,7 +272,7 @@ pub fn lint_source(syms: &mut SymbolTable, src: &str, opts: &LintOptions) -> Vec
         };
         key(a).cmp(&key(b))
     });
-    diags
+    (diags, passes_ns)
 }
 
 /// Lifts a [`CoreError`] of `stmt` to a spanned diagnostic.
@@ -483,7 +494,7 @@ fn semantic_lints(
     opts: &LintOptions,
     index: &LineIndex,
     diags: &mut Vec<Diagnostic>,
-) {
+) -> PassTimings {
     let analysis = ChaseAnalysis::analyze(syms, stmts);
     let whole = |i: usize| {
         let s = &stmts[i];
@@ -780,6 +791,7 @@ fn semantic_lints(
             ));
         }
     }
+    analysis.passes_ns
 }
 
 /// NDL030: pairwise subsumption via the IMPLIES procedure of Section 4.

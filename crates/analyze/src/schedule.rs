@@ -181,7 +181,7 @@ mod tests {
         let (stmts, errs) = parse_program(&mut syms, src);
         assert!(errs.is_empty(), "{errs:?}");
         let graphs = ProgramGraphs::build(&mut syms, &stmts);
-        let inter = InterferenceAnalysis::of(&graphs, &stmts);
+        let inter = InterferenceAnalysis::of(crate::ProgramFootprints::of(&graphs, &stmts));
         let order: Vec<usize> = (0..stmts.len()).collect();
         (syms, inter, order)
     }

@@ -52,6 +52,10 @@ id_type!(
 struct Namespace {
     names: Vec<String>,
     ids: HashMap<String, u32>,
+    /// Per `fresh` prefix: the suffix its last fresh name took. Names are
+    /// never removed, so every smaller suffix is still taken and the next
+    /// search resumes there — `fresh` stays linear in the calls made.
+    fresh_next: HashMap<String, usize>,
 }
 
 impl Namespace {
@@ -70,10 +74,11 @@ impl Namespace {
         if !self.ids.contains_key(prefix) {
             return self.intern(prefix);
         }
-        let mut i = 1usize;
+        let mut i = self.fresh_next.get(prefix).copied().unwrap_or(1);
         loop {
             let cand = format!("{prefix}_{i}");
             if !self.ids.contains_key(&cand) {
+                self.fresh_next.insert(prefix.to_owned(), i);
                 return self.intern(&cand);
             }
             i += 1;

@@ -15,7 +15,7 @@
 //! daemon maps to an error response with `"exit": 101`.
 
 use ndl_analyze as analyze;
-use ndl_analyze::{lint_source, LintOptions, Severity};
+use ndl_analyze::{lint_source_timed, LintOptions, Severity};
 use ndl_chase::{
     chase_fixpoint_delta_parallel_with, chase_fixpoint_delta_with, chase_fixpoint_parallel_with,
     chase_fixpoint_with, chase_mapping, satisfies_egds, ChaseConfig, FixpointError, NullFactory,
@@ -174,15 +174,16 @@ pub fn lint(path: &str, src: &str, args: &[String]) -> Result<EvalOutput, String
         None => 100,
     };
     let started = Instant::now();
-    let diags = lint_source(&mut syms, src, &opts);
+    let (diags, passes_ns) = lint_source_timed(&mut syms, src, &opts);
     let mut out = EvalOutput::default();
     if has_flag(args, "--stats") {
         let _ = writeln!(
             out.stderr,
-            "{{\"command\":\"lint\",\"bytes\":{},\"diagnostics\":{},\"elapsed_ns\":{}}}",
+            "{{\"command\":\"lint\",\"bytes\":{},\"diagnostics\":{},\"elapsed_ns\":{},\"passes_ns\":{}}}",
             src.len(),
             diags.len(),
-            started.elapsed().as_nanos()
+            started.elapsed().as_nanos(),
+            passes_ns.to_json()
         );
     }
     if has_flag(args, "--json") {
@@ -217,11 +218,12 @@ pub fn analyze_program(
     if has_flag(args, "--stats") {
         let _ = writeln!(
             out.stderr,
-            "{{\"command\":\"analyze\",\"statements\":{},\"clauses\":{},\"positions\":{},\"elapsed_ns\":{}}}",
+            "{{\"command\":\"analyze\",\"statements\":{},\"clauses\":{},\"positions\":{},\"elapsed_ns\":{},\"passes_ns\":{}}}",
             analysis.graphs.statements,
             analysis.graphs.clauses.len(),
             analysis.graphs.positions.positions.len(),
-            started.elapsed().as_nanos()
+            started.elapsed().as_nanos(),
+            analysis.passes_ns.to_json()
         );
     }
     if let Some(mode) = flag_mode(args, "--dot") {

@@ -50,7 +50,8 @@
 //! instance (`--no-timings` zeroes wall-clock fields for diffable output);
 //! `--trace f.jsonl` appends one JSON event per round/statement to `f`.
 //! `lint`/`analyze` accept `--stats` for a one-line timing/size summary on
-//! stderr. I/O and usage failures exit with code 101, distinct from lint
+//! stderr, with the wall time of each analysis pass under `passes_ns`.
+//! I/O and usage failures exit with code 101, distinct from lint
 //! findings.
 //!
 //! `incr` opens a program file as a **live incremental instance** and

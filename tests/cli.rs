@@ -353,6 +353,8 @@ fn lint_and_analyze_stats_go_to_stderr() {
     // The running example reports the five info-level relation-role
     // findings (R2/R3/R4 write-only, S2/S4 read-only), no errors.
     assert!(err.contains("\"diagnostics\":5"));
+    // The semantic analysis behind the NDL020+ lints reports its passes.
+    assert!(err.contains("\"passes_ns\":{\"graphs\":"), "{err}");
     let plain = ndl(&["lint", "examples/programs/running.ndl"]);
     assert_eq!(out, plain.1, "--stats must not perturb stdout");
 
@@ -360,6 +362,20 @@ fn lint_and_analyze_stats_go_to_stderr() {
     assert!(ok);
     assert!(err.contains("\"command\":\"analyze\""));
     assert!(err.contains("\"statements\":4"));
+    for pass in [
+        "graphs",
+        "termination",
+        "cost",
+        "firing_order",
+        "interference",
+        "schedule",
+        "dataflow",
+    ] {
+        assert!(
+            err.contains(&format!("\"{pass}\":")),
+            "{pass} missing: {err}"
+        );
+    }
     let plain = ndl(&["analyze", "examples/programs/running.ndl"]);
     assert_eq!(out, plain.1, "--stats must not perturb stdout");
 }
