@@ -3,7 +3,11 @@
 //! existential pipeline chains (null-producing, one stage per round) —
 //! and quantifies the cost of the observability layer by running every
 //! workload twice: once with the no-op observer and once collecting
-//! [`ChaseStats`]. The results land in `BENCH_chase.json` (committed
+//! [`ChaseStats`]. Each workload's fixpoint is then rendered as
+//! `ndl chase` prints it (one [`NullFactory::write_fact_lines`] pass),
+//! after asserting that the text equals the structural rendering
+//! ([`NullFactory::term`] per null). The results land in
+//! `BENCH_chase.json` (committed
 //! under `experiments/`; see `docs/performance.md` and
 //! `docs/observability.md`).
 //!
@@ -56,7 +60,7 @@ fn pipeline_chain(depth: usize, seeds: usize) -> String {
 /// Parses a workload program and derives source instance, grouped SO
 /// tgds and the analyzer's chase plan — the same pipeline the
 /// `ndl chase <file>` subcommand runs.
-fn prepare(text: &str) -> (Instance, Vec<SoTgd>, ChasePlan) {
+fn prepare(text: &str) -> (SymbolTable, Instance, Vec<SoTgd>, ChasePlan) {
     let mut syms = SymbolTable::new();
     let (stmts, errs) = parse_program(&mut syms, text);
     assert!(errs.is_empty(), "workload programs parse");
@@ -69,7 +73,28 @@ fn prepare(text: &str) -> (Instance, Vec<SoTgd>, ChasePlan) {
     }
     let tgds = analysis.so_tgds().into_iter().map(|(_, t)| t).collect();
     let plan = analysis.tgd_plan(Some(10_000_000));
-    (source, tgds, plan)
+    (syms, source, tgds, plan)
+}
+
+/// The fact listing rebuilt structurally: each null's ground term from
+/// [`NullFactory::term`], `_Nk` where it has none.
+fn structural_listing(inst: &Instance, nulls: &NullFactory, syms: &SymbolTable) -> String {
+    let mut out = String::new();
+    for fact in inst.facts() {
+        let args: Vec<String> = fact
+            .args
+            .iter()
+            .map(|&v| match v {
+                Value::Const(c) => syms.const_name(c).to_string(),
+                Value::Null(n) => match nulls.term(n) {
+                    Some(t) => t.display(syms).to_string(),
+                    None => format!("_N{}", n.0),
+                },
+            })
+            .collect();
+        let _ = writeln!(out, "  {}({})", syms.rel_name(fact.rel), args.join(","));
+    }
+    out
 }
 
 fn main() {
@@ -88,13 +113,17 @@ fn main() {
         ("tc-path/120".into(), tc_path(120), 10),
         ("tc-path/240".into(), tc_path(240), 5),
         ("pipeline/24x16".into(), pipeline_chain(24, 16), 20),
+        ("pipeline/12x400".into(), pipeline_chain(12, 400), 20),
     ];
 
     println!("planned fixpoint chase (mean ms per run)\n");
-    println!("  workload          facts  derived  rounds   noop ms  stats ms  overhead");
+    println!(
+        "  workload          facts  derived  rounds   noop ms  stats ms  overhead  \
+         render ms  render MB/s"
+    );
     let mut max_overhead = 0.0f64;
     for (name, text, reps) in &workloads {
-        let (source, tgds, plan) = prepare(text);
+        let (syms, source, tgds, plan) = prepare(text);
         let run_noop = || {
             let mut nulls = NullFactory::new();
             let mut obs = NoopObserver;
@@ -116,15 +145,34 @@ fn main() {
         });
         let overhead = (stats_secs - noop_secs) / noop_secs * 100.0;
         max_overhead = max_overhead.max(overhead);
+
+        let mut nulls = NullFactory::new();
+        let res = chase_fixpoint_with(&source, &tgds, &plan, &mut nulls, &mut NoopObserver)
+            .expect("workload terminates");
+        let render = || {
+            let mut out = String::new();
+            nulls.write_fact_lines(res.instance.facts(), &syms, "  ", &mut out);
+            out
+        };
+        let listing = render();
+        assert_eq!(
+            listing,
+            structural_listing(&res.instance, &nulls, &syms),
+            "{name}: the one-pass listing differs from the structural rendering"
+        );
+        let render_secs = time(*reps, render);
+        let render_mb_per_s = listing.len() as f64 / render_secs / 1e6;
         println!(
-            "  {:<16} {:>6}  {:>7}  {:>6}  {:>8.3}  {:>8.3}  {:>7.1}%",
+            "  {:<16} {:>6}  {:>7}  {:>6}  {:>8.3}  {:>8.3}  {:>7.1}%  {:>9.3}  {:>11.1}",
             name,
             facts,
             stats.derived,
             stats.rounds,
             noop_secs * 1e3,
             stats_secs * 1e3,
-            overhead
+            overhead,
+            render_secs * 1e3,
+            render_mb_per_s
         );
         record.row(&[
             ("workload", name.clone()),
@@ -135,6 +183,9 @@ fn main() {
             ("noop_ms", format!("{:.3}", noop_secs * 1e3)),
             ("stats_ms", format!("{:.3}", stats_secs * 1e3)),
             ("overhead_pct", format!("{overhead:.1}")),
+            ("render_bytes", listing.len().to_string()),
+            ("render_ms", format!("{:.3}", render_secs * 1e3)),
+            ("render_mb_per_s", format!("{render_mb_per_s:.1}")),
         ]);
     }
 

@@ -62,7 +62,7 @@ pub use nested::{
     chase_mapping, chase_nested, chase_nested_planned, ChaseForest, ChaseResult, Prepared, TrigId,
     Triggering,
 };
-pub use null::NullFactory;
+pub use null::{FactWriter, NullFactory};
 pub use parallel::{
     chase_fixpoint_parallel, chase_fixpoint_parallel_with, derive_schedule, statement_footprints,
     verify_schedule, StmtFootprint,

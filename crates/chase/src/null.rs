@@ -12,9 +12,11 @@
 //! space per null — a chase whose nulls nest `k` levels deep would
 //! otherwise pay term sizes exponential in `k` (each application copies
 //! every argument subterm). Structural [`GroundTerm`]s are reconstructed
-//! on demand for display and for egd constant renaming.
+//! on demand for egd constant renaming; display never builds them — a
+//! [`FactWriter`] writes each null's term once, straight into the output.
 
 use ndl_core::prelude::*;
+use std::fmt::{self, Write as _};
 
 /// Allocator and registry of labeled nulls, keyed by ground Skolem term.
 ///
@@ -115,8 +117,7 @@ impl NullFactory {
     /// outside this factory's range (including argument nulls minted by a
     /// different factory).
     pub fn term(&self, id: NullId) -> Option<GroundTerm> {
-        let idx = id.0.checked_sub(self.offset)? as usize;
-        let (f, args) = self.apps.get(idx)?;
+        let (f, args) = &self.apps[self.index(id)?];
         let args = args
             .iter()
             .map(|&v| match v {
@@ -140,13 +141,9 @@ impl NullFactory {
     /// Renders a value, printing nulls as their ground Skolem terms when
     /// known (e.g. `f(a_1)`) and as `_Nk` otherwise.
     pub fn display_value(&self, v: Value, syms: &SymbolTable) -> String {
-        match v {
-            Value::Const(c) => syms.const_name(c).to_string(),
-            Value::Null(n) => match self.term(n) {
-                Some(t) => t.display(syms).to_string(),
-                None => format!("_N{}", n.0),
-            },
-        }
+        let mut w = FactWriter::new(self, syms, String::new(), Memo::sparse());
+        w.value(v);
+        w.out
     }
 
     /// Renders a fact with Skolem-term nulls.
@@ -156,21 +153,266 @@ impl NullFactory {
 
     /// Renders a borrowed fact view with Skolem-term nulls.
     pub fn display_fact_ref(&self, fact: FactRef<'_>, syms: &SymbolTable) -> String {
-        let args = fact
-            .args
-            .iter()
-            .map(|&v| self.display_value(v, syms))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{}({})", syms.rel_name(fact.rel), args)
+        let mut w = FactWriter::new(self, syms, String::new(), Memo::sparse());
+        w.fact(fact);
+        w.out
     }
 
     /// Renders an instance with Skolem-term nulls, facts separated by `, `.
     pub fn display_instance(&self, inst: &Instance, syms: &SymbolTable) -> String {
-        inst.facts()
-            .map(|f| self.display_fact_ref(f, syms))
-            .collect::<Vec<_>>()
-            .join(", ")
+        let mut w = self.fact_writer(syms, String::new());
+        for (i, fact) in inst.facts().enumerate() {
+            if i > 0 {
+                w.out.push_str(", ");
+            }
+            w.fact(fact);
+        }
+        w.out
+    }
+
+    /// Appends one line per fact to `out`: `indent`, the fact with
+    /// Skolem-term nulls, a newline. Each null's term is rendered the
+    /// first time it occurs and copied from `out` after that.
+    pub fn write_fact_lines<'f>(
+        &self,
+        facts: impl IntoIterator<Item = FactRef<'f>>,
+        syms: &SymbolTable,
+        indent: &str,
+        out: &mut String,
+    ) {
+        let mut w = self.fact_writer(syms, std::mem::take(out));
+        w.fact_lines(facts, indent);
+        *out = w.into_string();
+    }
+
+    /// A writer appending to `out` that renders each null's term once
+    /// across every listing written through it.
+    pub fn fact_writer<'a>(&'a self, syms: &'a SymbolTable, out: String) -> FactWriter<'a> {
+        FactWriter::new(self, syms, out, Memo::Dense(vec![UNSEEN; self.apps.len()]))
+    }
+
+    /// The position of `id` among this factory's nulls, if it is one.
+    fn index(&self, id: NullId) -> Option<usize> {
+        let idx = id.0.checked_sub(self.offset)? as usize;
+        (idx < self.apps.len()).then_some(idx)
+    }
+}
+
+/// Writes facts with Skolem-term nulls into an output buffer it owns.
+///
+/// A null's term is written in full the first time the null occurs; its
+/// byte span in the buffer is memoized and later occurrences copy those
+/// bytes (`String::extend_from_within`), so shared and deeply nested
+/// subterms are never rebuilt and the memo holds no second copy of the
+/// text. Output is exactly that of [`NullFactory::term`]: a null whose term
+/// reaches a null outside the factory prints as `_Nk`.
+pub struct FactWriter<'a> {
+    nulls: &'a NullFactory,
+    syms: &'a SymbolTable,
+    out: String,
+    memo: Memo,
+    /// Open applications: `(null index, next argument, start in out)`.
+    stack: Vec<(usize, usize, usize)>,
+}
+
+/// One null's rendering state: the span `start..end` of its term in the
+/// output once written, else one of the markers below (`start` lies past
+/// any buffer, so no span equals a marker).
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    start: usize,
+    end: usize,
+}
+
+/// Not looked at yet.
+const UNSEEN: Slot = Slot {
+    start: usize::MAX,
+    end: 0,
+};
+/// On the resolve stack: its term is being checked.
+const VISITING: Slot = Slot {
+    start: usize::MAX,
+    end: 1,
+};
+/// Every null in its term is the factory's; not written yet.
+const KNOWN: Slot = Slot {
+    start: usize::MAX,
+    end: 2,
+};
+/// Its term reaches a null outside the factory (or itself): prints `_Nk`.
+const FOREIGN: Slot = Slot {
+    start: usize::MAX,
+    end: 3,
+};
+
+/// Slots by null index: dense for whole listings, sparse for one-off
+/// values and facts, which must not pay for every null of the factory.
+enum Memo {
+    Dense(Vec<Slot>),
+    Sparse(FxHashMap<usize, Slot>),
+}
+
+impl Memo {
+    fn sparse() -> Self {
+        Memo::Sparse(FxHashMap::default())
+    }
+
+    fn get(&self, idx: usize) -> Slot {
+        match self {
+            Memo::Dense(slots) => slots[idx],
+            Memo::Sparse(slots) => slots.get(&idx).copied().unwrap_or(UNSEEN),
+        }
+    }
+
+    fn set(&mut self, idx: usize, slot: Slot) {
+        match self {
+            Memo::Dense(slots) => slots[idx] = slot,
+            Memo::Sparse(slots) => {
+                slots.insert(idx, slot);
+            }
+        }
+    }
+}
+
+impl<'a> FactWriter<'a> {
+    fn new(nulls: &'a NullFactory, syms: &'a SymbolTable, out: String, memo: Memo) -> Self {
+        FactWriter {
+            nulls,
+            syms,
+            out,
+            memo,
+            stack: Vec::new(),
+        }
+    }
+
+    /// Appends one line per fact: `indent`, the fact, a newline.
+    pub fn fact_lines<'f>(&mut self, facts: impl IntoIterator<Item = FactRef<'f>>, indent: &str) {
+        for fact in facts {
+            self.out.push_str(indent);
+            self.fact(fact);
+            self.out.push('\n');
+        }
+    }
+
+    /// The text written so far.
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    fn fact(&mut self, fact: FactRef<'_>) {
+        self.out.push_str(self.syms.rel_name(fact.rel));
+        self.out.push('(');
+        for (i, &v) in fact.args.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            self.value(v);
+        }
+        self.out.push(')');
+    }
+
+    fn value(&mut self, v: Value) {
+        let n = match v {
+            Value::Const(c) => return self.out.push_str(self.syms.const_name(c)),
+            Value::Null(n) => n,
+        };
+        let Some(idx) = self.nulls.index(n) else {
+            return self.label(n);
+        };
+        if self.memo.get(idx) == UNSEEN {
+            self.resolve(idx);
+        }
+        match self.memo.get(idx) {
+            FOREIGN => self.label(n),
+            KNOWN => self.term(idx),
+            Slot { start, end } => self.out.extend_from_within(start..end),
+        }
+    }
+
+    fn label(&mut self, n: NullId) {
+        let _ = write!(self.out, "_N{}", n.0);
+    }
+
+    /// Marks `root` and every unseen null in its term `KNOWN` or `FOREIGN`.
+    fn resolve(&mut self, root: usize) {
+        let apps = &self.nulls.apps;
+        self.memo.set(root, VISITING);
+        self.stack.push((root, 0, 0));
+        while let Some(&(idx, next, _)) = self.stack.last() {
+            let Some(&arg) = apps[idx].1.get(next) else {
+                self.memo.set(idx, KNOWN);
+                self.stack.pop();
+                continue;
+            };
+            let top = self.stack.len() - 1;
+            self.stack[top].1 += 1;
+            let Value::Null(n) = arg else { continue };
+            let child = self.nulls.index(n);
+            match child.map(|c| (c, self.memo.get(c))) {
+                Some((c, UNSEEN)) => {
+                    self.memo.set(c, VISITING);
+                    self.stack.push((c, 0, 0));
+                }
+                // Out of range, foreign, or a cycle: the term of every
+                // null on the stack contains this one.
+                None | Some((_, VISITING | FOREIGN)) => {
+                    for (idx, ..) in self.stack.drain(..) {
+                        self.memo.set(idx, FOREIGN);
+                    }
+                }
+                Some(_) => {}
+            }
+        }
+    }
+
+    /// Writes the term of a `KNOWN` null, memoizing the span of every
+    /// application it writes.
+    fn term(&mut self, root: usize) {
+        let apps = &self.nulls.apps;
+        self.open(root);
+        while let Some(&(idx, next, start)) = self.stack.last() {
+            let args = &apps[idx].1;
+            if next == args.len() {
+                self.out.push(')');
+                let end = self.out.len();
+                self.memo.set(idx, Slot { start, end });
+                self.stack.pop();
+                continue;
+            }
+            let top = self.stack.len() - 1;
+            self.stack[top].1 += 1;
+            if next > 0 {
+                self.out.push(',');
+            }
+            match args[next] {
+                Value::Const(c) => self.out.push_str(self.syms.const_name(c)),
+                Value::Null(n) => {
+                    let c = self
+                        .nulls
+                        .index(n)
+                        .expect("a known term holds only factory nulls");
+                    match self.memo.get(c) {
+                        KNOWN => self.open(c),
+                        Slot { start, end } => self.out.extend_from_within(start..end),
+                    }
+                }
+            }
+        }
+    }
+
+    fn open(&mut self, idx: usize) {
+        let start = self.out.len();
+        self.out
+            .push_str(self.syms.func_name(self.nulls.apps[idx].0));
+        self.out.push('(');
+        self.stack.push((idx, 0, start));
+    }
+}
+
+impl fmt::Write for FactWriter<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.out.push_str(s);
+        Ok(())
     }
 }
 

@@ -433,21 +433,19 @@ impl IncrDb {
     /// to a one-shot CLI run on the same text.
     pub fn canonical_src(&self) -> String {
         let mut src = self.canonical_stmt_src();
-        let mut fact_lines: Vec<String> = self
-            .facts
-            .store()
-            .iter()
-            .map(|(_, rel, args)| {
-                let fact = Fact {
-                    rel,
-                    args: args.to_vec(),
-                };
-                format!("fact: {}", fact.display(&self.syms))
-            })
-            .collect();
-        fact_lines.sort();
-        for line in fact_lines {
-            src.push_str(&line);
+        // Every line is written once into one buffer; sorting orders the
+        // lines' byte ranges.
+        let mut text = String::new();
+        let mut lines = Vec::with_capacity(self.facts.len());
+        for (_, rel, args) in self.facts.store().iter() {
+            let start = text.len();
+            let _ = write!(text, "fact: {}", FactRef { rel, args }.display(&self.syms));
+            lines.push(start..text.len());
+        }
+        lines.sort_unstable_by(|a, b| text[a.clone()].cmp(&text[b.clone()]));
+        src.reserve(text.len() + lines.len());
+        for line in lines {
+            src.push_str(&text[line]);
             src.push('\n');
         }
         src
@@ -549,13 +547,7 @@ impl IncrDb {
                     res.rounds
                 );
                 let _ = writeln!(rendered.stdout, "{summary}");
-                for fact in res.instance.facts() {
-                    let _ = writeln!(
-                        rendered.stdout,
-                        "  {}",
-                        nulls.display_fact_ref(fact, &art.syms)
-                    );
-                }
+                nulls.write_fact_lines(res.instance.facts(), &art.syms, "  ", &mut rendered.stdout);
                 (Some(res), summary)
             }
             Err(FixpointError::BudgetExhausted {
@@ -709,13 +701,8 @@ fn compute_core(chase: &ChaseData) -> QueryOutput {
         core.nulls().len(),
         f_block_size(&core)
     );
-    for fact in core.facts() {
-        let _ = writeln!(
-            out.stdout,
-            "  {}",
-            chase.nulls.display_fact_ref(fact, &chase.art.syms)
-        );
-    }
+    let nulls = &chase.nulls;
+    nulls.write_fact_lines(core.facts(), &chase.art.syms, "  ", &mut out.stdout);
     out
 }
 
@@ -724,22 +711,21 @@ fn compute_blocks(chase: &ChaseData) -> QueryOutput {
         return QueryOutput::err(format!("chase unavailable: {}", chase.summary));
     };
     let blocks = null_blocks(&res.instance);
-    let mut out = QueryOutput::default();
-    let _ = writeln!(out.stdout, "null blocks: {}", blocks.len());
+    // One writer for every block, so a subterm null that also occurs in
+    // another block's listing is rendered once.
+    let mut w = chase.nulls.fact_writer(&chase.art.syms, String::new());
+    let _ = writeln!(w, "null blocks: {}", blocks.len());
     for (i, block) in blocks.iter().enumerate() {
         let _ = writeln!(
-            out.stdout,
+            w,
             "  block {i}: {} facts, {} nulls",
             block.len(),
             block.nulls().len()
         );
-        for fact in block.facts() {
-            let _ = writeln!(
-                out.stdout,
-                "    {}",
-                chase.nulls.display_fact_ref(fact, &chase.art.syms)
-            );
-        }
+        w.fact_lines(block.facts(), "    ");
     }
-    out
+    QueryOutput {
+        stdout: w.into_string(),
+        ..QueryOutput::default()
+    }
 }

@@ -474,9 +474,7 @@ pub fn chase_program(
                 nulls.len(),
                 res.rounds
             );
-            for fact in res.instance.facts() {
-                let _ = writeln!(out.stdout, "  {}", nulls.display_fact_ref(fact, &art.syms));
-            }
+            nulls.write_fact_lines(res.instance.facts(), &art.syms, "  ", &mut out.stdout);
             Ok(out)
         }
         // A budgeted cutoff is a legitimate bounded run, not a tool
@@ -538,9 +536,7 @@ pub fn chase_inline(args: &[String]) -> Result<EvalOutput, String> {
         target.nulls().len(),
         f_block_size(&target)
     );
-    for fact in target.facts() {
-        let _ = writeln!(out.stdout, "  {}", nulls.display_fact_ref(fact, &syms));
-    }
+    nulls.write_fact_lines(target.facts(), &syms, "  ", &mut out.stdout);
     Ok(out)
 }
 
