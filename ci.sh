@@ -15,6 +15,13 @@ echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release --offline
 cargo test -q --offline
 
+echo "==> crate tests: cargo test --workspace --release"
+# The root package's tests above leave out every crate's own tests —
+# engine parity (crates/chase/tests/{delta,parallel}.rs), incr parity
+# (crates/incr/tests/cli_parity.rs), the daemon cache properties
+# (crates/serve/tests/cache_props.rs) and the unit tests.
+cargo test -q --offline --workspace --release
+
 echo "==> analyze goldens: ndl analyze over examples/programs/"
 for f in examples/programs/*.ndl; do
   name="$(basename "$f" .ndl)"

@@ -48,7 +48,7 @@ use crate::fixpoint::{probe_term, resolve_value, FixpointChase, FixpointError, F
 use crate::null::NullFactory;
 use crate::parallel::{derive_schedule, verify_schedule};
 use crate::plan::ChasePlan;
-use crate::trigger::{Binding, Matcher};
+use crate::trigger::{probe_set, Binding, Matcher};
 use ndl_core::prelude::*;
 use ndl_obs::{ChaseObserver, NoopObserver, StmtRound};
 use std::collections::BTreeSet;
@@ -113,9 +113,11 @@ pub fn chase_fixpoint_delta_with<O: ChaseObserver>(
     let dead_mask: Vec<bool> = (0..tgds.len()).map(|i| dead.contains(&i)).collect();
 
     // Same growing state as the naive engine, started at the source's
-    // size. The watermark starts at 0, so round one is the full
-    // enumeration — exactly the naive engine's round one.
-    let mut index = TupleIndex::from_instance(source);
+    // size, with posting lists only where a live body can probe. The
+    // watermark starts at 0, so round one is the full enumeration —
+    // exactly the naive engine's round one.
+    let live = (0..tgds.len()).filter(|&si| !dead_mask[si]);
+    let mut index = TupleIndex::from_instance_probing(source, live_probes(tgds, live));
 
     let order = plan.firing_order(tgds.len());
     // The frontier watermark is only meaningful while ids stay stable:
@@ -125,6 +127,8 @@ pub fn chase_fixpoint_delta_with<O: ChaseObserver>(
     let epoch = index.epoch();
     let mut rounds = 0usize;
     let mut derived = 0usize;
+    let mut fresh = FactStore::new();
+    let mut head_buf: Vec<Value> = Vec::new();
     loop {
         rounds += 1;
         index.store().assert_epoch(epoch);
@@ -134,8 +138,7 @@ pub fn chase_fixpoint_delta_with<O: ChaseObserver>(
             (index.store().rows() - index.frontier_start() as usize) as u64,
         );
         let round_t = O::ENABLED.then(Instant::now);
-        let mut fresh: BTreeSet<Fact> = BTreeSet::new();
-        let mut head_buf: Vec<Value> = Vec::new();
+        fresh.clear();
         let matcher = Matcher::over(&index);
         for &si in &order {
             if dead_mask[si] {
@@ -175,7 +178,7 @@ pub fn chase_fixpoint_delta_with<O: ChaseObserver>(
                             }
                             if index.contains(ta.rel, &head_buf) {
                                 sr.dedup_hits += 1;
-                            } else if fresh.insert(Fact::new(ta.rel, head_buf.clone())) {
+                            } else if fresh.insert(ta.rel, &head_buf).is_new() {
                                 sr.derived += 1;
                                 if let Some(budget) = plan.step_budget {
                                     if derived + fresh.len() > budget {
@@ -228,13 +231,8 @@ pub fn chase_fixpoint_delta_with<O: ChaseObserver>(
         // round derived becomes the next round's frontier, everything
         // older falls below it.
         index.mark_frontier();
-        let mut added = 0u64;
-        for f in fresh {
-            if index.insert(f.rel, &f.args) {
-                added += 1;
-                derived += 1;
-            }
-        }
+        let added = commit(&mut index, &fresh);
+        derived += added as usize;
         obs.round_end(
             rounds,
             added,
@@ -253,6 +251,26 @@ pub fn chase_fixpoint_delta_with<O: ChaseObserver>(
     })
 }
 
+/// The probe set of the clause bodies of statements `live`: the only
+/// `(rel, pos)` pairs the delta join probes (see [`probe_set`]).
+fn live_probes(tgds: &[SoTgd], live: impl Iterator<Item = usize>) -> ProbeSet {
+    probe_set(live.flat_map(|si| tgds[si].clauses.iter().map(|c| c.body.as_slice())))
+}
+
+/// Commits a round's staged fresh facts to the index in sorted
+/// `(rel, tuple)` order — the order the naive engine commits its
+/// `BTreeSet<Fact>` in, so `FactId`s are assigned identically. Returns
+/// the number of facts added.
+fn commit(index: &mut TupleIndex, fresh: &FactStore) -> u64 {
+    let mut added = 0u64;
+    for id in fresh.sorted_ids() {
+        if index.insert(fresh.rel_of(id), fresh.tuple(id)) {
+            added += 1;
+        }
+    }
+    added
+}
+
 /// One contiguous chunk of one clause's root-candidate list: the unit of
 /// work the sharded match phase hands to a worker.
 struct ShardTask<'i> {
@@ -268,14 +286,31 @@ struct ShardTask<'i> {
     ids: &'i [TupleId],
 }
 
+/// Fired bindings of one clause, packed: row `r` holds the values of the
+/// body's variables in `VarId` order, `vals[r * width .. (r + 1) * width]`
+/// for the clause's variable count `width` (0 for an empty body, whose
+/// rows are counted but hold nothing).
+#[derive(Default)]
+struct FiredRows {
+    rows: usize,
+    vals: Vec<Value>,
+}
+
+impl FiredRows {
+    fn append(&mut self, other: FiredRows) {
+        self.rows += other.rows;
+        self.vals.extend(other.vals);
+    }
+}
+
 /// What one worker learned from one chunk.
 struct ChunkOut {
     examined: u64,
     fired: u64,
     touched: u64,
     elapsed_ns: u64,
-    /// Fired bindings as flat value rows in sorted-variable order.
-    rows: Vec<Vec<Value>>,
+    /// The fired bindings.
+    fired_rows: FiredRows,
 }
 
 /// Everything the sharded match phase learned about one statement in one
@@ -284,8 +319,8 @@ struct DeltaStmtMatched {
     examined: u64,
     fired: u64,
     elapsed_ns: u64,
-    /// Per clause: fired binding value rows, in sequential delta order.
-    clauses: Vec<Vec<Vec<Value>>>,
+    /// Per clause: fired bindings, in sequential delta order.
+    clauses: Vec<FiredRows>,
     /// Candidate tuples iterated, by shard index (chunk `c` of every
     /// clause adds to entry `c`) — the shard-balance statistic. Length 1
     /// means the statement was not actually sharded.
@@ -298,7 +333,7 @@ impl DeltaStmtMatched {
             examined: 0,
             fired: 0,
             elapsed_ns: 0,
-            clauses: (0..clauses).map(|_| Vec::new()).collect(),
+            clauses: (0..clauses).map(|_| FiredRows::default()).collect(),
             shard_touched: Vec::new(),
         }
     }
@@ -332,7 +367,7 @@ fn run_chunk(
         fired: 0,
         touched: 0,
         elapsed_ns: 0,
-        rows: Vec::new(),
+        fired_rows: FiredRows::default(),
     };
     let _ = matcher.run_delta_root(
         &clause.body,
@@ -348,7 +383,8 @@ fn run_chunk(
                 .all(|(l, r)| probe_term(l, binding, nulls) == probe_term(r, binding, nulls));
             if eq_ok {
                 out.fired += 1;
-                out.rows.push(binding.values().copied().collect());
+                out.fired_rows.rows += 1;
+                out.fired_rows.vals.extend(binding.values());
             }
             ControlFlow::Continue(())
         },
@@ -396,7 +432,7 @@ fn match_stage_delta(
                         .all(|(l, r)| probe_term(l, &empty, nulls) == probe_term(r, &empty, nulls));
                     if eq_ok {
                         m.fired += 1;
-                        m.clauses[ci].push(Vec::new());
+                        m.clauses[ci].rows += 1;
                     }
                 }
                 continue;
@@ -487,7 +523,7 @@ fn match_stage_delta(
         m.fired += c.fired;
         m.elapsed_ns += c.elapsed_ns;
         m.add_shard_touched(t.chunk, c.touched);
-        m.clauses[t.clause].extend(c.rows);
+        m.clauses[t.clause].append(c.fired_rows);
     }
     (out, workers)
 }
@@ -589,7 +625,8 @@ pub fn chase_fixpoint_delta_parallel_with<O: ChaseObserver>(
         })
         .collect();
 
-    let mut index = TupleIndex::from_instance(source);
+    let live = (0..tgds.len()).filter(|si| !dead.contains(si));
+    let mut index = TupleIndex::from_instance_probing(source, live_probes(tgds, live));
     let mut committed = source.len();
 
     // As in the sequential delta engine: the frontier is only meaningful
@@ -597,6 +634,9 @@ pub fn chase_fixpoint_delta_parallel_with<O: ChaseObserver>(
     let epoch = index.epoch();
     let mut rounds = 0usize;
     let mut derived = 0usize;
+    let mut fresh = FactStore::new();
+    let mut head_buf: Vec<Value> = Vec::new();
+    let mut binding = Binding::new();
     loop {
         rounds += 1;
         index.store().assert_epoch(epoch);
@@ -606,8 +646,7 @@ pub fn chase_fixpoint_delta_parallel_with<O: ChaseObserver>(
             (index.store().rows() - index.frontier_start() as usize) as u64,
         );
         let round_t = O::ENABLED.then(Instant::now);
-        let mut fresh: BTreeSet<Fact> = BTreeSet::new();
-        let mut head_buf: Vec<Value> = Vec::new();
+        fresh.clear();
         for (stage_idx, stage) in live_stages.iter().enumerate() {
             if !dead.is_empty() {
                 for &si in &schedule.stages[stage_idx] {
@@ -652,9 +691,13 @@ pub fn chase_fixpoint_delta_parallel_with<O: ChaseObserver>(
                         .collect();
                     vars.sort_unstable();
                     vars.dedup();
-                    for vals in &m.clauses[ci] {
-                        let binding: Binding =
-                            vars.iter().copied().zip(vals.iter().copied()).collect();
+                    let fired = &m.clauses[ci];
+                    binding.clear();
+                    for r in 0..fired.rows {
+                        // Every row binds the same variables, so each
+                        // overwrites the previous one's slots.
+                        let vals = &fired.vals[r * vars.len()..(r + 1) * vars.len()];
+                        binding.extend(vars.iter().copied().zip(vals.iter().copied()));
                         for ta in &clause.head {
                             head_buf.clear();
                             for t in &ta.args {
@@ -662,7 +705,7 @@ pub fn chase_fixpoint_delta_parallel_with<O: ChaseObserver>(
                             }
                             if index.contains(ta.rel, &head_buf) {
                                 sr.dedup_hits += 1;
-                            } else if fresh.insert(Fact::new(ta.rel, head_buf.clone())) {
+                            } else if fresh.insert(ta.rel, &head_buf).is_new() {
                                 sr.derived += 1;
                                 if cfg!(debug_assertions) {
                                     written.insert(ta.rel);
@@ -731,14 +774,9 @@ pub fn chase_fixpoint_delta_parallel_with<O: ChaseObserver>(
         }
 
         index.mark_frontier();
-        let mut added = 0u64;
-        for f in fresh {
-            if index.insert(f.rel, &f.args) {
-                added += 1;
-                derived += 1;
-                committed += 1;
-            }
-        }
+        let added = commit(&mut index, &fresh);
+        derived += added as usize;
+        committed += added as usize;
         obs.round_end(
             rounds,
             added,

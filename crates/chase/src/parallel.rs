@@ -216,8 +216,8 @@ fn conflict_reason(a: &StmtFootprint, b: &StmtFootprint) -> Option<String> {
 
 /// Everything the match phase learned about one statement in one round:
 /// enumeration counters and, per clause, the fired bindings as flat value
-/// rows in sorted-variable order (a [`Binding`] is a `BTreeMap`, so
-/// iterating its values yields exactly that order).
+/// rows in sorted-variable order ([`Binding::values`] yields exactly that
+/// order).
 struct StmtMatched {
     examined: u64,
     fired: u64,
@@ -452,7 +452,7 @@ pub fn chase_fixpoint_parallel_with<O: ChaseObserver>(
                 let mut budget_hit = false;
                 'stmt: for (ci, clause) in tgds[si].clauses.iter().enumerate() {
                     // A binding's values come back in sorted-variable
-                    // order (BTreeMap iteration); zipping the sorted
+                    // order (`Binding::values`); zipping the sorted
                     // distinct body variables back over them rebuilds the
                     // exact binding the worker saw.
                     let mut vars: Vec<VarId> = clause

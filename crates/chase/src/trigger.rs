@@ -5,11 +5,145 @@
 //! the model checkers in `ndl-reasoning`.
 
 use ndl_core::prelude::*;
-use std::collections::BTreeMap;
-use std::ops::ControlFlow;
+use std::fmt;
+use std::ops::{ControlFlow, Index};
 
-/// A (partial) variable assignment.
-pub type Binding = BTreeMap<VarId, Value>;
+/// A (partial) variable assignment: one slot per variable, indexed by
+/// [`VarId`], so a lookup is a bounds-checked load and binding or
+/// unbinding a variable writes one slot — the matchers do this for every
+/// candidate tuple they try. The slot vector grows to the largest
+/// variable ever bound and never shrinks; a cleared slot is just unbound.
+///
+/// Observably it is the ordered map `VarId → Value` it replaces:
+/// iteration is in `VarId` order over bound variables only, and equality
+/// and ordering compare the bound `(VarId, Value)` pairs, whatever the
+/// slot vector's length.
+#[derive(Clone, Default)]
+pub struct Binding {
+    slots: Vec<Option<Value>>,
+    len: usize,
+}
+
+impl Binding {
+    /// The empty assignment.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The value bound to `var`, if any.
+    #[inline]
+    pub fn get(&self, var: &VarId) -> Option<&Value> {
+        self.slots.get(var.index()).and_then(Option::as_ref)
+    }
+
+    /// Is `var` bound?
+    #[inline]
+    pub fn contains_key(&self, var: &VarId) -> bool {
+        self.get(var).is_some()
+    }
+
+    /// Binds `var` to `val`, returning the value it was bound to before.
+    #[inline]
+    pub fn insert(&mut self, var: VarId, val: Value) -> Option<Value> {
+        let i = var.index();
+        if self.slots.len() <= i {
+            self.slots.resize(i + 1, None);
+        }
+        let old = self.slots[i].replace(val);
+        self.len += usize::from(old.is_none());
+        old
+    }
+
+    /// Unbinds `var`, returning the value it was bound to.
+    #[inline]
+    pub fn remove(&mut self, var: &VarId) -> Option<Value> {
+        let old = self.slots.get_mut(var.index()).and_then(Option::take);
+        self.len -= usize::from(old.is_some());
+        old
+    }
+
+    /// Unbinds every variable, keeping the slot vector.
+    pub fn clear(&mut self) {
+        self.slots.fill(None);
+        self.len = 0;
+    }
+
+    /// Number of bound variables.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Is no variable bound?
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bound `(variable, value)` pairs in `VarId` order.
+    pub fn iter(&self) -> impl Iterator<Item = (VarId, Value)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.map(|v| (VarId(u32::try_from(i).expect("VarId fits u32")), v)))
+    }
+
+    /// The bound values in `VarId` order.
+    pub fn values(&self) -> impl Iterator<Item = &Value> + '_ {
+        self.slots.iter().flatten()
+    }
+}
+
+impl PartialEq for Binding {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Binding {}
+
+impl PartialOrd for Binding {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Binding {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.iter().cmp(other.iter())
+    }
+}
+
+impl fmt::Debug for Binding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<(VarId, Value)> for Binding {
+    fn from_iter<I: IntoIterator<Item = (VarId, Value)>>(iter: I) -> Self {
+        let mut b = Binding::new();
+        b.extend(iter);
+        b
+    }
+}
+
+impl Extend<(VarId, Value)> for Binding {
+    fn extend<I: IntoIterator<Item = (VarId, Value)>>(&mut self, iter: I) {
+        for (var, val) in iter {
+            self.insert(var, val);
+        }
+    }
+}
+
+impl Index<&VarId> for Binding {
+    type Output = Value;
+
+    /// The value bound to `var`; panics if it is unbound.
+    fn index(&self, var: &VarId) -> &Value {
+        self.get(var).expect("variable is not bound")
+    }
+}
 
 /// An indexed matcher: a shared [`TupleIndex`]
 /// (`(rel, pos, value) → tuples`) accelerates trigger enumeration when the
@@ -262,24 +396,24 @@ impl<'a> Matcher<'a> {
             .map(|(_, a)| a)
             .collect();
         let atom = &atoms[root];
-        let mut newly: Vec<VarId> = Vec::new();
+        // One rollback trail for the whole join: each level remembers its
+        // length and unbinds back to it, so no level allocates.
+        let mut trail: Vec<VarId> = Vec::new();
         for &id in ids {
             *touched += 1;
             if !index.is_live(id) {
                 continue;
             }
-            newly.clear();
-            if try_extend(atom, index.tuple(id), &mut binding, &mut newly) {
+            if try_extend(atom, index.tuple(id), &mut binding, &mut trail) {
                 let flow = self.match_delta(
                     &mut remaining,
                     &mut binding,
+                    &mut trail,
                     all || index.in_frontier(id),
                     touched,
                     f,
                 );
-                for v in &newly {
-                    binding.remove(v);
-                }
+                unbind(&mut binding, &mut trail, 0);
                 if flow.is_break() {
                     return flow;
                 }
@@ -301,6 +435,7 @@ impl<'a> Matcher<'a> {
         &self,
         remaining: &mut Vec<&Atom>,
         binding: &mut Binding,
+        trail: &mut Vec<VarId>,
         delta_bound: bool,
         touched: &mut u64,
         f: &mut impl FnMut(&Binding) -> ControlFlow<()>,
@@ -347,25 +482,23 @@ impl<'a> Matcher<'a> {
             best_ids = &best_ids[cut..];
         }
         let atom = remaining.remove(best);
-        let mut newly: Vec<VarId> = Vec::new();
+        let mark = trail.len();
         let mut flow = ControlFlow::Continue(());
         for &id in best_ids {
             *touched += 1;
             if !index.is_live(id) {
                 continue;
             }
-            newly.clear();
-            if try_extend(atom, index.tuple(id), binding, &mut newly) {
+            if try_extend(atom, index.tuple(id), binding, trail) {
                 let fl = self.match_delta(
                     remaining,
                     binding,
+                    trail,
                     delta_bound || index.in_frontier(id),
                     touched,
                     f,
                 );
-                for v in &newly {
-                    binding.remove(v);
-                }
+                unbind(binding, trail, mark);
                 if fl.is_break() {
                     flow = fl;
                     break;
@@ -395,6 +528,32 @@ impl<'a> Matcher<'a> {
         }
         best.unwrap_or_else(|| index.rel_ids(atom.rel))
     }
+}
+
+/// The `(rel, pos)` pairs a [`Matcher`] can probe posting lists for while
+/// it joins any of `bodies` from the empty binding: the positions whose
+/// variable also occurs in another atom of the same body. A position is
+/// probed only once its variable is bound, and from the empty binding
+/// only an atom matched earlier can bind it — so an index keeping
+/// posting lists for just these pairs
+/// ([`TupleIndex::from_instance_probing`]) answers every probe the join
+/// makes. Matching from a non-empty partial binding can probe more.
+pub(crate) fn probe_set<'a>(bodies: impl IntoIterator<Item = &'a [Atom]>) -> ProbeSet {
+    let mut probes = ProbeSet::new();
+    for body in bodies {
+        for (i, atom) in body.iter().enumerate() {
+            for (pos, var) in atom.args.iter().enumerate() {
+                let shared = body
+                    .iter()
+                    .enumerate()
+                    .any(|(j, other)| j != i && other.args.contains(var));
+                if shared {
+                    probes.insert(atom.rel, pos as u32);
+                }
+            }
+        }
+    }
+    probes
 }
 
 /// Enumerates all extensions of `partial` under which every atom of `atoms`
@@ -476,18 +635,16 @@ fn exists_rec(instance: &Instance, atoms: &[&Atom], i: usize, binding: &mut Bind
 
 /// Tries to unify `atom` with `tuple` under `binding`. On success, extends
 /// `binding` in place, appends the newly bound variables to `newly` (for
-/// rollback — the caller clears and reuses the buffer) and returns `true`;
-/// on failure, leaves `binding` and `newly` untouched.
+/// rollback) and returns `true`; on failure, leaves `binding` and `newly`
+/// as they were.
 fn try_extend(atom: &Atom, tuple: &[Value], binding: &mut Binding, newly: &mut Vec<VarId>) -> bool {
     debug_assert_eq!(atom.args.len(), tuple.len());
-    debug_assert!(newly.is_empty());
+    let mark = newly.len();
     for (&var, &val) in atom.args.iter().zip(tuple.iter()) {
         match binding.get(&var) {
             Some(&bound) => {
                 if bound != val {
-                    for v in newly.drain(..) {
-                        binding.remove(&v);
-                    }
+                    unbind(binding, newly, mark);
                     return false;
                 }
             }
@@ -498,6 +655,14 @@ fn try_extend(atom: &Atom, tuple: &[Value], binding: &mut Binding, newly: &mut V
         }
     }
     true
+}
+
+/// Unbinds the variables `trail` recorded past `mark` and truncates it.
+#[inline]
+fn unbind(binding: &mut Binding, trail: &mut Vec<VarId>, mark: usize) {
+    for v in trail.drain(mark..) {
+        binding.remove(&v);
+    }
 }
 
 #[cfg(test)]
@@ -741,6 +906,108 @@ mod tests {
         // Empty bodies no longer match once the watermark has moved.
         let (empty, _) = delta_matches(&matcher, &[]);
         assert!(empty.is_empty());
+    }
+
+    /// A splitmix64 stream: the model test depends only on the seed.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    type Model = std::collections::BTreeMap<VarId, Value>;
+
+    /// Applies `ops` random inserts/removes to both a [`Binding`] and its
+    /// `BTreeMap` model, checking every answer on the way.
+    fn drive(g: &mut Gen, ops: usize, vals: &[Value]) -> (Binding, Model) {
+        let (mut b, mut m) = (Binding::new(), Model::new());
+        for _ in 0..ops {
+            let var = VarId(g.below(24) as u32);
+            match g.below(3) {
+                0 | 1 => {
+                    let val = vals[g.below(vals.len())];
+                    assert_eq!(b.insert(var, val), m.insert(var, val));
+                }
+                _ => assert_eq!(b.remove(&var), m.remove(&var)),
+            }
+            let probe = VarId(g.below(32) as u32);
+            assert_eq!(b.get(&probe), m.get(&probe));
+            assert_eq!(b.contains_key(&probe), m.contains_key(&probe));
+        }
+        (b, m)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+
+        /// The flat binding behaves like the ordered map it replaced.
+        #[test]
+        fn binding_matches_its_btreemap_model(seed in 0u64..u64::MAX, ops in 0usize..60) {
+            let mut g = Gen(seed);
+            let mut vals: Vec<Value> = (0..3).map(|i| Value::Const(ConstId(i))).collect();
+            vals.extend((0..2).map(|i| Value::Null(NullId(i))));
+            let (a, ma) = drive(&mut g, ops, &vals);
+            let ops_b = g.below(12);
+            let (b, mb) = drive(&mut g, ops_b, &vals);
+            // Iteration, lengths and lookups.
+            let pairs: Vec<(VarId, Value)> = ma.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(a.iter().collect::<Vec<_>>(), pairs);
+            assert_eq!(a.values().collect::<Vec<_>>(), ma.values().collect::<Vec<_>>());
+            assert_eq!((a.len(), a.is_empty()), (ma.len(), ma.is_empty()));
+            for (k, v) in &ma {
+                assert_eq!(&a[k], v);
+            }
+            // Equality and order over bound pairs, whatever the slots hold.
+            assert_eq!(a == b, ma == mb);
+            assert_eq!(a.cmp(&b), ma.cmp(&mb));
+            assert_eq!(b.cmp(&a), mb.cmp(&ma));
+            // Clone, collect and a rebuilt binding compare equal.
+            let rebuilt: Binding = pairs.iter().copied().collect();
+            assert_eq!(rebuilt, a);
+            assert_eq!(rebuilt.cmp(&a), std::cmp::Ordering::Equal);
+            let mut copy = a.clone();
+            assert_eq!(copy, a);
+            assert_eq!(format!("{copy:?}"), format!("{ma:?}"));
+            copy.clear();
+            assert!(copy.is_empty() && copy.iter().next().is_none());
+            assert_eq!(copy, Binding::new());
+        }
+    }
+
+    #[test]
+    fn probe_set_is_the_shared_variable_positions() {
+        let mut syms = SymbolTable::new();
+        let (r, s) = (syms.rel("R"), syms.rel("S"));
+        let [x, y, z] = ["x", "y", "z"].map(|v| syms.var(v));
+        let chain = [Atom::new(r, vec![x, y]), Atom::new(s, vec![y, z, y])];
+        let single = [Atom::new(r, vec![x, x])];
+        let probes = probe_set([&chain[..], &single[..]]);
+        assert_eq!(probes.positions(r), &[1]);
+        assert_eq!(probes.positions(s), &[0, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the index's probe set")]
+    fn matching_outside_the_probe_set_panics() {
+        // The probe set of `R(x,y) & S(y)` has no `(R,0)`; a partial
+        // binding of `x` makes the join probe it anyway.
+        let mut syms = SymbolTable::new();
+        let (r, s) = (syms.rel("R"), syms.rel("S"));
+        let (x, y) = (syms.var("x"), syms.var("y"));
+        let a = Value::Const(syms.constant("a"));
+        let body = [Atom::new(r, vec![x, y]), Atom::new(s, vec![y])];
+        let inst = Instance::from_facts([Fact::new(r, vec![a, a]), Fact::new(s, vec![a])]);
+        let idx = TupleIndex::from_instance_probing(&inst, probe_set([&body[..]]));
+        let matcher = Matcher::over(&idx);
+        assert_eq!(matcher.all_matches(&body, &Binding::new()).len(), 1);
+        let partial: Binding = [(x, a)].into_iter().collect();
+        matcher.all_matches(&body, &partial);
     }
 
     #[test]

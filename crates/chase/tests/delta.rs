@@ -15,13 +15,17 @@
 
 use ndl_analyze::ChaseAnalysis;
 use ndl_chase::{
-    chase_fixpoint, chase_fixpoint_delta, chase_fixpoint_delta_parallel_with,
-    chase_fixpoint_delta_with, ChaseConfig, ChasePlan, FixpointChase, FixpointError, NullFactory,
+    chase_fixpoint, chase_fixpoint_delta_parallel_with, chase_fixpoint_delta_with, ChaseConfig,
+    ChasePlan, FixpointChase, FixpointError, NullFactory,
 };
 use ndl_core::prelude::*;
-use ndl_gen::{random_program, ProgramGenOptions};
-use ndl_obs::{ChaseStats, NoopObserver};
+use ndl_gen::{
+    random_nested_tgd, random_program, random_program_with_dead_code, ProgramGenOptions,
+    TgdGenOptions,
+};
+use ndl_obs::{ChaseObserver, ChaseStats, NoopObserver, StmtRound};
 use proptest::prelude::*;
+use std::fmt::Write as _;
 
 /// Forces worker threads and multi-way sharding even for tiny instances
 /// on 1-CPU machines.
@@ -36,10 +40,9 @@ fn force_sharded_config() -> ChaseConfig {
 
 type ChaseOutcome = std::result::Result<FixpointChase, FixpointError>;
 
-/// Chases `src` with the naive, delta, and delta-parallel engines under
-/// the same budget; returns the three outcomes plus their null counts.
-fn chase_three(src: &str, budget: Option<usize>) -> ([ChaseOutcome; 3], [usize; 3]) {
-    let cfg = force_sharded_config();
+/// A parsed program: its source facts, its SO tgds and the analyzer's
+/// plan (firing order, schedule, dataflow certificate) under `budget`.
+fn prepare(src: &str, budget: Option<usize>) -> (Instance, Vec<SoTgd>, ChasePlan) {
     let mut syms = SymbolTable::new();
     let (stmts, _) = ndl_analyze::parse_program(&mut syms, src);
     let analysis = ChaseAnalysis::analyze(&mut syms, &stmts);
@@ -50,29 +53,45 @@ fn chase_three(src: &str, budget: Option<usize>) -> ([ChaseOutcome; 3], [usize; 
         }
     }
     let tgds: Vec<SoTgd> = analysis.so_tgds().into_iter().map(|(_, t)| t).collect();
-    let plan = analysis.tgd_plan(budget);
+    (source, tgds, analysis.tgd_plan(budget))
+}
+
+/// Chases `src` with the naive, delta, and delta-parallel engines under
+/// the same budget, the delta engines reporting to `obs`; returns the
+/// three outcomes plus their null counts.
+fn chase_three_observed<O: ChaseObserver>(
+    src: &str,
+    budget: Option<usize>,
+    obs: [&mut O; 2],
+) -> ([ChaseOutcome; 3], [usize; 3]) {
+    let cfg = force_sharded_config();
+    let (source, tgds, plan) = prepare(src, budget);
+    let [seq_obs, par_obs] = obs;
     let mut nulls = [NullFactory::new(), NullFactory::new(), NullFactory::new()];
     let naive = chase_fixpoint(&source, &tgds, &plan, &mut nulls[0]);
-    let delta = chase_fixpoint_delta(&source, &tgds, &plan, &mut nulls[1]);
-    let par = chase_fixpoint_delta_parallel_with(
-        &source,
-        &tgds,
-        &plan,
-        &mut nulls[2],
-        &cfg,
-        &mut NoopObserver,
-    );
+    let delta = chase_fixpoint_delta_with(&source, &tgds, &plan, &mut nulls[1], seq_obs);
+    let par =
+        chase_fixpoint_delta_parallel_with(&source, &tgds, &plan, &mut nulls[2], &cfg, par_obs);
     (
         [naive, delta, par],
         [nulls[0].len(), nulls[1].len(), nulls[2].len()],
     )
 }
 
+/// [`chase_three_observed`] under the no-op observer.
+fn chase_three(src: &str, budget: Option<usize>) -> ([ChaseOutcome; 3], [usize; 3]) {
+    chase_three_observed(src, budget, [&mut NoopObserver, &mut NoopObserver])
+}
+
 /// Asserts all three outcomes are bit-identical (instance equality
 /// compares `NullId`s directly — interning order must match, not just
 /// structure).
 fn assert_identical(src: &str, budget: Option<usize>) {
-    let ([naive, delta, par], nulls) = chase_three(src, budget);
+    assert_outcomes_identical(src, chase_three(src, budget));
+}
+
+fn assert_outcomes_identical(src: &str, outcomes: ([ChaseOutcome; 3], [usize; 3])) {
+    let ([naive, delta, par], nulls) = outcomes;
     for (name, other, n) in [
         ("delta", &delta, nulls[1]),
         ("delta-parallel", &par, nulls[2]),
@@ -290,6 +309,190 @@ fn per_call_configs_both_take_effect() {
         "per-call shard settings were not both applied — a cached \
          process-wide config is masking the second request's settings"
     );
+}
+
+/// Every event a delta engine reports, timings left out, one line each:
+/// the per-statement aggregates (`examined`, `touched` and the rest), the
+/// shard split, and each round's frontier and commit sizes.
+#[derive(Default)]
+struct RoundLog(String);
+
+impl ChaseObserver for RoundLog {
+    fn round_delta(&mut self, round: usize, frontier: u64) {
+        let _ = writeln!(self.0, "r{round} frontier={frontier}");
+    }
+
+    fn statement(&mut self, sr: &StmtRound) {
+        let _ = writeln!(
+            self.0,
+            "r{} s{} examined={} fired={} derived={} dedup={} nulls={} touched={}",
+            sr.round,
+            sr.stmt,
+            sr.examined,
+            sr.fired,
+            sr.derived,
+            sr.dedup_hits,
+            sr.nulls_interned,
+            sr.touched
+        );
+    }
+
+    fn statement_shards(&mut self, round: usize, stmt: usize, touched: &[u64]) {
+        let _ = writeln!(self.0, "r{round} s{stmt} shards={touched:?}");
+    }
+
+    fn statement_skipped(&mut self, round: usize, stmt: usize) {
+        let _ = writeln!(self.0, "r{round} s{stmt} skipped");
+    }
+
+    fn round_end(&mut self, round: usize, fresh: u64, _elapsed_ns: u64) {
+        let _ = writeln!(self.0, "r{round} fresh={fresh}");
+    }
+
+    fn chase_end(&mut self, rounds: usize, derived: u64, outcome: &str) {
+        let _ = writeln!(self.0, "end rounds={rounds} derived={derived} {outcome}");
+    }
+}
+
+/// FNV-1a, for a platform-independent digest of a [`RoundLog`].
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Sum of `key=<n>` over the lines of a [`RoundLog`].
+fn log_sum(log: &str, key: &str) -> u64 {
+    log.split_whitespace()
+        .filter_map(|w| w.strip_prefix(key)?.strip_prefix('=')?.parse::<u64>().ok())
+        .sum()
+}
+
+/// `ndl-gen` nested tgds as program text, over a few facts for every
+/// source relation their bodies read.
+fn nested_program(seed: u64) -> String {
+    let mut syms = SymbolTable::new();
+    let mut src = String::new();
+    let mut sources: Vec<(RelId, usize)> = Vec::new();
+    for t in 0..3u64 {
+        let tgd = random_nested_tgd(
+            &mut syms,
+            &format!("{seed}x{t}"),
+            &TgdGenOptions {
+                max_depth: 3,
+                max_children: 2,
+                existential_prob: 0.7,
+                seed: seed * 31 + t,
+            },
+        );
+        let _ = writeln!(src, "{}", tgd.display(&syms));
+        for part in tgd.parts() {
+            for atom in &part.body {
+                sources.push((atom.rel, atom.args.len()));
+            }
+        }
+    }
+    for (i, &(rel, arity)) in sources.iter().enumerate() {
+        for k in 0..3 {
+            let args: Vec<String> = (0..arity)
+                .map(|p| format!("c{}", (i + k * (p + 1) + seed as usize) % 4))
+                .collect();
+            let _ = writeln!(src, "fact: {}({})", syms.rel_name(rel), args.join(", "));
+        }
+    }
+    src
+}
+
+/// SO tgds whose heads nest Skolem terms, one of them feeding `R0` back
+/// with nulls, so terms nest deeper every lap and only the budget ends
+/// the chase.
+fn nested_skolem_program(seed: u64) -> String {
+    let mut src = String::new();
+    let k = seed as usize;
+    let _ = writeln!(src, "exists f,g . R0(x,y) -> R1(x, f(g(y)))");
+    let _ = writeln!(src, "exists h . R1(x,y) & R0(x,z) -> R2(h(y,z), z)");
+    let _ = writeln!(src, "exists f . R2(x,y) & R0(y,z) -> R0(x, f(z))");
+    let _ = writeln!(src, "R1(x,y) & R1(y,z) -> R3(x,z)");
+    for i in 0..4 + k % 3 {
+        let _ = writeln!(
+            src,
+            "fact: R0(c{}, c{})",
+            (i * (k + 1)) % 5,
+            (i + 2 * k) % 4
+        );
+    }
+    src
+}
+
+/// The probe-set parity corpus: recursive programs under a budget,
+/// dead-code programs, and programs with nested Skolem heads (from nested
+/// tgds and from nested terms in SO-tgd heads).
+fn probe_corpus() -> Vec<(String, String, Option<usize>)> {
+    let mut out = Vec::new();
+    for seed in 0..8 {
+        let src = random_program(&ProgramGenOptions {
+            statements: 12,
+            relations: 4,
+            recursion_prob: 0.5,
+            comment_prob: 0.0,
+            fact_prob: 0.35,
+            seed,
+        });
+        out.push((format!("recursive/{seed}"), src, Some(250)));
+    }
+    for seed in 0..6 {
+        let opts = ProgramGenOptions {
+            statements: 10,
+            relations: 6,
+            recursion_prob: 0.1,
+            comment_prob: 0.0,
+            fact_prob: 0.3,
+            seed,
+        };
+        let src = random_program_with_dead_code(&opts, 3 + seed as usize % 3);
+        out.push((format!("dead-code/{seed}"), src, Some(400)));
+    }
+    for seed in 0..6 {
+        out.push((format!("nested/{seed}"), nested_program(seed), None));
+    }
+    for seed in 0..4 {
+        let src = nested_skolem_program(seed);
+        out.push((format!("nested-skolem/{seed}"), src, Some(150)));
+    }
+    out
+}
+
+/// Per-statement work of both delta engines over [`probe_corpus`],
+/// recorded before the chase indexed only probe-set positions: one line
+/// per program and engine with the round count, the `examined` and
+/// `touched` totals, and a digest of every per-statement, shard and round
+/// event (see [`RoundLog`]).
+const PROBE_GOLDEN: &str = include_str!("golden/delta_rounds.txt");
+
+#[test]
+fn probe_set_index_keeps_outputs_and_work_of_the_full_index() {
+    let mut got = String::new();
+    for (name, src, budget) in probe_corpus() {
+        let mut logs = [RoundLog::default(), RoundLog::default()];
+        let [seq, par] = &mut logs;
+        let outcomes = chase_three_observed(&src, budget, [seq, par]);
+        assert_outcomes_identical(&src, outcomes);
+        for (engine, log) in ["delta", "delta-parallel"].iter().zip(&logs) {
+            let log = &log.0;
+            let _ = writeln!(
+                got,
+                "{name} {engine} rounds={} examined={} touched={} digest={:016x}",
+                log.lines().filter(|l| l.contains("frontier=")).count(),
+                log_sum(log, "examined"),
+                log_sum(log, "touched"),
+                fnv1a(log),
+            );
+        }
+    }
+    for (want, have) in PROBE_GOLDEN.lines().zip(got.lines()) {
+        assert_eq!(have, want, "per-statement delta work changed");
+    }
+    assert_eq!(PROBE_GOLDEN.lines().count(), got.lines().count());
 }
 
 proptest! {

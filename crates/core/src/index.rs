@@ -10,6 +10,15 @@
 //! index is **updatable in place** — the incremental core engine retracts
 //! a handful of facts from a large instance without a rebuild.
 //!
+//! Which positions get posting lists is the index's [`ProbeSet`]. An index
+//! built by [`TupleIndex::new`] or [`TupleIndex::from_instance`] keeps one
+//! for every position of every fact — homomorphism, core and reasoning
+//! searches probe wherever a value is bound. The semi-naive chase builds
+//! its index with [`TupleIndex::from_instance_probing`] and the probe set
+//! of its program's bodies, so positions no body can probe cost nothing
+//! on insert; probing an unindexed pair panics rather than answering
+//! "no tuple".
+//!
 //! Posting lists keep their build order. [`TupleIndex::from_instance`]
 //! indexes facts in the instance's deterministic sorted order, so all
 //! consumers enumerate candidates in the same order as a sorted full scan
@@ -28,6 +37,44 @@ pub use crate::hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 /// deterministic order they were indexed.
 pub type TupleId = FactId;
 
+/// The `(rel, pos)` pairs a [`TupleIndex`] keeps posting lists for, when
+/// it does not keep them for every position.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ProbeSet {
+    /// `rel.index() → ` the indexed positions of `rel`, sorted.
+    positions: Vec<Vec<u32>>,
+}
+
+impl ProbeSet {
+    /// The empty set: no position is indexed.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `(rel, pos)` to the set.
+    pub fn insert(&mut self, rel: RelId, pos: u32) {
+        if self.positions.len() <= rel.index() {
+            self.positions.resize_with(rel.index() + 1, Vec::new);
+        }
+        let ps = &mut self.positions[rel.index()];
+        if let Err(at) = ps.binary_search(&pos) {
+            ps.insert(at, pos);
+        }
+    }
+
+    /// The indexed positions of `rel`, sorted.
+    #[inline]
+    pub fn positions(&self, rel: RelId) -> &[u32] {
+        self.positions.get(rel.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// Is `(rel, pos)` in the set?
+    #[inline]
+    pub fn contains(&self, rel: RelId, pos: u32) -> bool {
+        self.positions(rel).contains(&pos)
+    }
+}
+
 /// An updatable `(rel, pos, value) → facts` hash index over a columnar
 /// fact store.
 ///
@@ -45,6 +92,8 @@ pub struct TupleIndex {
     store: FactStore,
     /// `(rel, pos, value) → ids` posting lists, in insertion order.
     posting: FxHashMap<(RelId, u32, Value), SmallIdVec>,
+    /// The positions posting lists are kept for; `None` means all.
+    probes: Option<ProbeSet>,
 }
 
 impl TupleIndex {
@@ -59,6 +108,7 @@ impl TupleIndex {
         TupleIndex {
             store: FactStore::with_capacity(tuples),
             posting: FxHashMap::with_capacity_and_hasher(cells, FxBuildHasher::default()),
+            probes: None,
         }
     }
 
@@ -70,6 +120,53 @@ impl TupleIndex {
             idx.insert(f.rel, f.args);
         }
         idx
+    }
+
+    /// [`TupleIndex::from_instance`] keeping posting lists only for the
+    /// pairs of `probes`, now and for every later insert. Ids, rows and
+    /// the posting lists it does keep are exactly those of
+    /// `from_instance`; [`TupleIndex::posting`] panics on any other pair.
+    pub fn from_instance_probing(inst: &Instance, probes: ProbeSet) -> Self {
+        let cells = (probes.positions.iter().enumerate())
+            .map(|(r, ps)| ps.len() * inst.rel_len(RelId(r as u32)))
+            .sum();
+        let mut idx = TupleIndex {
+            probes: Some(probes),
+            ..TupleIndex::with_capacity(inst.len(), cells)
+        };
+        for f in inst.facts() {
+            idx.insert(f.rel, f.args);
+        }
+        idx
+    }
+
+    /// Is `(rel, pos)` kept in posting lists?
+    #[inline]
+    fn indexes(&self, rel: RelId, pos: u32) -> bool {
+        self.probes.as_ref().is_none_or(|p| p.contains(rel, pos))
+    }
+
+    /// Appends `id` to the posting lists of its indexed positions.
+    fn post(
+        posting: &mut FxHashMap<(RelId, u32, Value), SmallIdVec>,
+        probes: Option<&ProbeSet>,
+        id: TupleId,
+        rel: RelId,
+        args: &[Value],
+    ) {
+        let mut push = |pos: u32, v: Value| posting.entry((rel, pos, v)).or_default().push(id);
+        match probes {
+            None => {
+                for (pos, &v) in args.iter().enumerate() {
+                    push(pos as u32, v);
+                }
+            }
+            Some(p) => {
+                for &pos in p.positions(rel) {
+                    push(pos, args[pos as usize]);
+                }
+            }
+        }
     }
 
     /// The underlying store (counters, id-level access).
@@ -86,12 +183,7 @@ impl TupleIndex {
             Inserted::Present(_) => false,
             Inserted::Revived(_) => true,
             Inserted::Fresh(id) => {
-                for (pos, &v) in args.iter().enumerate() {
-                    self.posting
-                        .entry((rel, pos as u32, v))
-                        .or_default()
-                        .push(id);
-                }
+                Self::post(&mut self.posting, self.probes.as_ref(), id, rel, args);
                 true
             }
         }
@@ -143,7 +235,12 @@ impl TupleIndex {
     /// The posting list of `(rel, pos, value)`: ids of tuples with `value`
     /// at position `pos`, in insertion order. May contain dead ids — filter
     /// with [`TupleIndex::is_live`]. Empty when no tuple matches.
+    ///
+    /// # Panics
+    /// Panics if `(rel, pos)` is outside the index's probe set: an empty
+    /// answer there would silently drop matches.
     pub fn posting(&self, rel: RelId, pos: u32, value: Value) -> &[TupleId] {
+        self.assert_indexed(rel, pos);
         self.posting
             .get(&(rel, pos, value))
             .map_or(&[][..], SmallIdVec::as_slice)
@@ -151,10 +248,21 @@ impl TupleIndex {
 
     /// Upper bound on the length of [`TupleIndex::posting`] (counts dead
     /// ids too) — the selectivity estimate used for join/MRV ordering.
+    /// Panics like [`TupleIndex::posting`] on an unindexed pair.
     pub fn posting_len(&self, rel: RelId, pos: u32, value: Value) -> usize {
+        self.assert_indexed(rel, pos);
         self.posting
             .get(&(rel, pos, value))
             .map_or(0, SmallIdVec::len)
+    }
+
+    #[inline]
+    #[track_caller]
+    fn assert_indexed(&self, rel: RelId, pos: u32) {
+        assert!(
+            self.indexes(rel, pos),
+            "posting list of ({rel:?}, {pos}) probed outside the index's probe set"
+        );
     }
 
     /// All tuple ids of `rel` in insertion order (may contain dead ids).
@@ -236,11 +344,8 @@ impl TupleIndex {
         // invariant `posting_frontier`'s binary search relies on, and
         // exactly what inserting the live tuples into a fresh index would
         // have produced.
-        let posting = &mut self.posting;
         for (id, rel, args) in self.store.iter() {
-            for (pos, &v) in args.iter().enumerate() {
-                posting.entry((rel, pos as u32, v)).or_default().push(id);
-            }
+            Self::post(&mut self.posting, self.probes.as_ref(), id, rel, args);
         }
     }
 
@@ -440,6 +545,68 @@ mod tests {
         // The index stays fully usable after compaction.
         assert!(idx.insert(r, vec![b, c]));
         assert_eq!(idx.posting_len(r, 0, b), 1);
+    }
+
+    /// `R(a,b) R(a,n) R(b,b) S(a)` probed at `(R,1)` only.
+    fn probed() -> (TupleIndex, TupleIndex, RelId, RelId, Value, Value, Value) {
+        let (mut syms, r, a, b, n) = setup();
+        let s = syms.rel("S");
+        let inst = Instance::from_facts([
+            Fact::new(r, vec![a, b]),
+            Fact::new(r, vec![a, n]),
+            Fact::new(r, vec![b, b]),
+            Fact::new(s, vec![a]),
+        ]);
+        let mut probes = ProbeSet::new();
+        probes.insert(r, 1);
+        (
+            TupleIndex::from_instance(&inst),
+            TupleIndex::from_instance_probing(&inst, probes),
+            r,
+            s,
+            a,
+            b,
+            n,
+        )
+    }
+
+    #[test]
+    fn probed_index_keeps_exactly_the_probed_postings() {
+        let (full, mut part, r, s, a, b, n) = probed();
+        assert!(part.indexes(r, 1));
+        assert!(!part.indexes(r, 0) && !part.indexes(s, 0));
+        // Same ids, same rows, same posting lists where it keeps them.
+        assert_eq!(part.store().sorted_ids(), full.store().sorted_ids());
+        for v in [a, b, n] {
+            assert_eq!(part.posting(r, 1, v), full.posting(r, 1, v));
+        }
+        assert_eq!(part.rel_ids(s), full.rel_ids(s));
+        // Later inserts and compaction keep to the probe set.
+        part.insert(r, vec![n, b]);
+        part.remove(&Fact::new(r, vec![a, b]));
+        part.compact();
+        let live: Vec<&[Value]> = part
+            .posting(r, 1, b)
+            .iter()
+            .map(|&id| part.tuple(id))
+            .collect();
+        assert_eq!(live, vec![&[b, b][..], &[n, b][..]]);
+        assert_eq!(part.posting.len(), 2, "only (R,1) postings exist");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the index's probe set")]
+    fn probing_an_unindexed_pair_panics() {
+        let (_, part, r, _, a, _, _) = probed();
+        // `R(a, _)` has matches: an empty list here would be a wrong answer.
+        let _ = part.posting(r, 0, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the index's probe set")]
+    fn probing_an_unindexed_relation_panics() {
+        let (_, part, _, s, a, _, _) = probed();
+        let _ = part.posting_len(s, 0, a);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::dep::{Egd, NestedTgd, Part, PartId, SoClause, SoTgd, StTgd};
     pub use crate::error::{CoreError, Result};
     pub use crate::hash::{FxBuildHasher, FxHashMap, FxHashSet};
-    pub use crate::index::{TupleId, TupleIndex};
+    pub use crate::index::{ProbeSet, TupleId, TupleIndex};
     pub use crate::instance::{Fact, FactRef, Instance};
     pub use crate::mapping::{NestedMapping, SoMapping};
     pub use crate::parse::{parse_egd, parse_fact, parse_nested_tgd, parse_so_tgd, parse_st_tgd};

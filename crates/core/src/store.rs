@@ -289,11 +289,11 @@ impl FactStore {
             .cols
             .entry(rel)
             .or_insert_with(|| Column::new(args.len()));
-        assert_eq!(
-            col.arity,
-            args.len(),
-            "relation arity changed between inserts"
-        );
+        if col.arity != args.len() {
+            // A column emptied by `clear` may take a new width.
+            assert_eq!(col.rows(), 0, "relation arity changed between inserts");
+            col.arity = args.len();
+        }
         let row = u32::try_from(col.rows()).expect("column overflow");
         col.data.extend_from_slice(args);
         col.ids.push(id);
@@ -451,17 +451,21 @@ impl FactStore {
 
     /// The live ids in fully sorted `(relation, tuple)` order — the
     /// deterministic enumeration used for display, serialization and
-    /// index builds. Allocates one id vector.
+    /// index builds. Allocates one id vector and one row-number buffer.
+    ///
+    /// Each column sorts its live row numbers by their tuples directly
+    /// (no id → slot → row hop per comparison) with the stable,
+    /// run-adaptive `sort_by`: columns are appended round by round, so
+    /// they are usually a few long sorted runs. A relation never holds
+    /// two rows with equal tuples, so stability cannot change the order.
     pub fn sorted_ids(&self) -> Vec<FactId> {
         let mut out = Vec::with_capacity(self.live_count);
+        let mut rows: Vec<u32> = Vec::new();
         for col in self.cols.values() {
-            let start = out.len();
-            out.extend(col.ids.iter().copied().filter(|id| self.live[id.index()]));
-            out[start..].sort_unstable_by(|&a, &b| {
-                let ra = self.slots[a.index()].1;
-                let rb = self.slots[b.index()].1;
-                col.row(ra).cmp(col.row(rb))
-            });
+            rows.clear();
+            rows.extend((0..col.rows() as u32).filter(|&r| self.live[col.ids[r as usize].index()]));
+            rows.sort_by(|&a, &b| col.row(a).cmp(col.row(b)));
+            out.extend(rows.iter().map(|&r| col.ids[r as usize]));
         }
         out
     }
@@ -542,6 +546,26 @@ impl FactStore {
              resets the delta frontier",
             observed, self.epoch,
         );
+    }
+
+    /// Removes every fact but keeps the allocations (columns, slot arena,
+    /// dedup buckets), so a store refilled to a similar size allocates
+    /// nothing — the delta chase stages each round's fresh facts in one
+    /// store it clears between rounds. Like [`FactStore::compact`] this
+    /// invalidates every outstanding [`FactId`], resets the frontier
+    /// watermark to 0 and bumps the epoch; the counters keep accumulating.
+    pub fn clear(&mut self) {
+        for col in self.cols.values_mut() {
+            col.data.clear();
+            col.ids.clear();
+            col.live = 0;
+        }
+        self.slots.clear();
+        self.live.clear();
+        self.dedup.clear();
+        self.live_count = 0;
+        self.frontier_start = 0;
+        self.epoch += 1;
     }
 
     /// Rebuilds the arena without tombstones, renumbering every id —
@@ -849,6 +873,103 @@ mod tests {
         // counters are what make the difference observable.
         assert!(bare.counters().regrows > 0);
         assert!(bare.counters().rehashes > 0);
+    }
+
+    #[test]
+    fn clear_empties_the_store_and_keeps_it_usable() {
+        let (mut syms, r, a, b, n) = setup();
+        let q = syms.rel("Q");
+        let mut s = FactStore::new();
+        s.insert(r, &[a, b]);
+        s.insert(q, &[n]);
+        s.mark_frontier();
+        let epoch = s.epoch();
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.rows(), 0);
+        assert_eq!(s.rel_len(r), 0);
+        assert_eq!(s.active_relations().count(), 0);
+        assert_eq!(s.frontier_start(), 0);
+        assert_eq!(s.epoch(), epoch + 1);
+        assert!(!s.contains(r, &[a, b]));
+        // Refilled, it numbers ids from 0 again; an emptied column may
+        // even take a new width.
+        assert_eq!(s.insert(r, &[b, a]), Inserted::Fresh(FactId(0)));
+        assert_eq!(s.insert(q, &[a, b, n]), Inserted::Fresh(FactId(1)));
+        assert_eq!(s.insert(r, &[b, a]), Inserted::Present(FactId(0)));
+        assert_eq!(s.tuple(FactId(1)), &[a, b, n]);
+        assert_eq!(s.sorted_ids(), vec![FactId(0), FactId(1)]);
+    }
+
+    /// The id-level comparator `sorted_ids` used before it sorted row
+    /// numbers directly: live ids per relation, ordered through the
+    /// `FactId → slot → row` hop on every comparison.
+    fn sorted_ids_by_slot(s: &FactStore) -> Vec<FactId> {
+        let mut out = Vec::with_capacity(s.len());
+        for col in s.cols.values() {
+            let start = out.len();
+            out.extend(col.ids.iter().copied().filter(|id| s.live[id.index()]));
+            out[start..].sort_unstable_by(|&a, &b| {
+                let ra = s.slots[a.index()].1;
+                let rb = s.slots[b.index()].1;
+                col.row(ra).cmp(col.row(rb))
+            });
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// `sorted_ids` agrees with the slot-hop comparator on random
+        /// stores: arities 0–4, constants and nulls mixed, tombstones,
+        /// revivals, a compaction or a clear along the way.
+        #[test]
+        fn sorted_ids_matches_the_slot_comparator(seed in 0u64..u64::MAX, ops in 0usize..300) {
+            // splitmix64: the test depends only on the drawn seed.
+            let mut state = seed;
+            let mut below = |n: usize| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) % n as u64) as usize
+            };
+            let mut syms = SymbolTable::new();
+            let rels: Vec<(RelId, usize)> =
+                (0..5).map(|a| (syms.rel(&format!("R{a}")), a)).collect();
+            let mut vals: Vec<Value> = (0..3)
+                .map(|i| Value::Const(syms.constant(&format!("c{i}"))))
+                .collect();
+            vals.extend((0..3).map(|i| Value::Null(NullId(i))));
+            let mut s = FactStore::new();
+            let mut ids: Vec<FactId> = Vec::new();
+            for _ in 0..ops {
+                let (rel, arity) = rels[below(rels.len())];
+                let args: Vec<Value> =
+                    (0..arity).map(|_| vals[below(vals.len())]).collect();
+                match below(100) {
+                    0..=59 => ids.push(s.insert(rel, &args).id()),
+                    60..=89 if !ids.is_empty() => {
+                        s.retract_id(ids[below(ids.len())]);
+                    }
+                    90..=91 => {
+                        s.compact();
+                        ids.clear();
+                    }
+                    92 => {
+                        s.clear();
+                        ids.clear();
+                    }
+                    _ => {
+                        s.retract(rel, &args);
+                    }
+                }
+            }
+            let got = s.sorted_ids();
+            proptest::prop_assert_eq!(&got, &sorted_ids_by_slot(&s));
+            proptest::prop_assert_eq!(got.len(), s.len());
+        }
     }
 
     #[test]
