@@ -51,12 +51,15 @@ impl ProgramArtifacts {
         let (stmts, errs) = parse_program(&mut syms, src);
         let parse_errors = errs.iter().map(|(i, e)| (*i, e.to_string())).collect();
         let analysis = ChaseAnalysis::analyze(&mut syms, &stmts);
-        let mut source = Instance::new();
+        let facts = (stmts.iter())
+            .filter(|s| matches!(s.ast, Some(StmtAst::Fact(_))))
+            .count();
+        let mut source = Instance::from_store(FactStore::with_capacity(facts));
         let mut egds = Vec::new();
         for s in &stmts {
             match &s.ast {
                 Some(StmtAst::Fact(f)) => {
-                    source.insert(f.clone());
+                    source.insert_tuple(f.rel, &f.args);
                 }
                 Some(StmtAst::Egd(e)) => egds.push(e.clone()),
                 _ => {}

@@ -22,7 +22,8 @@ use crate::termination::{Termination, TerminationClass};
 use ndl_chase::{ChasePlan, DataflowCert, ParallelSchedule};
 use ndl_core::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::time::Instant;
 
 /// Degrees never exceed this cap; hitting it means divergence.
@@ -454,14 +455,29 @@ fn firing_order(statements: usize, fps: &ProgramFootprints) -> Vec<usize> {
             indeg[t] += 1;
         }
     }
-    let mut ready: BTreeSet<usize> = (0..statements).filter(|&s| indeg[s] == 0).collect();
+    // The ready set, smallest first: the statements ready from the start
+    // (facts, egds and tgds reading only sources: most of a fact-heavy
+    // program) in ascending order, then those freed along the way in a
+    // min-heap. A statement ready from the start has no predecessor, so
+    // it is never freed again: the two never hold the same statement.
+    let mut initial = (0..statements)
+        .filter(|&s| indeg[s] == 0)
+        .collect::<Vec<_>>()
+        .into_iter()
+        .peekable();
+    let mut freed: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
     let mut placed = vec![false; statements];
     // Smallest unplaced index: the cycle breaker. Placed statements never
     // return, so it only moves forward.
     let mut first_unplaced = 0;
     let mut order = Vec::with_capacity(statements);
     while order.len() < statements {
-        let next = ready.pop_first().unwrap_or_else(|| {
+        let next = match (initial.peek(), freed.peek()) {
+            (Some(&s), Some(&Reverse(t))) if t < s => freed.pop().map(|Reverse(t)| t),
+            (Some(_), _) => initial.next(),
+            (None, _) => freed.pop().map(|Reverse(t)| t),
+        };
+        let next = next.unwrap_or_else(|| {
             while placed[first_unplaced] {
                 first_unplaced += 1;
             }
@@ -473,7 +489,7 @@ fn firing_order(statements: usize, fps: &ProgramFootprints) -> Vec<usize> {
             if !placed[t] {
                 indeg[t] -= 1;
                 if indeg[t] == 0 {
-                    ready.insert(t);
+                    freed.push(Reverse(t));
                 }
             }
         }

@@ -113,23 +113,16 @@ impl DataflowAnalysis {
         // Sources: fact-populated relations, or (assumed mode) the
         // relations read but never written.
         let mut read: BTreeSet<RelId> = BTreeSet::new();
-        let mut written: BTreeSet<RelId> = BTreeSet::new();
+        let mut written: BTreeSet<RelId> = fps.fact_relations.clone();
         for fp in fps.footprints.values() {
             read.extend(fp.reads.iter().copied());
             written.extend(fp.writes.iter().copied());
         }
-        let fact_rels: BTreeSet<RelId> = stmts
-            .iter()
-            .filter_map(|s| match &s.ast {
-                Some(StmtAst::Fact(f)) => Some(f.rel),
-                _ => None,
-            })
-            .collect();
-        if fact_rels.is_empty() {
+        if fps.fact_relations.is_empty() {
             a.assumed_sources = true;
             a.sources = read.difference(&written).copied().collect();
         } else {
-            a.sources = fact_rels;
+            a.sources = fps.fact_relations.clone();
         }
 
         // Relation reachability: a clause whose body is reachable marks

@@ -23,7 +23,10 @@
 //! They never enter the schedule (facts load before round 1, egds are not
 //! chased by the fixpoint engine), but they complete the whole-program
 //! read/write picture behind the NDL031/NDL032 relation-role lints and
-//! the dataflow reachability fixpoint.
+//! the dataflow reachability fixpoint. A fact writes exactly its one
+//! relation and nothing else, so facts are kept per relation
+//! ([`ProgramFootprints::fact_relations`]) rather than per statement: a
+//! program of thousands of facts adds only its few fact relations here.
 
 use crate::graph::ProgramGraphs;
 use crate::program::{Statement, StmtAst};
@@ -97,16 +100,18 @@ impl ConflictKind {
     }
 }
 
-/// The whole-program footprint map: one [`Footprint`] per statement that
-/// contributes reads or writes, plus the set of statements eligible for
-/// scheduling (exactly the tgd statements with Skolemized clauses in
-/// [`ProgramGraphs::clauses`]).
+/// The whole-program footprint map: one [`Footprint`] per tgd or egd
+/// statement, the relations ground facts write, and the set of statements
+/// eligible for scheduling (exactly the tgd statements with Skolemized
+/// clauses in [`ProgramGraphs::clauses`]).
 #[derive(Clone, Debug, Default)]
 pub struct ProgramFootprints {
     /// Footprint per contributing statement: tgd statements that entered
-    /// [`ProgramGraphs`], plus ground facts and egds (which the graphs
-    /// skip).
+    /// [`ProgramGraphs`], plus egds (which the graphs skip).
     pub footprints: BTreeMap<usize, Footprint>,
+    /// The relations written by the program's ground facts: the union of
+    /// the facts' footprints, each of which is one written relation.
+    pub fact_relations: BTreeSet<RelId>,
     /// Statements eligible for scheduling — exactly the tgd statements
     /// with Skolemized clauses in [`ProgramGraphs::clauses`].
     pub scheduled: BTreeSet<usize>,
@@ -138,11 +143,7 @@ impl ProgramFootprints {
         for stmt in stmts {
             match &stmt.ast {
                 Some(StmtAst::Fact(f)) => {
-                    p.footprints
-                        .entry(stmt.index)
-                        .or_default()
-                        .writes
-                        .insert(f.rel);
+                    p.fact_relations.insert(f.rel);
                 }
                 Some(StmtAst::Egd(e)) => {
                     let fp = p.footprints.entry(stmt.index).or_default();
@@ -186,7 +187,8 @@ mod tests {
         let (_, stmts, graphs) = build(src);
         let p = ProgramFootprints::of(&graphs, &stmts);
         assert_eq!(p.scheduled.iter().copied().collect::<Vec<_>>(), vec![2]);
-        assert!(p.footprints[&0].writes.len() == 1 && p.footprints[&0].reads.is_empty());
+        assert_eq!(p.fact_relations.len(), 1);
+        assert!(!p.footprints.contains_key(&0));
         assert!(p.footprints[&1].reads.len() == 1 && p.footprints[&1].writes.is_empty());
         assert!(p.footprints[&2].reads.len() == 1 && p.footprints[&2].writes.len() == 1);
     }
@@ -216,6 +218,7 @@ mod tests {
         // ids as the `build` above.
         let (a, _) = crate::ChaseAnalysis::analyze_source(&mut SymbolTable::new(), src);
         assert_eq!(a.interference.footprints, p.footprints);
+        assert_eq!(a.interference.fact_relations, p.fact_relations);
         assert_eq!(a.interference.scheduled, p.scheduled);
     }
 }

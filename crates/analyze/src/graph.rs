@@ -251,7 +251,7 @@ impl ProgramGraphs {
             statements: stmts.len(),
             ..ProgramGraphs::default()
         };
-        let mut arity: BTreeMap<RelId, usize> = BTreeMap::new();
+        let mut arity = Arities::default();
         let mut func_stmt: BTreeMap<FuncId, usize> = BTreeMap::new();
         for stmt in stmts {
             let Some(ast) = &stmt.ast else { continue };
@@ -271,7 +271,7 @@ impl ProgramGraphs {
                     (t.clone(), t.funcs.clone())
                 }
                 StmtAst::Fact(f) => {
-                    if arity_ok(&mut arity, &[(f.rel, f.args.len())]) {
+                    if arity.admit([(f.rel, f.args.len())]) {
                         g.analyzed.push(stmt.index);
                     }
                     continue;
@@ -283,12 +283,11 @@ impl ProgramGraphs {
                     continue;
                 }
             };
-            let mut rels: Vec<(RelId, usize)> = Vec::new();
-            for c in &so.clauses {
-                rels.extend(c.body.iter().map(|a| (a.rel, a.args.len())));
-                rels.extend(c.head.iter().map(|a| (a.rel, a.args.len())));
-            }
-            if !arity_ok(&mut arity, &rels) {
+            let uses = so.clauses.iter().flat_map(|c| {
+                let body = c.body.iter().map(|a| (a.rel, a.args.len()));
+                body.chain(c.head.iter().map(|a| (a.rel, a.args.len())))
+            });
+            if !arity.admit(uses) {
                 continue;
             }
             g.analyzed.push(stmt.index);
@@ -603,22 +602,45 @@ fn well_formed_ignoring_sides(check: impl FnOnce(&mut Schema, &mut Vec<CoreError
         .all(|e| matches!(e, CoreError::SideMismatch { .. }))
 }
 
-fn arity_ok(arity: &mut BTreeMap<RelId, usize>, uses: &[(RelId, usize)]) -> bool {
-    // Check first (a statement must not half-register), then record.
-    for &(r, n) in uses {
-        if arity.get(&r).is_some_and(|&m| m != n) {
-            return false;
+/// The relation arities fixed by the statements admitted so far, indexed
+/// by relation id. Admitting a statement allocates nothing once the table
+/// covers its relations.
+#[derive(Default)]
+struct Arities {
+    /// `RelId → arity`, [`Arities::UNSET`] for relations no admitted
+    /// statement uses.
+    of: Vec<usize>,
+    /// Relations the statement being admitted set first (undone when it
+    /// is refused).
+    added: Vec<RelId>,
+}
+
+impl Arities {
+    const UNSET: usize = usize::MAX;
+
+    /// Admits a statement using relations at the arities `uses` lists,
+    /// unless a use disagrees with an admitted statement or with another
+    /// use of the same statement — then nothing is recorded (a statement
+    /// must not half-register).
+    fn admit(&mut self, uses: impl IntoIterator<Item = (RelId, usize)>) -> bool {
+        self.added.clear();
+        for (r, n) in uses {
+            let i = r.index();
+            if i >= self.of.len() {
+                self.of.resize(i + 1, Self::UNSET);
+            }
+            if self.of[i] == Self::UNSET {
+                self.of[i] = n;
+                self.added.push(r);
+            } else if self.of[i] != n {
+                for r in self.added.drain(..) {
+                    self.of[r.index()] = Self::UNSET;
+                }
+                return false;
+            }
         }
+        true
     }
-    // A single statement may still be internally inconsistent.
-    let mut local: BTreeMap<RelId, usize> = BTreeMap::new();
-    for &(r, n) in uses {
-        if *local.entry(r).or_insert(n) != n {
-            return false;
-        }
-    }
-    arity.extend(local);
-    true
 }
 
 fn collect_term(t: &Term, funcs: &mut BTreeSet<FuncId>, vars: &mut BTreeSet<VarId>) {

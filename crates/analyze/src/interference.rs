@@ -47,9 +47,12 @@ pub struct ConflictEdge {
 pub struct InterferenceAnalysis {
     /// Footprint per statement that contributes reads or writes: tgd
     /// statements that entered
-    /// [`ProgramGraphs`](crate::graph::ProgramGraphs), plus ground facts
-    /// and egds (which the graphs skip).
+    /// [`ProgramGraphs`](crate::graph::ProgramGraphs), plus egds (which
+    /// the graphs skip).
     pub footprints: BTreeMap<usize, Footprint>,
+    /// The relations written by ground facts (see
+    /// [`ProgramFootprints::fact_relations`]).
+    pub fact_relations: BTreeSet<RelId>,
     /// Statements eligible for scheduling — exactly the tgd statements
     /// with Skolemized clauses in
     /// [`ProgramGraphs::clauses`](crate::graph::ProgramGraphs::clauses).
@@ -80,6 +83,7 @@ impl InterferenceAnalysis {
     pub fn of(fps: ProgramFootprints) -> InterferenceAnalysis {
         let mut a = InterferenceAnalysis {
             footprints: fps.footprints,
+            fact_relations: fps.fact_relations,
             scheduled: fps.scheduled,
             ..InterferenceAnalysis::default()
         };
@@ -130,7 +134,7 @@ impl InterferenceAnalysis {
             }
         }
         let mut read: BTreeSet<RelId> = BTreeSet::new();
-        let mut written: BTreeSet<RelId> = BTreeSet::new();
+        let mut written: BTreeSet<RelId> = a.fact_relations.clone();
         for fp in a.footprints.values() {
             read.extend(fp.reads.iter().copied());
             written.extend(fp.writes.iter().copied());
@@ -257,7 +261,7 @@ mod tests {
         let (_, a) = build(src);
         // The fact writes S; the egd reads S; only statement 2 schedules.
         assert_eq!(a.scheduled.iter().copied().collect::<Vec<_>>(), vec![2]);
-        assert!(a.footprints[&0].writes.len() == 1 && a.footprints[&0].reads.is_empty());
+        assert_eq!(a.fact_relations.len(), 1);
         assert!(a.footprints[&1].reads.len() == 1 && a.footprints[&1].writes.is_empty());
         // S is both written (fact) and read; R is write-only.
         assert_eq!(a.write_only.len(), 1);

@@ -7,7 +7,14 @@
 //! → fact and keeping the first success. On total failure the parse error
 //! that made the most progress (largest byte offset) is reported, which in
 //! practice is the parser for the intended kind.
+//!
+//! Each statement is lexed once, into a token buffer shared by the whole
+//! program; every parse attempt reads those tokens.
 
+use ndl_core::parse::lexer::{lex_into, Spanned};
+use ndl_core::parse::{
+    parse_egd_lexed, parse_fact_lexed, parse_nested_tgd_lexed, parse_so_tgd_lexed,
+};
 use ndl_core::prelude::*;
 
 /// The parsed form of one statement.
@@ -47,8 +54,10 @@ pub fn parse_program(
     syms: &mut SymbolTable,
     src: &str,
 ) -> (Vec<Statement>, Vec<(usize, CoreError)>) {
-    let mut stmts = Vec::new();
+    // At most one statement per line.
+    let mut stmts = Vec::with_capacity(src.bytes().filter(|&b| b == b'\n').count() + 1);
     let mut errors = Vec::new();
+    let mut toks = Vec::new();
     let mut pos = 0usize;
     for line in src.split_inclusive('\n') {
         let line_start = pos;
@@ -61,7 +70,8 @@ pub fn parse_program(
         }
         let (kind, text, text_off) = split_prefix(body, line_start + lead);
         let index = stmts.len();
-        let ast = match parse_statement(syms, kind, text) {
+        let parsed = lex_into(text, &mut toks).and_then(|()| parse_statement(syms, kind, &toks));
+        let ast = match parsed {
             Ok(ast) => Some(ast),
             Err(e) => {
                 errors.push((index, e));
@@ -106,12 +116,12 @@ fn split_prefix(body: &str, body_off: usize) -> (Kind, &str, usize) {
     (Kind::Auto, body, body_off)
 }
 
-fn parse_statement(syms: &mut SymbolTable, kind: Kind, text: &str) -> Result<StmtAst> {
+fn parse_statement(syms: &mut SymbolTable, kind: Kind, toks: &[Spanned<'_>]) -> Result<StmtAst> {
     match kind {
-        Kind::Tgd => parse_nested_tgd(syms, text).map(StmtAst::Tgd),
-        Kind::So => parse_so_tgd(syms, text).map(StmtAst::So),
-        Kind::Egd => parse_egd(syms, text).map(StmtAst::Egd),
-        Kind::Fact => parse_fact(syms, text).map(StmtAst::Fact),
+        Kind::Tgd => parse_nested_tgd_lexed(syms, toks).map(StmtAst::Tgd),
+        Kind::So => parse_so_tgd_lexed(syms, toks).map(StmtAst::So),
+        Kind::Egd => parse_egd_lexed(syms, toks).map(StmtAst::Egd),
+        Kind::Fact => parse_fact_lexed(syms, toks).map(StmtAst::Fact),
         Kind::Auto => {
             let mut best: Option<CoreError> = None;
             let keep = |e: CoreError, best: &mut Option<CoreError>| {
@@ -119,19 +129,19 @@ fn parse_statement(syms: &mut SymbolTable, kind: Kind, text: &str) -> Result<Stm
                     *best = Some(e);
                 }
             };
-            match parse_nested_tgd(syms, text) {
+            match parse_nested_tgd_lexed(syms, toks) {
                 Ok(t) => return Ok(StmtAst::Tgd(t)),
                 Err(e) => keep(e, &mut best),
             }
-            match parse_so_tgd(syms, text) {
+            match parse_so_tgd_lexed(syms, toks) {
                 Ok(t) => return Ok(StmtAst::So(t)),
                 Err(e) => keep(e, &mut best),
             }
-            match parse_egd(syms, text) {
+            match parse_egd_lexed(syms, toks) {
                 Ok(t) => return Ok(StmtAst::Egd(t)),
                 Err(e) => keep(e, &mut best),
             }
-            match parse_fact(syms, text) {
+            match parse_fact_lexed(syms, toks) {
                 Ok(t) => return Ok(StmtAst::Fact(t)),
                 Err(e) => keep(e, &mut best),
             }

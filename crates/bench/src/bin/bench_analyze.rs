@@ -5,21 +5,39 @@
 //! and records the throughput and per-pass split as `BENCH_analyze.json`
 //! (committed under `experiments/`; see `docs/performance.md`).
 //!
+//! A second table times the front end of `ndl chase` on fact-heavy
+//! programs — the flat Clio mapping over 1000 and 2000 departments, one
+//! `fact:` statement per source fact — split as `ProgramArtifacts::build`
+//! runs it: parse, analysis, source-instance extraction, and freeing it
+//! all again, with the heap allocations the build makes (a counting
+//! global allocator is installed). Every iteration's analysis report and
+//! source listing are asserted equal to `ProgramArtifacts::build`'s
+//! before its timings count.
+//!
 //! Pass an output directory as the first argument to write elsewhere
-//! (e.g. `bench_analyze target/experiments` for a throwaway run).
+//! (e.g. `bench_analyze target/experiments` for a throwaway run). With
+//! `--parent <record>`, the fact-heavy rows of an earlier record (the
+//! same binary built on the parent commit) are copied in, labelled
+//! `"build": "parent"`, beside this build's rows.
 //!
 //! Gate: the per-statement cost of every 10³-statement row stays within
 //! 20× of the cost at 10 statements (near-linear scaling). The binary
 //! exits non-zero when the gate fails, so a return to quadratic analysis
 //! fails CI.
 
-use ndl_analyze::{ChaseAnalysis, PassTimings};
+use ndl_analyze::{parse_program, ChaseAnalysis, PassTimings, ProgramArtifacts, StmtAst};
+use ndl_bench::alloc::{allocations, CountingAlloc};
 use ndl_bench::ExperimentRecord;
+use ndl_chase::NullFactory;
 use ndl_core::prelude::*;
-use ndl_gen::{random_program, random_program_with_dead_code, ProgramGenOptions};
+use ndl_gen::{clio_scenario, random_program, random_program_with_dead_code, ProgramGenOptions};
+use std::fmt::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Mean seconds per analysis over `reps` runs (plus one warm-up), and the
 /// mean per-pass split in milliseconds.
@@ -57,10 +75,172 @@ fn passes(t: &PassTimings) -> [(&'static str, u64); 7] {
     ]
 }
 
+/// The flat Clio mapping over `depts` departments (about two employees
+/// and two projects each) as a program file: its three tgds, then one
+/// `fact:` statement per source fact — the shape of the `exchange`
+/// benchmark's Clio jobs.
+fn clio_flat_program(depts: usize) -> String {
+    let mut syms = SymbolTable::new();
+    let sc = clio_scenario(&mut syms, depts, 2, 1);
+    let mut src = String::new();
+    for t in &sc.flat.tgds {
+        let _ = writeln!(src, "{}", t.display(&syms));
+    }
+    NullFactory::new().write_fact_lines(sc.source.facts(), &syms, "fact: ", &mut src);
+    src
+}
+
+/// What one front-end run leaves, rendered for the identity check: the
+/// analysis report as JSON and the source instance's fact listing.
+fn outputs(syms: &SymbolTable, analysis: &ChaseAnalysis, source: &Instance) -> (String, String) {
+    let report = serde_json::to_string(&analysis.report(syms)).expect("report serializes");
+    let mut listing = String::new();
+    NullFactory::new().write_fact_lines(source.facts(), syms, "", &mut listing);
+    (report, listing)
+}
+
+/// One front-end run, split as `ProgramArtifacts::build` runs it:
+/// milliseconds of parse, analysis, source extraction and drop, the
+/// allocations of the build (drop excluded), and its outputs.
+fn front_end(text: &str) -> ([f64; 4], u64, (String, String)) {
+    let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+    let allocs = allocations();
+    let t = Instant::now();
+    let mut syms = SymbolTable::new();
+    let (stmts, errs) = parse_program(&mut syms, text);
+    let parse_errors: Vec<(usize, String)> =
+        errs.iter().map(|(i, e)| (*i, e.to_string())).collect();
+    let parse = ms(t);
+    let t = Instant::now();
+    let analysis = ChaseAnalysis::analyze(&mut syms, &stmts);
+    let analyze = ms(t);
+    let t = Instant::now();
+    let mut source = Instance::new();
+    let mut egds = Vec::new();
+    for s in &stmts {
+        match &s.ast {
+            Some(StmtAst::Fact(f)) => {
+                source.insert_tuple(f.rel, &f.args);
+            }
+            Some(StmtAst::Egd(e)) => egds.push(e.clone()),
+            _ => {}
+        }
+    }
+    let tgds: Vec<SoTgd> = analysis.so_tgds().into_iter().map(|(_, t)| t).collect();
+    let source_ms = ms(t);
+    let allocs = allocations() - allocs;
+    let out = outputs(&syms, &analysis, &source);
+    let t = Instant::now();
+    drop(std::hint::black_box((
+        syms,
+        stmts,
+        parse_errors,
+        analysis,
+        source,
+        egds,
+        tgds,
+    )));
+    ([parse, analyze, source_ms, ms(t)], allocs, out)
+}
+
+/// The fact-heavy rows: median milliseconds per front-end phase over
+/// `reps` runs (after one warm-up), each run's outputs asserted equal to
+/// `ProgramArtifacts::build`'s first.
+fn fact_heavy_rows(record: &mut ExperimentRecord, threads_available: usize) {
+    println!("\nfact-heavy front end: flat Clio programs (median ms per run)\n");
+    println!(
+        "  departments  statements  facts   parse   analyze  source    drop   total     allocs"
+    );
+    for depts in [1000, 2000] {
+        let text = clio_flat_program(depts);
+        let art = ProgramArtifacts::build(&text);
+        let want = outputs(&art.syms, &art.analysis, &art.source);
+        let (statements, facts) = (art.stmts.len(), art.source.len());
+        drop(art);
+        let reps = 21;
+        let mut phases: [Vec<f64>; 4] = Default::default();
+        let mut allocs = 0;
+        for rep in 0..=reps {
+            let (ms, n, out) = front_end(&text);
+            assert!(
+                out == want,
+                "front-end outputs differ from ProgramArtifacts::build"
+            );
+            if rep == 0 {
+                continue;
+            }
+            for (col, ms) in phases.iter_mut().zip(ms) {
+                col.push(ms);
+            }
+            allocs = n;
+        }
+        let med: Vec<f64> = phases
+            .iter_mut()
+            .map(|col| {
+                col.sort_by(f64::total_cmp);
+                col[col.len() / 2]
+            })
+            .collect();
+        let total: f64 = med.iter().sum();
+        println!(
+            "  {depts:>11}  {statements:>10}  {facts:>5}  {:>6.2}  {:>8.2}  {:>6.2}  {:>6.2}  {total:>6.2}  {allocs:>9}",
+            med[0], med[1], med[2], med[3]
+        );
+        record.row(&[
+            ("program", "clio-flat".to_string()),
+            ("build", "this".to_string()),
+            ("departments", depts.to_string()),
+            ("statements", statements.to_string()),
+            ("facts", facts.to_string()),
+            ("bytes", text.len().to_string()),
+            ("parse_ms", format!("{:.3}", med[0])),
+            ("analyze_ms", format!("{:.3}", med[1])),
+            ("source_ms", format!("{:.3}", med[2])),
+            ("drop_ms", format!("{:.3}", med[3])),
+            ("total_ms", format!("{total:.3}")),
+            ("allocs", allocs.to_string()),
+            ("threads_available", threads_available.to_string()),
+        ]);
+    }
+}
+
+/// Copies the fact-heavy rows of the record at `path`, relabelled
+/// `"build": "parent"`.
+fn parent_rows(record: &mut ExperimentRecord, path: &str) -> std::result::Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let parent: ExperimentRecord =
+        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+    for row in parent.rows {
+        if !row.iter().any(|(k, _)| k == "build") {
+            continue;
+        }
+        record.rows.push(
+            row.into_iter()
+                .map(|(k, v)| {
+                    let v = if k == "build" {
+                        "parent".to_string()
+                    } else {
+                        v
+                    };
+                    (k, v)
+                })
+                .collect(),
+        );
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
-    let out_dir = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "experiments".into());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let parent = args
+        .iter()
+        .position(|a| a == "--parent")
+        .map(|i| args.get(i + 1).cloned().unwrap_or_default());
+    let out_dir = args
+        .iter()
+        .enumerate()
+        .find(|&(i, a)| !a.starts_with("--") && (i == 0 || args[i - 1] != "--parent"))
+        .map_or_else(|| "experiments".into(), |(_, a)| a.clone());
     let threads_available = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -149,6 +329,13 @@ fn main() -> ExitCode {
         ms_per_stmt[3] / ms_per_stmt[0],
     );
     record.passed = passed;
+    if let Some(path) = parent {
+        if let Err(e) = parent_rows(&mut record, &path) {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    fact_heavy_rows(&mut record, threads_available);
     match record.write_to(Path::new(&out_dir)) {
         Ok(path) => println!("record written to {}", path.display()),
         Err(e) => eprintln!("could not write record: {e}"),

@@ -9,6 +9,7 @@
 
 #![warn(missing_docs)]
 
+pub mod alloc;
 pub mod baseline;
 pub mod record;
 

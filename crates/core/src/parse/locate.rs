@@ -10,8 +10,8 @@
 use crate::parse::lexer::{lex, Spanned, Tok};
 use crate::span::Span;
 
-fn is_name(s: &Spanned, name: &str) -> bool {
-    matches!(&s.tok, Tok::Ident(n) if n == name)
+fn is_name(s: &Spanned<'_>, name: &str) -> bool {
+    matches!(s.tok, Tok::Ident(n) if n == name)
 }
 
 /// The `nth` (0-based) occurrence of identifier `name` anywhere in `text`.
@@ -27,7 +27,7 @@ pub fn locate_ident(text: &str, name: &str, nth: usize) -> Option<Span> {
 /// followed by an *adjacent* `(`? A spaced `(` after a quantifier-list
 /// variable is grouping (`exists x (R(x))`), not application; the printers
 /// and the paper's notation never put a space before an argument list.
-fn is_application(toks: &[Spanned], i: usize) -> bool {
+fn is_application(toks: &[Spanned<'_>], i: usize) -> bool {
     match toks.get(i + 1) {
         Some(next) => next.tok == Tok::LParen && next.offset == toks[i].offset + toks[i].len,
         None => false,
@@ -43,7 +43,7 @@ pub fn locate_quantified(text: &str, name: &str, nth: usize) -> Option<Span> {
     let mut in_list = false;
     let mut seen = 0usize;
     for (i, s) in toks.iter().enumerate() {
-        match &s.tok {
+        match s.tok {
             Tok::Forall | Tok::Exists => in_list = true,
             Tok::Comma if in_list => {}
             Tok::Ident(n) if in_list => {
@@ -70,7 +70,7 @@ pub fn locate_applied(text: &str, name: &str, arity: Option<usize>, nth: usize) 
     let toks = lex(text).ok()?;
     let mut seen = 0usize;
     for (i, s) in toks.iter().enumerate() {
-        if !is_name(s, name) || toks.get(i + 1).map(|t| &t.tok) != Some(&Tok::LParen) {
+        if !is_name(s, name) || toks.get(i + 1).map(|t| t.tok) != Some(Tok::LParen) {
             continue;
         }
         if let Some(want) = arity {
@@ -88,7 +88,7 @@ pub fn locate_applied(text: &str, name: &str, arity: Option<usize>, nth: usize) 
 
 /// Counts top-level arguments of the application whose `(` is at token
 /// index `lparen`. Returns `None` for unbalanced parentheses.
-fn application_arity(toks: &[Spanned], lparen: usize) -> Option<usize> {
+fn application_arity(toks: &[Spanned<'_>], lparen: usize) -> Option<usize> {
     let mut depth = 0usize;
     let mut commas = 0usize;
     let mut any = false;

@@ -5,4 +5,7 @@ pub mod locate;
 pub mod parser;
 
 pub use locate::{locate_applied, locate_ident, locate_quantified};
-pub use parser::{parse_egd, parse_fact, parse_nested_tgd, parse_so_tgd, parse_st_tgd};
+pub use parser::{
+    parse_egd, parse_egd_lexed, parse_fact, parse_fact_lexed, parse_nested_tgd,
+    parse_nested_tgd_lexed, parse_so_tgd, parse_so_tgd_lexed, parse_st_tgd,
+};

@@ -26,12 +26,17 @@ use crate::dep::nested::{NestedTgd, Part};
 use crate::dep::so_tgd::{SoClause, SoTgd};
 use crate::dep::st_tgd::StTgd;
 use crate::error::{CoreError, Result};
+use crate::instance::Fact;
 use crate::parse::lexer::{lex, Spanned, Tok};
 use crate::symbol::{SymbolTable, VarId};
 use crate::term::Term;
+use crate::value::Value;
 
-struct Parser<'a> {
-    toks: Vec<Spanned>,
+/// A cursor over lexed tokens. The tokens are borrowed, so one lexing can
+/// feed several parse attempts (see [`parse_nested_tgd_lexed`] and its
+/// siblings).
+struct Parser<'a, 't, 's> {
+    toks: &'t [Spanned<'s>],
     pos: usize,
     syms: &'a mut SymbolTable,
 }
@@ -45,21 +50,17 @@ struct PNode {
     children: Vec<PNode>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &str, syms: &'a mut SymbolTable) -> Result<Self> {
-        Ok(Parser {
-            toks: lex(input)?,
-            pos: 0,
-            syms,
-        })
+impl<'a, 't, 's> Parser<'a, 't, 's> {
+    fn new(toks: &'t [Spanned<'s>], syms: &'a mut SymbolTable) -> Self {
+        Parser { toks, pos: 0, syms }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|s| &s.tok)
+    fn peek(&self) -> Option<Tok<'s>> {
+        self.toks.get(self.pos).map(|s| s.tok)
     }
 
-    fn peek2(&self) -> Option<&Tok> {
-        self.toks.get(self.pos + 1).map(|s| &s.tok)
+    fn peek2(&self) -> Option<Tok<'s>> {
+        self.toks.get(self.pos + 1).map(|s| s.tok)
     }
 
     fn offset(&self) -> usize {
@@ -69,8 +70,8 @@ impl<'a> Parser<'a> {
             .unwrap_or_else(|| self.toks.last().map(|s| s.offset + 1).unwrap_or(0))
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|s| s.tok.clone());
+    fn bump(&mut self) -> Option<Tok<'s>> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
@@ -82,7 +83,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn expect(&mut self, want: &Tok) -> Result<()> {
+    fn expect(&mut self, want: Tok<'_>) -> Result<()> {
         match self.peek() {
             Some(t) if t == want => {
                 self.pos += 1;
@@ -95,7 +96,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat(&mut self, want: &Tok) -> bool {
+    fn eat(&mut self, want: Tok<'_>) -> bool {
         if self.peek() == Some(want) {
             self.pos += 1;
             true
@@ -104,7 +105,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<String> {
+    fn ident(&mut self) -> Result<&'s str> {
         match self.bump() {
             Some(Tok::Ident(s)) => Ok(s),
             other => {
@@ -119,13 +120,13 @@ impl<'a> Parser<'a> {
         let mut out = vec![];
         loop {
             let name = self.ident()?;
-            out.push(self.syms.var(&name));
-            if self.eat(&Tok::Comma) {
+            out.push(self.syms.var(name));
+            if self.eat(Tok::Comma) {
                 continue;
             }
             // Space-separated continuation: another ident NOT followed by '('
             // (which would start an atom).
-            if matches!(self.peek(), Some(Tok::Ident(_))) && self.peek2() != Some(&Tok::LParen) {
+            if matches!(self.peek(), Some(Tok::Ident(_))) && self.peek2() != Some(Tok::LParen) {
                 continue;
             }
             break;
@@ -136,17 +137,17 @@ impl<'a> Parser<'a> {
     /// `R(x, y)` with variable arguments.
     fn atom(&mut self) -> Result<Atom> {
         let rel_name = self.ident()?;
-        let rel = self.syms.rel(&rel_name);
-        self.expect(&Tok::LParen)?;
+        let rel = self.syms.rel(rel_name);
+        self.expect(Tok::LParen)?;
         let mut args = vec![];
-        if !self.eat(&Tok::RParen) {
+        if !self.eat(Tok::RParen) {
             loop {
                 let v = self.ident()?;
-                args.push(self.syms.var(&v));
-                if self.eat(&Tok::Comma) {
+                args.push(self.syms.var(v));
+                if self.eat(Tok::Comma) {
                     continue;
                 }
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 break;
             }
         }
@@ -156,7 +157,7 @@ impl<'a> Parser<'a> {
     /// `A(x) & B(x,y) & ...`
     fn atom_conj(&mut self) -> Result<Vec<Atom>> {
         let mut atoms = vec![self.atom()?];
-        while self.eat(&Tok::Amp) {
+        while self.eat(Tok::Amp) {
             atoms.push(self.atom()?);
         }
         Ok(atoms)
@@ -170,7 +171,7 @@ impl<'a> Parser<'a> {
             Some(Tok::LParen) => {
                 self.bump();
                 let n = self.impl_body(true)?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 n
             }
             _ => self.impl_body(true)?,
@@ -184,7 +185,7 @@ impl<'a> Parser<'a> {
     /// `[forall VARS] atoms -> conclusion`. `top` enables implicit
     /// universal quantification when `forall` is absent.
     fn impl_body(&mut self, top: bool) -> Result<PNode> {
-        let explicit = self.peek() == Some(&Tok::Forall);
+        let explicit = self.peek() == Some(Tok::Forall);
         let universals = if explicit {
             self.bump();
             self.var_list()?
@@ -192,10 +193,10 @@ impl<'a> Parser<'a> {
             vec![]
         };
         // `forall x (BODY -> CONCL)` — grouping parens around the implication.
-        if explicit && self.peek() == Some(&Tok::LParen) {
+        if explicit && self.peek() == Some(Tok::LParen) {
             self.bump();
             let mut inner = self.impl_tail(top && !explicit)?;
-            self.expect(&Tok::RParen)?;
+            self.expect(Tok::RParen)?;
             inner.universals = universals;
             return Ok(inner);
         }
@@ -220,7 +221,7 @@ impl<'a> Parser<'a> {
     /// `atoms -> conclusion` (no quantifier prefix).
     fn impl_tail(&mut self, _top_implicit: bool) -> Result<PNode> {
         let body = self.atom_conj()?;
-        self.expect(&Tok::Arrow)?;
+        self.expect(Tok::Arrow)?;
         let (existentials, head, children) = self.conclusion()?;
         Ok(PNode {
             universals: vec![],
@@ -233,7 +234,7 @@ impl<'a> Parser<'a> {
 
     /// `[exists VARS] chi ('&' chi)*`
     fn conclusion(&mut self) -> Result<(Vec<VarId>, Vec<Atom>, Vec<PNode>)> {
-        let existentials = if self.eat(&Tok::Exists) {
+        let existentials = if self.eat(Tok::Exists) {
             self.var_list()?
         } else {
             vec![]
@@ -247,7 +248,7 @@ impl<'a> Parser<'a> {
     fn chi_conj(&mut self, head: &mut Vec<Atom>, children: &mut Vec<PNode>) -> Result<()> {
         loop {
             self.chi_item(head, children)?;
-            if !self.eat(&Tok::Amp) {
+            if !self.eat(Tok::Amp) {
                 break;
             }
         }
@@ -271,11 +272,11 @@ impl<'a> Parser<'a> {
                 // (each of which may itself be a quantified part). Try the
                 // implication reading first.
                 let save = self.pos;
-                if self.peek() != Some(&Tok::Forall) {
+                if self.peek() != Some(Tok::Forall) {
                     if let Ok(atoms) = self.atom_conj() {
-                        if self.eat(&Tok::Arrow) {
+                        if self.eat(Tok::Arrow) {
                             let (existentials, h, cs) = self.conclusion()?;
-                            self.expect(&Tok::RParen)?;
+                            self.expect(Tok::RParen)?;
                             children.push(PNode {
                                 universals: vec![],
                                 body: atoms,
@@ -290,7 +291,7 @@ impl<'a> Parser<'a> {
                 }
                 // Grouped conjunction.
                 self.chi_conj(head, children)?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 Ok(())
             }
             Some(Tok::Ident(_)) => {
@@ -308,19 +309,19 @@ impl<'a> Parser<'a> {
 
     fn so_tgd(&mut self) -> Result<SoTgd> {
         let mut funcs = vec![];
-        if self.eat(&Tok::Exists) {
+        if self.eat(Tok::Exists) {
             loop {
                 let name = self.ident()?;
-                funcs.push(self.syms.func(&name));
-                if self.eat(&Tok::Comma) {
+                funcs.push(self.syms.func(name));
+                if self.eat(Tok::Comma) {
                     continue;
                 }
                 break;
             }
-            self.expect(&Tok::Dot)?;
+            self.expect(Tok::Dot)?;
         }
         let mut clauses = vec![self.so_clause()?];
-        while self.eat(&Tok::Semi) {
+        while self.eat(Tok::Semi) {
             clauses.push(self.so_clause()?);
         }
         if self.pos != self.toks.len() {
@@ -337,7 +338,7 @@ impl<'a> Parser<'a> {
             // start with `ident(...)`; decide by the following token.
             let save = self.pos;
             let t = self.term()?;
-            if self.eat(&Tok::Eq) {
+            if self.eat(Tok::Eq) {
                 let rhs = self.term()?;
                 equalities.push((t, rhs));
             } else {
@@ -345,19 +346,19 @@ impl<'a> Parser<'a> {
                 self.pos = save;
                 body.push(self.atom()?);
             }
-            if self.eat(&Tok::Amp) {
+            if self.eat(Tok::Amp) {
                 continue;
             }
             break;
         }
-        self.expect(&Tok::Arrow)?;
+        self.expect(Tok::Arrow)?;
         let mut head = vec![];
-        if self.eat(&Tok::True) {
+        if self.eat(Tok::True) {
             // empty head
         } else {
             loop {
                 head.push(self.term_atom()?);
-                if !self.eat(&Tok::Amp) {
+                if !self.eat(Tok::Amp) {
                     break;
                 }
             }
@@ -368,17 +369,17 @@ impl<'a> Parser<'a> {
     /// A term: `x` or `f(t1, ..., tk)`.
     fn term(&mut self) -> Result<Term> {
         let name = self.ident()?;
-        if self.peek() == Some(&Tok::LParen) {
+        if self.peek() == Some(Tok::LParen) {
             self.bump();
-            let f = self.syms.func(&name);
+            let f = self.syms.func(name);
             let mut args = vec![];
-            if !self.eat(&Tok::RParen) {
+            if !self.eat(Tok::RParen) {
                 loop {
                     args.push(self.term()?);
-                    if self.eat(&Tok::Comma) {
+                    if self.eat(Tok::Comma) {
                         continue;
                     }
-                    self.expect(&Tok::RParen)?;
+                    self.expect(Tok::RParen)?;
                     break;
                 }
             }
@@ -387,23 +388,23 @@ impl<'a> Parser<'a> {
             }
             Ok(Term::App(f, args))
         } else {
-            Ok(Term::Var(self.syms.var(&name)))
+            Ok(Term::Var(self.syms.var(name)))
         }
     }
 
     /// `R(t1, ..., tk)` with term arguments.
     fn term_atom(&mut self) -> Result<TermAtom> {
         let rel_name = self.ident()?;
-        let rel = self.syms.rel(&rel_name);
-        self.expect(&Tok::LParen)?;
+        let rel = self.syms.rel(rel_name);
+        self.expect(Tok::LParen)?;
         let mut args = vec![];
-        if !self.eat(&Tok::RParen) {
+        if !self.eat(Tok::RParen) {
             loop {
                 args.push(self.term()?);
-                if self.eat(&Tok::Comma) {
+                if self.eat(Tok::Comma) {
                     continue;
                 }
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 break;
             }
         }
@@ -414,14 +415,14 @@ impl<'a> Parser<'a> {
 
     fn egd(&mut self) -> Result<Egd> {
         let body = self.atom_conj()?;
-        self.expect(&Tok::Arrow)?;
+        self.expect(Tok::Arrow)?;
         let l = self.ident()?;
-        self.expect(&Tok::Eq)?;
+        self.expect(Tok::Eq)?;
         let r = self.ident()?;
         if self.pos != self.toks.len() {
             return self.err("trailing input after egd");
         }
-        Ok(Egd::new(body, (self.syms.var(&l), self.syms.var(&r))))
+        Ok(Egd::new(body, (self.syms.var(l), self.syms.var(r))))
     }
 }
 
@@ -444,8 +445,12 @@ fn pnode_to_parts(node: PNode, parent: Option<usize>, parts: &mut Vec<Part>) -> 
 
 /// Parses a nested tgd (see module docs for the grammar).
 pub fn parse_nested_tgd(syms: &mut SymbolTable, input: &str) -> Result<NestedTgd> {
-    let mut p = Parser::new(input, syms)?;
-    let node = p.nested_top()?;
+    parse_nested_tgd_lexed(syms, &lex(input)?)
+}
+
+/// [`parse_nested_tgd`] over already-lexed input.
+pub fn parse_nested_tgd_lexed(syms: &mut SymbolTable, toks: &[Spanned<'_>]) -> Result<NestedTgd> {
+    let node = Parser::new(toks, syms).nested_top()?;
     let mut parts = vec![];
     pnode_to_parts(node, None, &mut parts);
     Ok(NestedTgd::from_parts(parts))
@@ -462,37 +467,54 @@ pub fn parse_st_tgd(syms: &mut SymbolTable, input: &str) -> Result<StTgd> {
 /// Parses an SO tgd, e.g. `exists f . S(x,y) -> R(f(x),f(y))`. Clauses are
 /// separated by `;`; universal quantifiers are implicit.
 pub fn parse_so_tgd(syms: &mut SymbolTable, input: &str) -> Result<SoTgd> {
-    Parser::new(input, syms)?.so_tgd()
+    parse_so_tgd_lexed(syms, &lex(input)?)
 }
 
-/// Parses an egd, e.g. `P1(z,x) & P1(z,x2) -> x = x2`.
+/// [`parse_so_tgd`] over already-lexed input.
+pub fn parse_so_tgd_lexed(syms: &mut SymbolTable, toks: &[Spanned<'_>]) -> Result<SoTgd> {
+    Parser::new(toks, syms).so_tgd()
+}
+
+/// Parses an egd, e.g. `P1(z,x1) & P1(z,x2) -> x1 = x2`.
 pub fn parse_egd(syms: &mut SymbolTable, input: &str) -> Result<Egd> {
-    Parser::new(input, syms)?.egd()
+    parse_egd_lexed(syms, &lex(input)?)
+}
+
+/// [`parse_egd`] over already-lexed input.
+pub fn parse_egd_lexed(syms: &mut SymbolTable, toks: &[Spanned<'_>]) -> Result<Egd> {
+    Parser::new(toks, syms).egd()
 }
 
 /// Parses a ground fact, e.g. `S(a,b)` — identifiers in argument position
 /// are interned as constants.
-pub fn parse_fact(syms: &mut SymbolTable, input: &str) -> Result<crate::instance::Fact> {
-    let mut p = Parser::new(input, syms)?;
+pub fn parse_fact(syms: &mut SymbolTable, input: &str) -> Result<Fact> {
+    parse_fact_lexed(syms, &lex(input)?)
+}
+
+/// [`parse_fact`] over already-lexed input. The argument vector is sized
+/// from the token count up front (a well-formed `R(a1,…,an)` is `2n + 2`
+/// tokens), so a fact costs one allocation whatever its arity.
+pub fn parse_fact_lexed(syms: &mut SymbolTable, toks: &[Spanned<'_>]) -> Result<Fact> {
+    let mut p = Parser::new(toks, syms);
     let rel_name = p.ident()?;
-    let rel = p.syms.rel(&rel_name);
-    p.expect(&Tok::LParen)?;
-    let mut args = Vec::new();
-    if !p.eat(&Tok::RParen) {
+    let rel = p.syms.rel(rel_name);
+    p.expect(Tok::LParen)?;
+    let mut args = Vec::with_capacity(toks.len().saturating_sub(2) / 2);
+    if !p.eat(Tok::RParen) {
         loop {
             let name = p.ident()?;
-            args.push(crate::value::Value::Const(p.syms.constant(&name)));
-            if p.eat(&Tok::Comma) {
+            args.push(Value::Const(p.syms.constant(name)));
+            if p.eat(Tok::Comma) {
                 continue;
             }
-            p.expect(&Tok::RParen)?;
+            p.expect(Tok::RParen)?;
             break;
         }
     }
     if p.pos != p.toks.len() {
         return p.err("trailing input after fact");
     }
-    Ok(crate::instance::Fact::new(rel, args))
+    Ok(Fact::new(rel, args))
 }
 
 #[cfg(test)]

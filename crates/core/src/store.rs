@@ -182,6 +182,25 @@ impl Column {
     }
 }
 
+/// The widest tuple [`packed_key`] packs.
+const PACKED_ARITY: usize = 3;
+
+/// A tuple of at most [`PACKED_ARITY`] values as one integer that orders
+/// like the tuple: 33 bits per value, `Const(c)` as `c` and `Null(n)` as
+/// `2^32 + n` (constants before nulls, as `Value` orders), the first
+/// value in the highest bits. Only tuples of one arity are compared.
+#[inline]
+fn packed_key(tuple: &[Value]) -> u128 {
+    debug_assert!(tuple.len() <= PACKED_ARITY);
+    tuple.iter().fold(0u128, |key, v| {
+        let cell = match *v {
+            Value::Const(c) => u128::from(c.0),
+            Value::Null(n) => (1u128 << 32) + u128::from(n.0),
+        };
+        (key << 33) | cell
+    })
+}
+
 /// Outcome of a [`FactStore::insert`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Inserted {
@@ -451,21 +470,32 @@ impl FactStore {
 
     /// The live ids in fully sorted `(relation, tuple)` order — the
     /// deterministic enumeration used for display, serialization and
-    /// index builds. Allocates one id vector and one row-number buffer.
+    /// index builds. Allocates one id vector and one sort buffer.
     ///
     /// Each column sorts its live row numbers by their tuples directly
-    /// (no id → slot → row hop per comparison) with the stable,
-    /// run-adaptive `sort_by`: columns are appended round by round, so
-    /// they are usually a few long sorted runs. A relation never holds
-    /// two rows with equal tuples, so stability cannot change the order.
+    /// (no id → slot → row hop per comparison). A column of arity at most
+    /// 3 packs each row's tuple into one `u128` key (33 bits per value)
+    /// and sorts `(key, row)` pairs, comparing integers instead of `[Value]`
+    /// slices; wider columns compare the slices. A relation never holds
+    /// two rows with equal tuples, so the keys of a column are distinct
+    /// and an unstable sort yields the one sorted order.
     pub fn sorted_ids(&self) -> Vec<FactId> {
         let mut out = Vec::with_capacity(self.live_count);
         let mut rows: Vec<u32> = Vec::new();
+        let mut keyed: Vec<(u128, u32)> = Vec::new();
         for col in self.cols.values() {
-            rows.clear();
-            rows.extend((0..col.rows() as u32).filter(|&r| self.live[col.ids[r as usize].index()]));
-            rows.sort_by(|&a, &b| col.row(a).cmp(col.row(b)));
-            out.extend(rows.iter().map(|&r| col.ids[r as usize]));
+            let live = (0..col.rows() as u32).filter(|&r| self.live[col.ids[r as usize].index()]);
+            if col.arity <= PACKED_ARITY {
+                keyed.clear();
+                keyed.extend(live.map(|r| (packed_key(col.row(r)), r)));
+                keyed.sort_unstable_by_key(|&(key, _)| key);
+                out.extend(keyed.iter().map(|&(_, r)| col.ids[r as usize]));
+            } else {
+                rows.clear();
+                rows.extend(live);
+                rows.sort_by(|&a, &b| col.row(a).cmp(col.row(b)));
+                out.extend(rows.iter().map(|&r| col.ids[r as usize]));
+            }
         }
         out
     }
@@ -602,7 +632,7 @@ impl FactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbol::SymbolTable;
+    use crate::symbol::{ConstId, SymbolTable};
     use crate::value::NullId;
 
     fn setup() -> (SymbolTable, RelId, Value, Value, Value) {
@@ -938,10 +968,17 @@ mod tests {
             let mut syms = SymbolTable::new();
             let rels: Vec<(RelId, usize)> =
                 (0..5).map(|a| (syms.rel(&format!("R{a}")), a)).collect();
+            // Constants and nulls share raw ids (0–2 and near `u32::MAX`),
+            // so a packed key that mixed up the two kinds, or lost the top
+            // bit of a 33-bit cell, would misorder.
             let mut vals: Vec<Value> = (0..3)
                 .map(|i| Value::Const(syms.constant(&format!("c{i}"))))
                 .collect();
             vals.extend((0..3).map(|i| Value::Null(NullId(i))));
+            for id in [u32::MAX, u32::MAX - 1] {
+                vals.push(Value::Const(ConstId(id)));
+                vals.push(Value::Null(NullId(id)));
+            }
             let mut s = FactStore::new();
             let mut ids: Vec<FactId> = Vec::new();
             for _ in 0..ops {

@@ -4,9 +4,11 @@
 //! All hot data structures (facts, atoms, terms) carry `u32` newtype ids;
 //! the [`SymbolTable`] is only touched when parsing or printing.
 
+use crate::hash::FxHasher;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hasher;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
@@ -47,37 +49,123 @@ id_type!(
     FuncId
 );
 
-/// One interning namespace: bidirectional `String <-> u32`.
+/// One interning namespace: bidirectional `name <-> u32`.
+///
+/// The names live back to back in one string. They are found through an
+/// open-addressing table of ids, probed linearly from the name's
+/// [`FxHasher`] hash: interning hashes a name once, and allocates only
+/// when the string or a table outgrows its capacity.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 struct Namespace {
-    names: Vec<String>,
-    ids: HashMap<String, u32>,
+    /// Every name, in id order, back to back.
+    text: String,
+    /// `id →` end of its name in `text` (it starts where the previous
+    /// id's name ends).
+    ends: Vec<usize>,
+    /// Open-addressing table: per occupied slot, the name's hash in the
+    /// high 32 bits and its id in the low 32 ([`EMPTY`] marks a free
+    /// slot). Its length is 0 or a power of two, and it is at most half
+    /// full.
+    slots: Vec<u64>,
     /// Per `fresh` prefix: the suffix its last fresh name took. Names are
     /// never removed, so every smaller suffix is still taken and the next
     /// search resumes there — `fresh` stays linear in the calls made.
     fresh_next: HashMap<String, usize>,
 }
 
+/// A free slot of [`Namespace::slots`] (no id is `u32::MAX`).
+const EMPTY: u64 = u64::MAX;
+
+/// The hash a namespace files a name under: its length, then its bytes
+/// eight at a time, through the workspace's Fx hasher. The high 32 bits
+/// are kept (Fx mixes them best).
+fn name_hash(name: &str) -> u32 {
+    let mut h = FxHasher::default();
+    h.write_usize(name.len());
+    let mut words = name.as_bytes().chunks_exact(8);
+    for w in &mut words {
+        h.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        h.write_u64(u64::from_le_bytes(last));
+    }
+    (h.finish() >> 32) as u32
+}
+
 impl Namespace {
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
+    /// The slot a hash starts probing from: the hash scaled to the table.
+    fn home(&self, hash: u32) -> usize {
+        ((u64::from(hash) * self.slots.len() as u64) >> 32) as usize
+    }
+
+    /// The id of `name`, or the free slot where it would go.
+    fn find(&self, name: &str, hash: u32) -> std::result::Result<u32, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
         }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.ids.insert(name.to_owned(), id);
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            let slot = self.slots[i];
+            if slot == EMPTY {
+                return Err(i);
+            }
+            if (slot >> 32) as u32 == hash && self.name(slot as u32) == name {
+                return Ok(slot as u32);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn intern(&mut self, name: &str) -> u32 {
+        let hash = name_hash(name);
+        let slot = match self.find(name, hash) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let id = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&id| id != u32::MAX)
+            .expect("symbol namespace overflow");
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+        let slot = if self.ends.len() * 2 > self.slots.len() {
+            self.grow();
+            self.find(name, hash)
+                .expect_err("a new name is not filed yet")
+        } else {
+            slot
+        };
+        self.slots[slot] = (u64::from(hash) << 32) | u64::from(id);
         id
+    }
+
+    /// Doubles the table (16 slots at first) and refiles every id.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; len]);
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|&s| s != EMPTY) {
+            let mut i = self.home((slot >> 32) as u32);
+            while self.slots[i] != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
     }
 
     fn fresh(&mut self, prefix: &str) -> u32 {
         // Find an unused name `prefix`, `prefix_1`, `prefix_2`, ...
-        if !self.ids.contains_key(prefix) {
+        if self.lookup(prefix).is_none() {
             return self.intern(prefix);
         }
         let mut i = self.fresh_next.get(prefix).copied().unwrap_or(1);
         loop {
             let cand = format!("{prefix}_{i}");
-            if !self.ids.contains_key(&cand) {
+            if self.lookup(&cand).is_none() {
                 self.fresh_next.insert(prefix.to_owned(), i);
                 return self.intern(&cand);
             }
@@ -86,15 +174,17 @@ impl Namespace {
     }
 
     fn name(&self, id: u32) -> &str {
-        &self.names[id as usize]
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.text[start..self.ends[id]]
     }
 
     fn lookup(&self, name: &str) -> Option<u32> {
-        self.ids.get(name).copied()
+        self.find(name, name_hash(name)).ok()
     }
 
     fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 }
 
@@ -255,6 +345,29 @@ mod tests {
     fn lookup_does_not_intern() {
         let t = SymbolTable::new();
         assert!(t.find_rel("nope").is_none());
+    }
+
+    #[test]
+    fn many_names_keep_their_ids() {
+        // Enough names to grow the table several times, with shared
+        // prefixes and lengths around the 8-byte hashing word.
+        let mut t = SymbolTable::new();
+        let names: Vec<String> = (0..5000)
+            .map(|i| format!("c{i}_{}", "x".repeat(i % 17)))
+            .collect();
+        let ids: Vec<ConstId> = names.iter().map(|n| t.constant(n)).collect();
+        for (i, (n, &id)) in names.iter().zip(&ids).enumerate() {
+            assert_eq!(id, ConstId(i as u32));
+            assert_eq!(t.constant(n), id);
+            assert_eq!(t.find_const(n), Some(id));
+            assert_eq!(t.const_name(id), n);
+        }
+        assert_eq!(t.num_consts(), names.len());
+        assert_eq!(t.find_const("c1_"), None);
+        assert_eq!(t.find_const(""), None);
+        let empty = t.constant("");
+        assert_eq!(t.const_name(empty), "");
+        assert_eq!(t.find_const(""), Some(empty));
     }
 
     #[test]

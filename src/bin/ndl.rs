@@ -86,6 +86,7 @@ use nested_deps::serve::eval::{
     self, flag_values, has_flag, parse_facts, parse_mapping, positional_arg, EvalOutput,
 };
 use nested_deps::serve::{client::Client, proto, server};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 // The prelude exports core's `Result<T>` alias; this binary's helpers
 // return plain `Result<_, String>`, so re-shadow the std type.
@@ -138,9 +139,31 @@ fn err<E: std::fmt::Display>(e: E) -> String {
 
 /// Prints an [`EvalOutput`] the way a one-shot run does: stderr first
 /// (stats lines), then stdout.
-fn emit(out: &EvalOutput) {
+fn emit(out: &EvalOutput) -> CliResult {
     eprint!("{}", out.stderr);
-    print!("{}", out.stdout);
+    write_stdout(&out.stdout)
+}
+
+/// Writes `text` to stdout through one lock. A reader that closes the
+/// pipe early (`ndl chase big.ndl | head -1`) is not an error: the rest of
+/// the output is dropped and the command exits as it would have.
+fn write_stdout(text: &str) -> CliResult {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write output: {e}")),
+        _ => Ok(()),
+    }
+}
+
+/// `println!` through [`write_stdout`], returning its error from the
+/// enclosing function.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(&format!("{}\n", format_args!($($arg)*)))?
+    };
 }
 
 fn run(args: &[String]) -> std::result::Result<ExitCode, String> {
@@ -172,7 +195,7 @@ fn run(args: &[String]) -> std::result::Result<ExitCode, String> {
 /// delegated command with a nonzero success exit and has its own path).
 fn delegate(result: std::result::Result<EvalOutput, String>) -> CliResult {
     let out = result?;
-    emit(&out);
+    emit(&out)?;
     Ok(())
 }
 
@@ -190,7 +213,7 @@ fn cmd_lint(args: &[String]) -> std::result::Result<ExitCode, String> {
         .ok_or("missing program file")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let out = eval::lint(path, &src, args)?;
-    emit(&out);
+    emit(&out)?;
     Ok(ExitCode::from(out.exit))
 }
 
@@ -205,7 +228,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     let started = Instant::now();
     let art = eval::ProgramArtifacts::build(&src);
     let out = eval::analyze_program(&art, args, started)?;
-    emit(&out);
+    emit(&out)?;
     Ok(())
 }
 
@@ -221,7 +244,7 @@ fn cmd_chase(args: &[String]) -> CliResult {
         let art = eval::ProgramArtifacts::build(&src);
         let cfg = ChaseConfig::from_env();
         let out = eval::chase_program(&art, path, args, &cfg, None)?;
-        emit(&out);
+        emit(&out)?;
         return Ok(());
     }
     delegate(eval::chase_inline(args))
@@ -252,7 +275,7 @@ fn cmd_parse(syms: &mut SymbolTable, args: &[String]) -> CliResult {
         let t = parse_so_tgd(syms, text).map_err(err)?;
         let mut schema = Schema::new();
         t.validate(&mut schema).map_err(err)?;
-        println!(
+        outln!(
             "SO tgd ({}): {}",
             if t.is_plain() { "plain" } else { "full" },
             t.display(syms)
@@ -261,23 +284,23 @@ fn cmd_parse(syms: &mut SymbolTable, args: &[String]) -> CliResult {
         let e = parse_egd(syms, text).map_err(err)?;
         let mut schema = Schema::new();
         e.validate(&mut schema).map_err(err)?;
-        println!("egd: {}", e.display(syms));
+        outln!("egd: {}", e.display(syms));
     } else if has_flag(args, "--st") {
         let t = parse_st_tgd(syms, text).map_err(err)?;
         let mut schema = Schema::new();
         t.validate(&mut schema).map_err(err)?;
-        println!("s-t tgd: {}", t.display(syms));
+        outln!("s-t tgd: {}", t.display(syms));
     } else {
         let t = parse_nested_tgd(syms, text).map_err(err)?;
         let mut schema = Schema::new();
         t.validate(&mut schema).map_err(err)?;
-        println!(
+        outln!(
             "nested tgd ({} parts, depth {}): {}",
             t.num_parts(),
             t.depth(),
             t.display(syms)
         );
-        println!("schema: {}", schema.display(syms));
+        outln!("schema: {}", schema.display(syms));
     }
     Ok(())
 }
@@ -291,7 +314,7 @@ fn cmd_skolemize(syms: &mut SymbolTable, args: &[String]) -> CliResult {
     let mut schema = Schema::new();
     t.validate(&mut schema).map_err(err)?;
     let (so, _) = skolemize(&t, syms);
-    println!("{}", so.display(syms));
+    outln!("{}", so.display(syms));
     Ok(())
 }
 
@@ -310,12 +333,12 @@ fn cmd_compose(syms: &mut SymbolTable, args: &[String]) -> CliResult {
         return Err("--first and --second each need at least one s-t tgd".into());
     }
     let so = compose_glav(&first, &second, syms).map_err(err)?;
-    println!(
+    outln!(
         "composition ({} SO tgd, {} clauses):",
         if so.is_plain() { "plain" } else { "full" },
         so.clauses.len()
     );
-    println!("  {}", so.display(syms));
+    outln!("  {}", so.display(syms));
     Ok(())
 }
 
@@ -330,13 +353,13 @@ fn cmd_certain(syms: &mut SymbolTable, args: &[String]) -> CliResult {
     let query_text = query_text.first().ok_or("missing --query")?;
     let q = ConjunctiveQuery::parse(syms, query_text).map_err(err)?;
     let answers = certain_answers(&q, &source, &m, syms);
-    println!(
+    outln!(
         "certain answers of {} ({}):",
         q.display(syms),
         answers.len()
     );
     for t in answers {
-        println!(
+        outln!(
             "  ({})",
             t.iter()
                 .map(|v| v.display(syms).to_string())
@@ -433,7 +456,7 @@ fn cmd_request(args: &[String]) -> CliResult {
         let resp = client
             .call(&req)
             .map_err(|e| format!("{file}:{}: {e}", lineno + 1))?;
-        println!("{}", resp.to_json());
+        outln!("{}", resp.to_json());
     }
     Ok(())
 }

@@ -379,3 +379,35 @@ fn lint_and_analyze_stats_go_to_stderr() {
     let plain = ndl(&["analyze", "examples/programs/running.ndl"]);
     assert_eq!(out, plain.1, "--stats must not perturb stdout");
 }
+
+#[test]
+fn chase_output_into_a_closed_pipe_exits_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // About 40k listing lines (~700 KB): far more than a pipe buffers,
+    // so the writer is still writing when the reader goes away.
+    let dir = std::env::temp_dir().join("ndl_cli_pipe");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("big.ndl");
+    let mut src = String::from("S(x) -> T(x)\n");
+    for i in 0..20_000 {
+        src.push_str(&format!("fact: S(c{i})\n"));
+    }
+    std::fs::write(&path, src).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ndl"))
+        .args(["chase", path.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ndl runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    // The reader is dropped here: the pipe closes after one line.
+    assert!(first.starts_with("fixpoint: 40000 facts"), "{first}");
+    let out = child.wait_with_output().expect("ndl exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(out.status.code(), Some(0), "{err}");
+}
