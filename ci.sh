@@ -29,6 +29,18 @@ for f in examples/programs/*.ndl; do
 done
 ./target/release/ndl analyze --dot examples/programs/running.ndl \
   | diff -u examples/programs/golden/running.dot -
+./target/release/ndl analyze --dot examples/programs/dead_code.ndl \
+  | diff -u examples/programs/golden/dead_code.dot -
+
+echo "==> lint golden: ndl lint --json over the dead-code example"
+# ndl lint exits with its error+warning count (capped at 100): the report
+# is pinned by the golden, the exit status on its own.
+LINT_OUT="$(mktemp /tmp/ndl-ci-lint-XXXXXX.json)"
+lint_status=0
+./target/release/ndl lint --json examples/programs/dead_code.ndl > "$LINT_OUT" || lint_status=$?
+diff -u examples/programs/golden/dead_code.lint.json "$LINT_OUT"
+rm -f "$LINT_OUT"
+[ "$lint_status" -eq 100 ]
 
 echo "==> chase goldens: ndl chase --stats over terminating example programs"
 for name in running pipeline; do
@@ -43,6 +55,8 @@ for name in running pipeline; do
 done
 ./target/release/ndl chase tests/lints/dead.ndl \
   | diff -u examples/programs/golden/dead.chase.txt -
+./target/release/ndl chase examples/programs/dead_code.ndl \
+  | diff -u examples/programs/golden/dead_code.chase.txt -
 
 echo "==> delta chase golden: semi-naive stats (frontiers, touched counters)"
 ./target/release/ndl chase --stats --no-timings --delta examples/programs/running.ndl \

@@ -13,8 +13,8 @@
 //! growing through a special cycle), the bound is reported as `None`.
 
 use crate::dataflow::{DataflowAnalysis, DataflowSummary};
-use crate::footprint::ProgramFootprints;
-use crate::graph::{ClauseView, ProgramGraphs};
+use crate::footprint::{collect_funcs, collect_vars, ProgramFootprints};
+use crate::graph::{clause_body_positions, Csr, ProgramGraphs, NONE};
 use crate::interference::InterferenceAnalysis;
 use crate::program::Statement;
 use crate::schedule::ScheduleReport;
@@ -23,7 +23,7 @@ use ndl_chase::{ChasePlan, DataflowCert, ParallelSchedule};
 use ndl_core::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Degrees never exceed this cap; hitting it means divergence.
@@ -45,14 +45,13 @@ pub struct CostModel {
 
 impl CostModel {
     /// Computes the degree fixpoint over the program's clauses.
+    ///
+    /// What a round reads is round-invariant, so it is laid out once in
+    /// flat vectors: per clause its distinct body variables (each a run
+    /// of body positions), and per head argument its position and the
+    /// distinct variables of its term.
     pub fn of(graphs: &ProgramGraphs) -> CostModel {
         let pg = &graphs.positions;
-        let ids: BTreeMap<(RelId, usize), usize> = pg
-            .positions
-            .iter()
-            .enumerate()
-            .map(|(i, &rp)| (rp, i))
-            .collect();
         let n = pg.positions.len();
         let mut vdeg = vec![1usize; n];
         let max_body_atoms = graphs
@@ -63,45 +62,66 @@ impl CostModel {
             .unwrap_or(0);
         let rounds_cap = n + graphs.skolem.funcs.len() + 8;
         let mut converged = graphs.clauses.is_empty();
-        // Variable-to-body-position maps are round-invariant; building them
-        // once keeps the fixpoint linear in rounds × head positions.
-        let clause_body_pos: Vec<_> = graphs
-            .clauses
-            .iter()
-            .map(|cv| body_positions(cv, &ids))
-            .collect();
+        // `var_pos[var_end[v - 1]..var_end[v]]`: the body positions of
+        // distinct body variable `v` (numbered across all clauses);
+        // `clause_vars[c]` ends clause `c`'s variables.
+        let mut var_pos: Vec<usize> = Vec::new();
+        let mut var_end: Vec<usize> = Vec::new();
+        let mut clause_vars: Vec<usize> = Vec::with_capacity(graphs.clauses.len());
+        // Per head argument, in firing order: its position and the end of
+        // its term's distinct variables in `arg_vars` (variable numbers,
+        // [`NONE`] for one no body atom binds: its degree is 1).
+        let mut args: Vec<(usize, usize)> = Vec::new();
+        let mut arg_vars: Vec<usize> = Vec::new();
+        let (mut body, mut runs, mut term_vars) = (Vec::new(), Vec::new(), Vec::new());
+        for cv in &graphs.clauses {
+            clause_body_positions(pg, &cv.clause, &mut body);
+            runs.clear();
+            for run in body.chunk_by(|a, b| a.0 == b.0) {
+                runs.push((run[0].0, var_end.len()));
+                var_pos.extend(run.iter().map(|&(_, p)| p));
+                var_end.push(var_pos.len());
+            }
+            clause_vars.push(var_end.len());
+            for ta in &cv.clause.head {
+                for (i, t) in ta.args.iter().enumerate() {
+                    let Some(q) = pg.pos(ta.rel, i) else { continue };
+                    term_vars.clear();
+                    collect_vars(t, &mut term_vars);
+                    term_vars.sort_unstable();
+                    term_vars.dedup();
+                    arg_vars.extend(term_vars.iter().map(|x| {
+                        runs.binary_search_by_key(x, |&(v, _)| v)
+                            .map_or(NONE, |i| runs[i].1)
+                    }));
+                    args.push((q, arg_vars.len()));
+                }
+            }
+        }
+        let minv = |v: usize, vdeg: &[usize]| match v {
+            NONE => 1,
+            v => {
+                let start = v.checked_sub(1).map_or(0, |u| var_end[u]);
+                var_pos[start..var_end[v]]
+                    .iter()
+                    .map(|&p| vdeg[p])
+                    .min()
+                    .unwrap_or(1)
+            }
+        };
         for _ in 0..rounds_cap {
             let mut changed = false;
-            for (cv, body_pos) in graphs.clauses.iter().zip(&clause_body_pos) {
-                let minv = |x: VarId, vdeg: &[usize]| {
-                    body_pos
-                        .get(&x)
-                        .into_iter()
-                        .flatten()
-                        .map(|&p| vdeg[p])
-                        .min()
-                        .unwrap_or(1)
-                };
-                for ta in &cv.clause.head {
-                    for (i, t) in ta.args.iter().enumerate() {
-                        let Some(&q) = ids.get(&(ta.rel, i)) else {
-                            continue;
-                        };
-                        let cand = match t {
-                            Term::Var(x) => minv(*x, &vdeg),
-                            t @ Term::App(..) => {
-                                let mut funcs = BTreeSet::new();
-                                let mut vars = BTreeSet::new();
-                                collect(t, &mut funcs, &mut vars);
-                                vars.iter().map(|&x| minv(x, &vdeg)).sum()
-                            }
-                        };
-                        let cand = cand.min(DEGREE_CAP);
-                        if cand > vdeg[q] {
-                            vdeg[q] = cand;
-                            changed = true;
-                        }
-                    }
+            let mut vars_start = 0;
+            for &(q, vars_end) in &args {
+                let cand: usize = arg_vars[vars_start..vars_end]
+                    .iter()
+                    .map(|&v| minv(v, &vdeg))
+                    .sum();
+                vars_start = vars_end;
+                let cand = cand.min(DEGREE_CAP);
+                if cand > vdeg[q] {
+                    vdeg[q] = cand;
+                    changed = true;
                 }
             }
             if !changed {
@@ -110,13 +130,15 @@ impl CostModel {
             }
         }
         let size_degree = if converged && vdeg.iter().all(|&d| d < DEGREE_CAP) {
-            let max_tdeg = clause_body_pos
+            let mut vars_start = 0;
+            let max_tdeg = clause_vars
                 .iter()
-                .map(|body_pos| {
-                    body_pos
-                        .values()
-                        .map(|ps| ps.iter().map(|&p| vdeg[p]).min().unwrap_or(1))
-                        .sum::<usize>()
+                .map(|&vars_end| {
+                    let tdeg = (vars_start..vars_end)
+                        .map(|v| minv(v, &vdeg))
+                        .sum::<usize>();
+                    vars_start = vars_end;
+                    tdeg
                 })
                 .max()
                 .unwrap_or(0);
@@ -128,35 +150,6 @@ impl CostModel {
             position_degrees: vdeg,
             size_degree,
             max_body_atoms,
-        }
-    }
-}
-
-fn body_positions(
-    cv: &ClauseView,
-    ids: &BTreeMap<(RelId, usize), usize>,
-) -> BTreeMap<VarId, BTreeSet<usize>> {
-    let mut out: BTreeMap<VarId, BTreeSet<usize>> = BTreeMap::new();
-    for a in &cv.clause.body {
-        for (i, &v) in a.args.iter().enumerate() {
-            if let Some(&p) = ids.get(&(a.rel, i)) {
-                out.entry(v).or_default().insert(p);
-            }
-        }
-    }
-    out
-}
-
-fn collect(t: &Term, funcs: &mut BTreeSet<FuncId>, vars: &mut BTreeSet<VarId>) {
-    match t {
-        Term::Var(v) => {
-            vars.insert(*v);
-        }
-        Term::App(f, args) => {
-            funcs.insert(*f);
-            for a in args {
-                collect(a, funcs, vars);
-            }
         }
     }
 }
@@ -270,9 +263,13 @@ impl ChaseAnalysis {
     /// acyclic (the engines' fixpoint semantics is oblivious), and
     /// `budget` as the step budget for programs without a guarantee.
     pub fn plan(&self, budget: Option<usize>) -> ChasePlan {
+        self.plan_with_order(self.firing_order.clone(), budget)
+    }
+
+    fn plan_with_order(&self, order: Vec<usize>, budget: Option<usize>) -> ChasePlan {
         let guaranteed = self.termination.class == TerminationClass::RichlyAcyclic;
         ChasePlan {
-            order: self.firing_order.clone(),
+            order,
             guaranteed_terminating: guaranteed,
             step_budget: if guaranteed { None } else { budget },
             diagnosis: self.termination.diagnosis(),
@@ -287,33 +284,33 @@ impl ChaseAnalysis {
     /// intern *fresh* function symbols, so the chase's nulls would no
     /// longer line up with the analyzer's Skolem graph. Non-tgd statements
     /// (facts, egds, parse failures) contribute nothing.
+    ///
+    /// The clauses are in statement order, so each statement's clauses
+    /// are one run of them.
     pub fn so_tgds(&self) -> Vec<(usize, SoTgd)> {
-        let mut by_stmt: BTreeMap<usize, Vec<SoClause>> = BTreeMap::new();
-        for cv in &self.graphs.clauses {
-            by_stmt.entry(cv.stmt).or_default().push(cv.clause.clone());
-        }
-        by_stmt
-            .into_iter()
-            .map(|(stmt, clauses)| {
-                let mut funcs = BTreeSet::new();
-                let mut vars = BTreeSet::new();
-                for c in &clauses {
-                    for (l, r) in &c.equalities {
-                        collect(l, &mut funcs, &mut vars);
-                        collect(r, &mut funcs, &mut vars);
-                    }
-                    for ta in &c.head {
-                        for t in &ta.args {
-                            collect(t, &mut funcs, &mut vars);
-                        }
+        let mut funcs = Vec::new();
+        let runs = self.graphs.clauses.chunk_by(|a, b| a.stmt == b.stmt);
+        let mut out = Vec::with_capacity(self.interference.scheduled.len());
+        for run in runs {
+            funcs.clear();
+            for cv in run {
+                let c = &cv.clause;
+                for (l, r) in &c.equalities {
+                    collect_funcs(l, &mut funcs);
+                    collect_funcs(r, &mut funcs);
+                }
+                for ta in &c.head {
+                    for t in &ta.args {
+                        collect_funcs(t, &mut funcs);
                     }
                 }
-                (
-                    stmt,
-                    SoTgd::new(funcs.into_iter().collect::<Vec<_>>(), clauses),
-                )
-            })
-            .collect()
+            }
+            funcs.sort_unstable();
+            funcs.dedup();
+            let clauses: Vec<SoClause> = run.iter().map(|cv| cv.clause.clone()).collect();
+            out.push((run[0].stmt, SoTgd::new(funcs.to_vec(), clauses)));
+        }
+        out
     }
 
     /// The [`ChasePlan`] for the tgd list of [`Self::so_tgds`]: like
@@ -321,29 +318,25 @@ impl ChaseAnalysis {
     /// indices to positions in that list (the fixpoint engine indexes its
     /// tgd slice, not the program's statements).
     pub fn tgd_plan(&self, budget: Option<usize>) -> ChasePlan {
-        let stmts: BTreeSet<usize> = self.graphs.clauses.iter().map(|cv| cv.stmt).collect();
-        let pos: BTreeMap<usize, usize> = stmts.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let mut plan = self.plan(budget);
-        plan.order = self
-            .firing_order
-            .iter()
-            .filter_map(|s| pos.get(s).copied())
-            .collect();
+        // Statement → position in the `so_tgds` list: the scheduled
+        // statements are exactly the ones with clauses, in order.
+        let mut pos = vec![NONE; self.graphs.statements];
+        for (i, &s) in self.interference.scheduled.iter().enumerate() {
+            pos[s] = i;
+        }
+        let at = |&s: &usize| Some(pos[s]).filter(|&i| i != NONE);
+        let order = self.firing_order.iter().filter_map(at).collect();
+        let mut plan = self.plan_with_order(order, budget);
         plan.schedule = Some(ParallelSchedule {
             stages: self
                 .schedule
                 .stages
                 .iter()
-                .map(|stage| stage.iter().filter_map(|s| pos.get(s).copied()).collect())
+                .map(|stage| stage.iter().filter_map(at).collect())
                 .collect(),
         });
         plan.cert = Some(DataflowCert {
-            dead: self
-                .dataflow
-                .dead
-                .iter()
-                .filter_map(|s| pos.get(s).copied())
-                .collect(),
+            dead: self.dataflow.dead.iter().filter_map(at).collect(),
             ground: self.dataflow.ground.clone(),
         });
         plan
@@ -436,32 +429,50 @@ impl ChaseAnalysis {
 /// wait in an ordered ready set, so the pass costs the number of
 /// producer/consumer pairs rather than the square of the statement count.
 fn firing_order(statements: usize, fps: &ProgramFootprints) -> Vec<usize> {
-    let mut readers: BTreeMap<RelId, Vec<usize>> = BTreeMap::new();
-    for &t in &fps.scheduled {
-        for &r in &fps.footprints[&t].reads {
-            readers.entry(r).or_default().push(t);
-        }
+    // Only scheduled statements have producers or consumers; they are
+    // numbered by their rank in `scheduled`, so the graph costs them
+    // alone, however many facts the program has.
+    let sched = &fps.scheduled;
+    let mut rank = vec![NONE; statements];
+    for (k, &s) in sched.iter().enumerate() {
+        rank[s] = k;
     }
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); statements];
-    let mut indeg = vec![0usize; statements];
-    for &s in &fps.scheduled {
-        let out = &mut succs[s];
-        for r in &fps.footprints[&s].writes {
-            out.extend(readers.get(r).into_iter().flatten().filter(|&&t| t != s));
+    // The footprints of the scheduled statements, by rank.
+    let scheduled_fps = || {
+        let fps = fps.footprints.iter().filter(|&(s, _)| rank[s] != NONE);
+        fps.map(|(_, f)| f).enumerate()
+    };
+    let nrel = fps.footprints.relation_bound();
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    for (k, f) in scheduled_fps() {
+        pairs.extend(f.reads.iter().map(|r| (r.0, k as u32)));
+    }
+    let readers = Csr::new(nrel, &pairs);
+    // Successor lists, by rank.
+    pairs.clear();
+    let mut out: Vec<u32> = Vec::new();
+    let mut indeg = vec![0usize; sched.len()];
+    for (k, f) in scheduled_fps() {
+        out.clear();
+        for r in f.writes {
+            out.extend(readers.row(r.index()).iter().filter(|&&t| t as usize != k));
         }
         out.sort_unstable();
         out.dedup();
-        for &t in out.iter() {
-            indeg[t] += 1;
+        for &t in &out {
+            indeg[t as usize] += 1;
+            pairs.push((k as u32, t));
         }
     }
+    let succs = Csr::new(sched.len(), &pairs);
+    drop(pairs);
     // The ready set, smallest first: the statements ready from the start
     // (facts, egds and tgds reading only sources: most of a fact-heavy
     // program) in ascending order, then those freed along the way in a
     // min-heap. A statement ready from the start has no predecessor, so
     // it is never freed again: the two never hold the same statement.
     let mut initial = (0..statements)
-        .filter(|&s| indeg[s] == 0)
+        .filter(|&s| rank[s] == NONE || indeg[rank[s]] == 0)
         .collect::<Vec<_>>()
         .into_iter()
         .peekable();
@@ -485,11 +496,16 @@ fn firing_order(statements: usize, fps: &ProgramFootprints) -> Vec<usize> {
         });
         placed[next] = true;
         order.push(next);
-        for &t in &succs[next] {
-            if !placed[t] {
+        let succs = match rank[next] {
+            NONE => &[][..],
+            k => succs.row(k),
+        };
+        for &t in succs {
+            let t = t as usize;
+            if !placed[sched[t]] {
                 indeg[t] -= 1;
                 if indeg[t] == 0 {
-                    freed.push(Reverse(t));
+                    freed.push(Reverse(sched[t]));
                 }
             }
         }
@@ -571,6 +587,7 @@ pub struct AnalysisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn analyze(src: &str) -> (SymbolTable, ChaseAnalysis) {
         let mut syms = SymbolTable::new();

@@ -38,8 +38,8 @@
 //! Surfaced as the NDL040–NDL045 lints, the [`DataflowSummary`] of
 //! `ndl analyze --dataflow [--json]`, and `--dot=dataflow`.
 
-use crate::footprint::{collect_funcs, ProgramFootprints};
-use crate::graph::{scc_ids, PosId, ProgramGraphs};
+use crate::footprint::{collect_funcs, collect_vars, ProgramFootprints};
+use crate::graph::{clause_body_positions, scc_ids, var_positions, Csr, PosId, ProgramGraphs};
 use crate::program::{Statement, StmtAst};
 use ndl_core::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -103,37 +103,49 @@ impl DataflowAnalysis {
     /// clauses and the position vocabulary; `stmts` supplies facts (the
     /// sources) and egds (extra readers); `fps` are the program's
     /// footprints, shared with the interference pass.
+    ///
+    /// The fixpoints run over flags indexed by relation id; only the
+    /// result sets are built as sets.
     pub fn of(
         graphs: &ProgramGraphs,
         stmts: &[Statement],
         fps: &ProgramFootprints,
     ) -> DataflowAnalysis {
         let mut a = DataflowAnalysis::default();
+        let facts = &fps.fact_relations;
+        let nrel = facts.last().map_or(0, |r| r.index() + 1);
+        let nrel = nrel.max(fps.footprints.relation_bound());
+        let mut rel = vec![0u8; nrel];
+        for (_, fp) in fps.footprints.iter() {
+            fp.reads.iter().for_each(|r| rel[r.index()] |= READ);
+            fp.writes.iter().for_each(|r| rel[r.index()] |= WRITTEN);
+        }
+        facts.iter().for_each(|r| rel[r.index()] |= WRITTEN);
 
         // Sources: fact-populated relations, or (assumed mode) the
         // relations read but never written.
-        let mut read: BTreeSet<RelId> = BTreeSet::new();
-        let mut written: BTreeSet<RelId> = fps.fact_relations.clone();
-        for fp in fps.footprints.values() {
-            read.extend(fp.reads.iter().copied());
-            written.extend(fp.writes.iter().copied());
+        a.assumed_sources = facts.is_empty();
+        for (i, f) in rel.iter_mut().enumerate() {
+            let source = match a.assumed_sources {
+                true => *f & (READ | WRITTEN) == READ,
+                false => facts.contains(&RelId(i as u32)),
+            };
+            if source {
+                *f |= SOURCE | REACHABLE;
+            }
         }
-        if fps.fact_relations.is_empty() {
-            a.assumed_sources = true;
-            a.sources = read.difference(&written).copied().collect();
-        } else {
-            a.sources = fps.fact_relations.clone();
-        }
+        let has = |rel: &[u8], r: RelId, flag: u8| rel[r.index()] & flag != 0;
 
         // Relation reachability: a clause whose body is reachable marks
         // its heads reachable.
-        a.reachable = a.sources.clone();
+        let fires = |rel: &[u8], c: &SoClause| c.body.iter().all(|b| has(rel, b.rel, REACHABLE));
         loop {
             let mut changed = false;
             for cv in &graphs.clauses {
-                if cv.clause.body.iter().all(|b| a.reachable.contains(&b.rel)) {
+                if fires(&rel, &cv.clause) {
                     for ta in &cv.clause.head {
-                        changed |= a.reachable.insert(ta.rel);
+                        changed |= !has(&rel, ta.rel, REACHABLE);
+                        rel[ta.rel.index()] |= REACHABLE;
                     }
                 }
             }
@@ -144,21 +156,18 @@ impl DataflowAnalysis {
         let firing: Vec<bool> = graphs
             .clauses
             .iter()
-            .map(|cv| cv.clause.body.iter().all(|b| a.reachable.contains(&b.rel)))
+            .map(|cv| fires(&rel, &cv.clause))
             .collect();
 
-        // Statement liveness: dead iff *every* clause fails to fire.
-        let alive: BTreeSet<usize> = graphs
-            .clauses
-            .iter()
-            .zip(&firing)
-            .filter_map(|(cv, &f)| f.then_some(cv.stmt))
-            .collect();
-        for &s in &fps.scheduled {
-            if alive.contains(&s) {
-                a.live.insert(s);
+        // Statement liveness: dead iff *every* clause fails to fire. The
+        // clauses are in statement order, one run per scheduled statement.
+        let mut fires = firing.iter();
+        for run in graphs.clauses.chunk_by(|a, b| a.stmt == b.stmt) {
+            let alive = fires.by_ref().take(run.len()).fold(false, |a, &f| a | f);
+            if alive {
+                a.live.insert(run[0].stmt);
             } else {
-                a.dead.insert(s);
+                a.dead.insert(run[0].stmt);
             }
         }
 
@@ -174,27 +183,20 @@ impl DataflowAnalysis {
                     continue;
                 }
                 for ta in &cv.clause.head {
-                    if a.nullable.contains(&ta.rel) {
+                    if has(&rel, ta.rel, NULLABLE) {
                         continue;
                     }
                     let introduces = ta.args.iter().any(|t| match t {
                         Term::App(..) => true,
-                        Term::Var(v) => {
-                            let mut any = false;
-                            let all_nullable = cv
-                                .clause
-                                .body
-                                .iter()
-                                .filter(|b| b.args.contains(v))
-                                .all(|b| {
-                                    any = true;
-                                    a.nullable.contains(&b.rel)
-                                });
-                            !any || all_nullable
-                        }
+                        Term::Var(v) => cv
+                            .clause
+                            .body
+                            .iter()
+                            .filter(|b| b.args.contains(v))
+                            .all(|b| has(&rel, b.rel, NULLABLE)),
                     });
                     if introduces {
-                        a.nullable.insert(ta.rel);
+                        rel[ta.rel.index()] |= NULLABLE;
                         changed = true;
                     }
                 }
@@ -203,39 +205,45 @@ impl DataflowAnalysis {
                 break;
             }
         }
-        let mentioned: BTreeSet<RelId> = a
-            .sources
-            .iter()
-            .chain(read.iter())
-            .chain(written.iter())
-            .copied()
-            .collect();
-        a.ground = mentioned.difference(&a.nullable).copied().collect();
-
-        // NDL041: read somewhere, written somewhere, still unreachable —
-        // every writer is dead or never fires.
-        a.unwritten_reads = read
-            .intersection(&written)
-            .filter(|r| !a.reachable.contains(r))
-            .copied()
-            .collect();
 
         // NDL042/NDL043: what the live program actually consumes.
-        let mut live_read: BTreeSet<RelId> = BTreeSet::new();
         for (cv, &fires) in graphs.clauses.iter().zip(&firing) {
             if fires {
-                live_read.extend(cv.clause.body.iter().map(|b| b.rel));
+                cv.clause
+                    .body
+                    .iter()
+                    .for_each(|b| rel[b.rel.index()] |= LIVE_READ);
             }
         }
         for stmt in stmts {
             if let Some(StmtAst::Egd(e)) = &stmt.ast {
-                live_read.extend(e.body.iter().map(|b| b.rel));
+                e.body.iter().for_each(|b| rel[b.rel.index()] |= LIVE_READ);
             }
         }
-        a.unused_sources = a.sources.difference(&live_read).copied().collect();
-        a.unused_source_columns = unused_source_columns(graphs, stmts, &a.sources, &firing);
 
-        a.provenance = provenance(graphs, &a.sources, &firing);
+        let with = |flags: u8, without: u8| {
+            rel.iter()
+                .enumerate()
+                .filter(move |&(_, &f)| f & flags == flags && f & without == 0)
+                .map(|(i, _)| RelId(i as u32))
+        };
+        a.sources = with(SOURCE, 0).collect();
+        a.reachable = with(REACHABLE, 0).collect();
+        a.nullable = with(NULLABLE, 0).collect();
+        // Every relation mentioned (a source, read or written) that is not
+        // nullable; unreachable relations are vacuously ground.
+        a.ground = rel
+            .iter()
+            .enumerate()
+            .filter(|&(_, &f)| f & (SOURCE | READ | WRITTEN) != 0 && f & NULLABLE == 0)
+            .map(|(i, _)| RelId(i as u32))
+            .collect();
+        // NDL041: read somewhere, written somewhere, still unreachable —
+        // every writer is dead or never fires.
+        a.unwritten_reads = with(READ | WRITTEN, REACHABLE).collect();
+        a.unused_sources = with(SOURCE, LIVE_READ).collect();
+        a.unused_source_columns = unused_source_columns(graphs, stmts, &rel, &firing);
+        a.provenance = provenance(graphs, &rel, &firing);
         a
     }
 
@@ -321,9 +329,11 @@ impl DataflowAnalysis {
                     let entry = flows.entry((b.rel, ta.rel)).or_default();
                     entry.0.insert(cv.stmt);
                     entry.1 |= fires;
+                    let mut funcs = Vec::new();
                     for t in &ta.args {
-                        collect_funcs(t, &mut entry.2);
+                        collect_funcs(t, &mut funcs);
                     }
+                    entry.2.extend(funcs);
                 }
             }
         }
@@ -368,53 +378,60 @@ impl DataflowAnalysis {
     }
 }
 
+/// Relation flags of [`DataflowAnalysis::of`].
+const READ: u8 = 1;
+const WRITTEN: u8 = 2;
+const SOURCE: u8 = 4;
+const REACHABLE: u8 = 8;
+const NULLABLE: u8 = 16;
+/// Read by a firing clause or an egd.
+const LIVE_READ: u8 = 32;
+
 /// Source columns whose value is never consumed (NDL043): for every
 /// firing clause and every egd with a body atom over the source relation,
 /// the variable at the column occurs nowhere else in the statement.
 fn unused_source_columns(
     graphs: &ProgramGraphs,
     stmts: &[Statement],
-    sources: &BTreeSet<RelId>,
+    rel: &[u8],
     firing: &[bool],
 ) -> BTreeSet<(RelId, usize)> {
-    // (relation, column) → was any occurrence used?
-    let mut seen: BTreeMap<(RelId, usize), bool> = BTreeMap::new();
+    // (relation, column, was this occurrence used?), for every column
+    // of every source atom. Egds are not arity-checked, so one relation
+    // may show up with several arities.
+    let mut seen: Vec<(RelId, usize, bool)> = Vec::new();
+    // Every argument of `body`, sorted: a variable at one column occurs
+    // somewhere else in the body iff it is listed twice.
+    let fill = |body: &[Atom], args: &mut Vec<VarId>| {
+        args.clear();
+        args.extend(body.iter().flat_map(|b| b.args.iter().copied()));
+        args.sort_unstable();
+    };
+    let twice = |args: &[VarId], v: VarId| {
+        let lo = args.partition_point(|&w| w < v);
+        args.get(lo + 1) == Some(&v)
+    };
+    let source = |r: RelId| rel[r.index()] & SOURCE != 0;
+    let (mut body_args, mut head_vars): (Vec<VarId>, Vec<VarId>) = (Vec::new(), Vec::new());
     for (cv, &fires) in graphs.clauses.iter().zip(firing) {
         if !fires {
             continue;
         }
         let c = &cv.clause;
-        let mut head_vars: BTreeSet<VarId> = BTreeSet::new();
-        let mut funcs = BTreeSet::new();
-        for ta in &c.head {
-            for t in &ta.args {
-                collect_vars(t, &mut head_vars);
-                collect_funcs(t, &mut funcs);
-            }
+        head_vars.clear();
+        for t in c.head.iter().flat_map(|ta| &ta.args) {
+            collect_vars(t, &mut head_vars);
         }
         for (l, r) in &c.equalities {
             collect_vars(l, &mut head_vars);
             collect_vars(r, &mut head_vars);
         }
-        for (ai, atom) in c.body.iter().enumerate() {
-            if !sources.contains(&atom.rel) {
-                continue;
-            }
+        head_vars.sort_unstable();
+        fill(&c.body, &mut body_args);
+        for atom in c.body.iter().filter(|a| source(a.rel)) {
             for (i, &v) in atom.args.iter().enumerate() {
-                let body_occurrences: usize = c
-                    .body
-                    .iter()
-                    .enumerate()
-                    .map(|(bi, b)| {
-                        b.args
-                            .iter()
-                            .enumerate()
-                            .filter(|&(j, &w)| w == v && (bi != ai || j != i))
-                            .count()
-                    })
-                    .sum();
-                let used = body_occurrences > 0 || head_vars.contains(&v);
-                *seen.entry((atom.rel, i)).or_insert(false) |= used;
+                let used = twice(&body_args, v) || head_vars.binary_search(&v).is_ok();
+                seen.push((atom.rel, i, used));
             }
         }
     }
@@ -422,24 +439,20 @@ fn unused_source_columns(
         let Some(StmtAst::Egd(e)) = &stmt.ast else {
             continue;
         };
-        for (ai, atom) in e.body.iter().enumerate() {
-            if !sources.contains(&atom.rel) {
-                continue;
-            }
+        fill(&e.body, &mut body_args);
+        for atom in e.body.iter().filter(|a| source(a.rel)) {
             for (i, &v) in atom.args.iter().enumerate() {
-                let elsewhere = e.body.iter().enumerate().any(|(bi, b)| {
-                    b.args
-                        .iter()
-                        .enumerate()
-                        .any(|(j, &w)| w == v && (bi != ai || j != i))
-                });
-                let used = elsewhere || e.eq.0 == v || e.eq.1 == v;
-                *seen.entry((atom.rel, i)).or_insert(false) |= used;
+                let used = twice(&body_args, v) || e.eq.0 == v || e.eq.1 == v;
+                seen.push((atom.rel, i, used));
             }
         }
     }
-    seen.into_iter()
-        .filter_map(|(col, used)| (!used).then_some(col))
+    // A column is unused when no occurrence used it: sorted, its
+    // occurrences are one run, ending with `true` if any was used.
+    seen.sort_unstable();
+    let runs = seen.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1));
+    runs.filter(|run| !run[run.len() - 1].2)
+        .map(|run| (run[0].0, run[0].1))
         .collect()
 }
 
@@ -448,121 +461,116 @@ fn unused_source_columns(
 /// position binding it; a Skolem head term deposits its functions (the
 /// invented null hides its arguments' values, so only the functions
 /// propagate onward).
-fn provenance(
-    graphs: &ProgramGraphs,
-    sources: &BTreeSet<RelId>,
-    firing: &[bool],
-) -> Vec<Provenance> {
+fn provenance(graphs: &ProgramGraphs, rel: &[u8], firing: &[bool]) -> Vec<Provenance> {
     let pg = &graphs.positions;
-    let ids: BTreeMap<(RelId, usize), PosId> = pg
-        .positions
-        .iter()
-        .enumerate()
-        .map(|(i, &rp)| (rp, i))
-        .collect();
-    let mut prov: Vec<Provenance> = vec![Provenance::default(); pg.positions.len()];
-    for (p, &(rel, _)) in pg.positions.iter().enumerate() {
-        if sources.contains(&rel) {
-            prov[p].sources.insert(p);
-        }
-    }
-    // Copy flows (from-position, to-position) of the firing clauses.
-    let mut copies: BTreeSet<(PosId, PosId)> = BTreeSet::new();
+    let n = pg.positions.len();
+    // Copy flows (from-position, to-position) of the firing clauses, and
+    // the Skolem functions each head position receives directly.
+    let mut copies: Vec<(u32, u32)> = Vec::new();
+    let mut seeds: Vec<(PosId, FuncId)> = Vec::new();
+    let (mut body, mut funcs) = (Vec::new(), Vec::new());
     for (cv, &fires) in graphs.clauses.iter().zip(firing) {
         if !fires {
             continue;
         }
         let c = &cv.clause;
-        let mut body_pos: BTreeMap<VarId, BTreeSet<PosId>> = BTreeMap::new();
-        for b in &c.body {
-            for (i, &v) in b.args.iter().enumerate() {
-                if let Some(&p) = ids.get(&(b.rel, i)) {
-                    body_pos.entry(v).or_default().insert(p);
-                }
-            }
-        }
+        clause_body_positions(pg, c, &mut body);
         for ta in &c.head {
             for (i, t) in ta.args.iter().enumerate() {
-                let Some(&q) = ids.get(&(ta.rel, i)) else {
-                    continue;
-                };
+                let Some(q) = pg.pos(ta.rel, i) else { continue };
                 match t {
                     Term::Var(x) => {
-                        for &p in body_pos.get(x).into_iter().flatten() {
-                            copies.insert((p, q));
-                        }
+                        let from = var_positions(&body, *x).iter();
+                        copies.extend(
+                            from.filter(|&&(_, p)| p != q)
+                                .map(|&(_, p)| (p as u32, q as u32)),
+                        );
                     }
                     t @ Term::App(..) => {
-                        collect_funcs(t, &mut prov[q].funcs);
+                        funcs.clear();
+                        collect_funcs(t, &mut funcs);
+                        seeds.extend(funcs.iter().map(|&f| (q, f)));
                     }
                 }
             }
         }
     }
+    copies.sort_unstable();
+    copies.dedup();
+    seeds.sort_unstable();
+    seeds.dedup();
     // The least fixpoint of `prov[q] ⊇ prov[p]` over the copy edges,
     // solved once per strongly connected component: every position of a
     // component reaches every other, so all share one set — the union of
     // their own seeds and of the sets of the components copying into
     // them. Component ids are topologically ordered, so predecessors are
     // final when a component is visited.
-    let n = prov.len();
-    let mut fwd: Vec<Vec<PosId>> = vec![Vec::new(); n];
-    let mut back: Vec<Vec<PosId>> = vec![Vec::new(); n];
-    for &(p, q) in copies.iter().filter(|(p, q)| p != q) {
-        fwd[p].push(q);
-        back[q].push(p);
-    }
-    let comp = scc_ids(&fwd);
+    let fwd = Csr::new(n, &copies);
+    let comp = scc_ids(&fwd, |q| q as usize);
+    let back_pairs: Vec<(u32, u32)> = copies.iter().map(|&(p, q)| (q, p)).collect();
+    let back = Csr::new(n, &back_pairs);
+    drop((copies, back_pairs, fwd));
     let ncomp = comp.iter().map(|&c| c + 1).max().unwrap_or(0);
-    let mut members: Vec<Vec<PosId>> = vec![Vec::new(); ncomp];
-    for (p, &c) in comp.iter().enumerate() {
-        members[c].push(p);
-    }
-    // Sorted, deduplicated vectors while solving: a union is one
-    // sort of the concatenation rather than a set insert per element.
-    let mut solved: Vec<(Vec<PosId>, Vec<FuncId>)> = Vec::with_capacity(ncomp);
-    let mut preds: Vec<usize> = Vec::new();
-    for (c, ps) in members.iter().enumerate() {
-        let (mut sources, mut funcs) = (Vec::new(), Vec::new());
+    let by_comp: Vec<(u32, u32)> = comp
+        .iter()
+        .enumerate()
+        .map(|(p, &c)| (c as u32, p as u32))
+        .collect();
+    let members = Csr::new(ncomp, &by_comp);
+    drop(by_comp);
+    let is_source = |p: PosId| rel[pg.positions[p].0.index()] & SOURCE != 0;
+    // Per component, the end of its sorted, deduplicated sources and
+    // functions in the two flat vectors.
+    let mut solved: Vec<(usize, usize)> = Vec::with_capacity(ncomp);
+    let (mut all_sources, mut all_funcs): (Vec<PosId>, Vec<FuncId>) = (Vec::new(), Vec::new());
+    let (mut sources, mut preds): (Vec<PosId>, Vec<usize>) = (Vec::new(), Vec::new());
+    let solved_range = |solved: &[(usize, usize)], d: usize| {
+        let (s0, f0) = d.checked_sub(1).map_or((0, 0), |e| solved[e]);
+        (s0..solved[d].0, f0..solved[d].1)
+    };
+    for c in 0..ncomp {
+        sources.clear();
+        funcs.clear();
         preds.clear();
-        for &q in ps {
-            sources.extend(prov[q].sources.iter().copied());
-            funcs.extend(prov[q].funcs.iter().copied());
-            preds.extend(back[q].iter().map(|&p| comp[p]).filter(|&d| d != c));
+        for &q in members.row(c) {
+            let q = q as usize;
+            if is_source(q) {
+                sources.push(q);
+            }
+            let lo = seeds.partition_point(|&(p, _)| p < q);
+            let hi = lo + seeds[lo..].partition_point(|&(p, _)| p == q);
+            funcs.extend(seeds[lo..hi].iter().map(|&(_, f)| f));
+            preds.extend(
+                back.row(q)
+                    .iter()
+                    .map(|&p| comp[p as usize])
+                    .filter(|&d| d != c),
+            );
         }
         preds.sort_unstable();
         preds.dedup();
         for &d in &preds {
-            sources.extend_from_slice(&solved[d].0);
-            funcs.extend_from_slice(&solved[d].1);
+            let (s, f) = solved_range(&solved, d);
+            sources.extend_from_slice(&all_sources[s]);
+            funcs.extend_from_slice(&all_funcs[f]);
         }
         sources.sort_unstable();
         sources.dedup();
         funcs.sort_unstable();
         funcs.dedup();
-        solved.push((sources, funcs));
+        all_sources.extend_from_slice(&sources);
+        all_funcs.extend_from_slice(&funcs);
+        solved.push((all_sources.len(), all_funcs.len()));
     }
-    for (p, slot) in prov.iter_mut().enumerate() {
-        let (sources, funcs) = &solved[comp[p]];
-        *slot = Provenance {
-            sources: sources.iter().copied().collect(),
-            funcs: funcs.iter().copied().collect(),
-        };
-    }
-    prov
-}
-
-fn collect_vars(t: &Term, out: &mut BTreeSet<VarId>) {
-    match t {
-        Term::Var(v) => {
-            out.insert(*v);
-        }
-        Term::App(_, args) => {
-            for a in args {
-                collect_vars(a, out);
+    (0..n)
+        .map(|p| {
+            let (s, f) = solved_range(&solved, comp[p]);
+            Provenance {
+                sources: all_sources[s].iter().copied().collect(),
+                funcs: all_funcs[f].iter().copied().collect(),
             }
-        }
-    }
+        })
+        .collect()
 }
 
 /// Provenance of one position in the [`DataflowSummary`].

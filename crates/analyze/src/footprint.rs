@@ -7,8 +7,10 @@
 //! (which pairs may fire in parallel within a round), and
 //! [`crate::dataflow`] runs the reachability/liveness/groundness fixpoints
 //! over them (which statements can ever fire at all). The analysis
-//! computes them once and shares the one map, which keeps the passes
-//! byte-for-byte agreed on what a statement touches.
+//! computes them once and shares the one table ([`Footprints`]: every
+//! statement's sorted reads, writes and functions as slices of two flat
+//! vectors), which keeps the passes byte-for-byte agreed on what a
+//! statement touches.
 //!
 //! Footprints deliberately mirror `ndl_chase::parallel::StmtFootprint`:
 //! reads are body relations, writes are head relations, and the Skolem
@@ -31,41 +33,53 @@
 use crate::graph::ProgramGraphs;
 use crate::program::{Statement, StmtAst};
 use ndl_core::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The static footprint of one statement: what it reads, what it writes,
-/// and which Skolem functions it invents nulls through.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Footprint {
+/// and which Skolem functions it invents nulls through — each a sorted,
+/// duplicate-free slice of the [`Footprints`] table.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Footprint<'a> {
     /// Relations matched in clause bodies (or an egd body).
-    pub reads: BTreeSet<RelId>,
-    /// Relations inserted into by clause heads (or a ground fact).
-    pub writes: BTreeSet<RelId>,
+    pub reads: &'a [RelId],
+    /// Relations inserted into by clause heads.
+    pub writes: &'a [RelId],
     /// Skolem functions occurring in heads or equality gates.
-    pub funcs: BTreeSet<FuncId>,
+    pub funcs: &'a [FuncId],
 }
 
-impl Footprint {
+/// Do two sorted slices share an element? One merge pass.
+fn meet<T: Ord>(a: &[T], b: &[T]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
+        match x.cmp(y) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
+impl Footprint<'_> {
     /// Do two *distinct* statements conflict? True on any W–W, R–W (either
     /// direction) or shared-Skolem overlap.
-    pub fn conflicts_with(&self, other: &Footprint) -> bool {
+    pub fn conflicts_with(&self, other: &Footprint<'_>) -> bool {
         !self.kinds_against(other).is_empty()
     }
 
     /// The conflict kinds between two distinct statements (empty when
     /// they are independent).
-    pub fn kinds_against(&self, other: &Footprint) -> Vec<ConflictKind> {
-        let mut kinds = Vec::new();
-        if self.writes.intersection(&other.writes).next().is_some() {
-            kinds.push(ConflictKind::WriteWrite);
+    pub fn kinds_against(&self, other: &Footprint<'_>) -> ConflictKinds {
+        let mut kinds = ConflictKinds::default();
+        if meet(self.writes, other.writes) {
+            kinds.insert(ConflictKind::WriteWrite);
         }
-        if self.reads.intersection(&other.writes).next().is_some()
-            || other.reads.intersection(&self.writes).next().is_some()
-        {
-            kinds.push(ConflictKind::ReadWrite);
+        if meet(self.reads, other.writes) || meet(other.reads, self.writes) {
+            kinds.insert(ConflictKind::ReadWrite);
         }
-        if self.funcs.intersection(&other.funcs).next().is_some() {
-            kinds.push(ConflictKind::SharedNullFactory);
+        if meet(self.funcs, other.funcs) {
+            kinds.insert(ConflictKind::SharedNullFactory);
         }
         kinds
     }
@@ -74,7 +88,7 @@ impl Footprint {
     /// can re-trigger on its own insertions and must run alone in its
     /// stage (the engine refuses multi-statement stages containing one).
     pub fn self_interfering(&self) -> bool {
-        self.reads.intersection(&self.writes).next().is_some()
+        meet(self.reads, self.writes)
     }
 }
 
@@ -90,6 +104,13 @@ pub enum ConflictKind {
 }
 
 impl ConflictKind {
+    /// Every kind, in order.
+    pub const ALL: [ConflictKind; 3] = [
+        ConflictKind::WriteWrite,
+        ConflictKind::ReadWrite,
+        ConflictKind::SharedNullFactory,
+    ];
+
     /// Stable lowercase label (used in JSON reports and DOT edge labels).
     pub fn label(self) -> &'static str {
         match self {
@@ -100,70 +121,193 @@ impl ConflictKind {
     }
 }
 
-/// The whole-program footprint map: one [`Footprint`] per tgd or egd
-/// statement, the relations ground facts write, and the set of statements
+/// A set of [`ConflictKind`]s (one bit each), iterated in kind order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ConflictKinds(u8);
+
+impl ConflictKinds {
+    /// Adds a kind.
+    pub fn insert(&mut self, kind: ConflictKind) {
+        self.0 |= 1 << kind as u8;
+    }
+
+    /// Does the set hold `kind`?
+    pub fn contains(self, kind: ConflictKind) -> bool {
+        self.0 & (1 << kind as u8) != 0
+    }
+
+    /// Is the set empty?
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The kinds in the set, in [`ConflictKind`] order.
+    pub fn iter(self) -> impl Iterator<Item = ConflictKind> {
+        ConflictKind::ALL
+            .into_iter()
+            .filter(move |&k| self.contains(k))
+    }
+}
+
+/// The footprints of a program's statements in one table: per statement
+/// with a footprint, its reads, writes and Skolem functions as ranges of
+/// two flat vectors.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Footprints {
+    /// Statements with a footprint, ascending, each with the end of its
+    /// reads, of its writes (both in `rels`) and of its functions.
+    rows: Vec<(usize, [usize; 3])>,
+    rels: Vec<RelId>,
+    funcs: Vec<FuncId>,
+}
+
+impl Footprints {
+    /// Appends the footprint of statement `stmt` (above every statement
+    /// added so far): `reads`, `writes` and `funcs` are sorted and
+    /// deduplicated here.
+    fn push(
+        &mut self,
+        stmt: usize,
+        reads: &mut Vec<RelId>,
+        writes: &mut Vec<RelId>,
+        funcs: &mut Vec<FuncId>,
+    ) {
+        debug_assert!(self.rows.last().is_none_or(|&(s, _)| s < stmt));
+        for set in [&mut *reads, &mut *writes] {
+            set.sort_unstable();
+            set.dedup();
+        }
+        funcs.sort_unstable();
+        funcs.dedup();
+        self.rels.extend_from_slice(reads);
+        let reads_end = self.rels.len();
+        self.rels.extend_from_slice(writes);
+        self.funcs.extend_from_slice(funcs);
+        self.rows
+            .push((stmt, [reads_end, self.rels.len(), self.funcs.len()]));
+    }
+
+    fn row(&self, r: usize) -> (usize, Footprint<'_>) {
+        let (stmt, [reads_end, writes_end, funcs_end]) = self.rows[r];
+        let (rels_start, funcs_start) = match r.checked_sub(1) {
+            Some(p) => (self.rows[p].1[1], self.rows[p].1[2]),
+            None => (0, 0),
+        };
+        let fp = Footprint {
+            reads: &self.rels[rels_start..reads_end],
+            writes: &self.rels[reads_end..writes_end],
+            funcs: &self.funcs[funcs_start..funcs_end],
+        };
+        (stmt, fp)
+    }
+
+    /// The footprint of statement `stmt`, if it has one.
+    pub fn get(&self, stmt: usize) -> Option<Footprint<'_>> {
+        let r = self.rows.binary_search_by_key(&stmt, |&(s, _)| s).ok()?;
+        Some(self.row(r).1)
+    }
+
+    /// Every `(statement, footprint)`, in statement order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Footprint<'_>)> {
+        (0..self.rows.len()).map(|r| self.row(r))
+    }
+
+    /// One more than the largest relation id any footprint mentions.
+    pub(crate) fn relation_bound(&self) -> usize {
+        self.rels.iter().map(|r| r.index() + 1).max().unwrap_or(0)
+    }
+
+    /// One more than the largest function id any footprint mentions.
+    pub(crate) fn func_bound(&self) -> usize {
+        self.funcs.iter().map(|f| f.index() + 1).max().unwrap_or(0)
+    }
+}
+
+/// The whole-program footprints: one [`Footprint`] per tgd or egd
+/// statement, the relations ground facts write, and the statements
 /// eligible for scheduling (exactly the tgd statements with Skolemized
 /// clauses in [`ProgramGraphs::clauses`]).
 #[derive(Clone, Debug, Default)]
 pub struct ProgramFootprints {
     /// Footprint per contributing statement: tgd statements that entered
     /// [`ProgramGraphs`], plus egds (which the graphs skip).
-    pub footprints: BTreeMap<usize, Footprint>,
+    pub footprints: Footprints,
     /// The relations written by the program's ground facts: the union of
     /// the facts' footprints, each of which is one written relation.
     pub fact_relations: BTreeSet<RelId>,
-    /// Statements eligible for scheduling — exactly the tgd statements
-    /// with Skolemized clauses in [`ProgramGraphs::clauses`].
-    pub scheduled: BTreeSet<usize>,
+    /// Statements eligible for scheduling, ascending — exactly the tgd
+    /// statements with Skolemized clauses in [`ProgramGraphs::clauses`].
+    pub scheduled: Vec<usize>,
 }
 
 impl ProgramFootprints {
     /// Computes the footprints of every statement. `graphs` supplies the
-    /// Skolemized clauses of analyzable tgd statements; `stmts` supplies
-    /// the facts and egds the graphs skip.
+    /// Skolemized clauses of analyzable tgd statements (in statement
+    /// order); `stmts` supplies the facts and egds the graphs skip.
     pub fn of(graphs: &ProgramGraphs, stmts: &[Statement]) -> ProgramFootprints {
         let mut p = ProgramFootprints::default();
-        for cv in &graphs.clauses {
-            let fp = p.footprints.entry(cv.stmt).or_default();
-            p.scheduled.insert(cv.stmt);
-            for atom in &cv.clause.body {
-                fp.reads.insert(atom.rel);
-            }
-            for atom in &cv.clause.head {
-                fp.writes.insert(atom.rel);
-                for t in &atom.args {
-                    collect_funcs(t, &mut fp.funcs);
-                }
-            }
-            for (l, r) in &cv.clause.equalities {
-                collect_funcs(l, &mut fp.funcs);
-                collect_funcs(r, &mut fp.funcs);
-            }
-        }
+        let (mut reads, mut writes, mut funcs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut clauses = graphs.clauses.iter().peekable();
         for stmt in stmts {
+            reads.clear();
+            writes.clear();
+            funcs.clear();
             match &stmt.ast {
                 Some(StmtAst::Fact(f)) => {
                     p.fact_relations.insert(f.rel);
+                    continue;
                 }
                 Some(StmtAst::Egd(e)) => {
-                    let fp = p.footprints.entry(stmt.index).or_default();
-                    for atom in &e.body {
-                        fp.reads.insert(atom.rel);
-                    }
+                    reads.extend(e.body.iter().map(|a| a.rel));
                 }
-                _ => {}
+                _ => {
+                    let mut any = false;
+                    while let Some(cv) = clauses.next_if(|cv| cv.stmt == stmt.index) {
+                        any = true;
+                        let c = &cv.clause;
+                        reads.extend(c.body.iter().map(|a| a.rel));
+                        for atom in &c.head {
+                            writes.push(atom.rel);
+                            for t in &atom.args {
+                                collect_funcs(t, &mut funcs);
+                            }
+                        }
+                        for (l, r) in &c.equalities {
+                            collect_funcs(l, &mut funcs);
+                            collect_funcs(r, &mut funcs);
+                        }
+                    }
+                    if !any {
+                        continue;
+                    }
+                    p.scheduled.push(stmt.index);
+                }
             }
+            p.footprints
+                .push(stmt.index, &mut reads, &mut writes, &mut funcs);
         }
         p
     }
 }
 
-/// Collects the function symbols occurring anywhere in a term.
-pub(crate) fn collect_funcs(t: &Term, out: &mut BTreeSet<FuncId>) {
+/// Appends the function symbols occurring anywhere in a term.
+pub(crate) fn collect_funcs(t: &Term, out: &mut Vec<FuncId>) {
     if let Term::App(f, args) = t {
-        out.insert(*f);
+        out.push(*f);
         for a in args {
             collect_funcs(a, out);
+        }
+    }
+}
+
+/// Appends the variables occurring anywhere in a term.
+pub(crate) fn collect_vars(t: &Term, out: &mut Vec<VarId>) {
+    match t {
+        Term::Var(v) => out.push(*v),
+        Term::App(_, args) => {
+            for a in args {
+                collect_vars(a, out);
+            }
         }
     }
 }
@@ -186,11 +330,13 @@ mod tests {
         let src = "fact: S(a, b)\negd: S(x,y) & S(x,z) -> y = z\nS(x,y) -> R(x)\n";
         let (_, stmts, graphs) = build(src);
         let p = ProgramFootprints::of(&graphs, &stmts);
-        assert_eq!(p.scheduled.iter().copied().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(p.scheduled, vec![2]);
         assert_eq!(p.fact_relations.len(), 1);
-        assert!(!p.footprints.contains_key(&0));
-        assert!(p.footprints[&1].reads.len() == 1 && p.footprints[&1].writes.is_empty());
-        assert!(p.footprints[&2].reads.len() == 1 && p.footprints[&2].writes.len() == 1);
+        assert!(p.footprints.get(0).is_none());
+        let egd = p.footprints.get(1).unwrap();
+        assert!(egd.reads.len() == 1 && egd.writes.is_empty());
+        let tgd = p.footprints.get(2).unwrap();
+        assert!(tgd.reads.len() == 1 && tgd.writes.len() == 1);
     }
 
     #[test]
@@ -198,7 +344,7 @@ mod tests {
         let src = "exists f, g . S(x) -> R(x, f(x))\n";
         let (_, stmts, graphs) = build(src);
         let p = ProgramFootprints::of(&graphs, &stmts);
-        assert_eq!(p.footprints[&0].funcs.len(), 1);
+        assert_eq!(p.footprints.get(0).unwrap().funcs.len(), 1);
     }
 
     /// Regression pin: the analysis computes footprints once and hands the

@@ -24,11 +24,12 @@
 //! dataflow pass); the types [`Footprint`] and [`ConflictKind`] are
 //! re-exported here so pre-split import paths keep working.
 
-use crate::footprint::ProgramFootprints;
+use crate::footprint::{Footprints, ProgramFootprints};
+use crate::graph::Csr;
 use ndl_core::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-pub use crate::footprint::{ConflictKind, Footprint};
+pub use crate::footprint::{ConflictKind, ConflictKinds, Footprint};
 
 /// An edge of the statement conflict graph (`a < b`).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,8 +38,8 @@ pub struct ConflictEdge {
     pub a: usize,
     /// Larger statement index.
     pub b: usize,
-    /// Every reason the pair conflicts, in [`ConflictKind`] order.
-    pub kinds: Vec<ConflictKind>,
+    /// Every reason the pair conflicts.
+    pub kinds: ConflictKinds,
 }
 
 /// The interference analysis of a program: footprints, the conflict
@@ -49,14 +50,14 @@ pub struct InterferenceAnalysis {
     /// statements that entered
     /// [`ProgramGraphs`](crate::graph::ProgramGraphs), plus egds (which
     /// the graphs skip).
-    pub footprints: BTreeMap<usize, Footprint>,
+    pub footprints: Footprints,
     /// The relations written by ground facts (see
     /// [`ProgramFootprints::fact_relations`]).
     pub fact_relations: BTreeSet<RelId>,
-    /// Statements eligible for scheduling — exactly the tgd statements
-    /// with Skolemized clauses in
+    /// Statements eligible for scheduling, ascending — exactly the tgd
+    /// statements with Skolemized clauses in
     /// [`ProgramGraphs::clauses`](crate::graph::ProgramGraphs::clauses).
-    pub scheduled: BTreeSet<usize>,
+    pub scheduled: Vec<usize>,
     /// Conflict edges among *scheduled* statements, ordered by `(a, b)`.
     pub edges: Vec<ConflictEdge>,
     /// Scheduled statements whose own reads and writes overlap.
@@ -87,60 +88,82 @@ impl InterferenceAnalysis {
             scheduled: fps.scheduled,
             ..InterferenceAnalysis::default()
         };
-        // Posting lists in ascending statement order (`scheduled` is).
-        let mut writers: BTreeMap<RelId, Vec<usize>> = BTreeMap::new();
-        let mut readers: BTreeMap<RelId, Vec<usize>> = BTreeMap::new();
-        let mut makers: BTreeMap<FuncId, Vec<usize>> = BTreeMap::new();
+        let fp = |s: usize| {
+            a.footprints
+                .get(s)
+                .expect("scheduled statements have footprints")
+        };
+        // Posting lists in ascending statement order (`scheduled` is),
+        // indexed by relation or function id.
+        let (nrel, nfunc) = (a.footprints.relation_bound(), a.footprints.func_bound());
+        let (mut w, mut r, mut m) = (Vec::new(), Vec::new(), Vec::new());
         for &s in &a.scheduled {
-            let fp = &a.footprints[&s];
-            for &r in &fp.writes {
-                writers.entry(r).or_default().push(s);
-            }
-            for &r in &fp.reads {
-                readers.entry(r).or_default().push(s);
-            }
-            for &f in &fp.funcs {
-                makers.entry(f).or_default().push(s);
-            }
+            let f = fp(s);
+            w.extend(f.writes.iter().map(|x| (x.0, s as u32)));
+            r.extend(f.reads.iter().map(|x| (x.0, s as u32)));
+            m.extend(f.funcs.iter().map(|x| (x.0, s as u32)));
         }
-        // The part of a posting list after `s`: each pair is found from
-        // its smaller end, so edges come out in `(a, b)` order.
-        fn after(list: Option<&Vec<usize>>, s: usize) -> &[usize] {
-            let list = list.map_or(&[][..], Vec::as_slice);
-            &list[list.partition_point(|&t| t <= s)..]
-        }
-        let mut candidates: Vec<usize> = Vec::new();
+        let (writers, readers) = (Csr::new(nrel, &w), Csr::new(nrel, &r));
+        let makers = Csr::new(nfunc, &m);
+        let mut candidates: Vec<u32> = Vec::new();
+        let mut edges = Vec::new();
+        let mut selfish = Vec::new();
         for &s in &a.scheduled {
-            let fp = &a.footprints[&s];
-            if fp.self_interfering() {
-                a.self_interfering.push(s);
+            let f = fp(s);
+            if f.self_interfering() {
+                selfish.push(s);
             }
             candidates.clear();
-            for r in &fp.writes {
-                candidates.extend(after(writers.get(r), s));
-                candidates.extend(after(readers.get(r), s));
+            // The part of a posting list after `s`: each pair is found
+            // from its smaller end, so edges come out in `(a, b)` order.
+            let mut take = |list: &[u32]| {
+                candidates.extend_from_slice(&list[list.partition_point(|&t| t as usize <= s)..]);
+            };
+            for x in f.writes {
+                take(writers.row(x.index()));
+                take(readers.row(x.index()));
             }
-            for r in &fp.reads {
-                candidates.extend(after(writers.get(r), s));
+            for x in f.reads {
+                take(writers.row(x.index()));
             }
-            for f in &fp.funcs {
-                candidates.extend(after(makers.get(f), s));
+            for x in f.funcs {
+                take(makers.row(x.index()));
             }
             candidates.sort_unstable();
             candidates.dedup();
             for &t in &candidates {
-                let kinds = fp.kinds_against(&a.footprints[&t]);
-                a.edges.push(ConflictEdge { a: s, b: t, kinds });
+                let kinds = f.kinds_against(&fp(t as usize));
+                edges.push(ConflictEdge {
+                    a: s,
+                    b: t as usize,
+                    kinds,
+                });
             }
         }
-        let mut read: BTreeSet<RelId> = BTreeSet::new();
-        let mut written: BTreeSet<RelId> = a.fact_relations.clone();
-        for fp in a.footprints.values() {
-            read.extend(fp.reads.iter().copied());
-            written.extend(fp.writes.iter().copied());
+        // Relation roles, facts counted as writers and egds as readers.
+        let nrel = a
+            .fact_relations
+            .last()
+            .map_or(nrel, |x| nrel.max(x.index() + 1));
+        let (read, written) = (1u8, 2u8);
+        let mut role = vec![0u8; nrel];
+        for (_, f) in a.footprints.iter() {
+            f.reads.iter().for_each(|x| role[x.index()] |= read);
+            f.writes.iter().for_each(|x| role[x.index()] |= written);
         }
-        a.write_only = written.difference(&read).copied().collect();
-        a.read_only = read.difference(&written).copied().collect();
+        a.fact_relations
+            .iter()
+            .for_each(|x| role[x.index()] |= written);
+        let role = &role;
+        let only = |k: u8| {
+            (0..nrel)
+                .filter(move |&i| role[i] == k)
+                .map(|i| RelId(i as u32))
+        };
+        a.write_only = only(written).collect();
+        a.read_only = only(read).collect();
+        a.edges = edges;
+        a.self_interfering = selfish;
         a
     }
 
@@ -149,8 +172,8 @@ impl InterferenceAnalysis {
     pub fn independent(&self, a: usize, b: usize) -> bool {
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
         a != b
-            && self.scheduled.contains(&a)
-            && self.scheduled.contains(&b)
+            && self.scheduled.binary_search(&a).is_ok()
+            && self.scheduled.binary_search(&b).is_ok()
             && self
                 .edges
                 .binary_search_by(|e| (e.a, e.b).cmp(&(a, b)))
@@ -162,13 +185,13 @@ impl InterferenceAnalysis {
     /// conflict labeled with its reasons. Self-interfering statements are
     /// drawn with a doubled border.
     pub fn to_dot(&self, syms: &SymbolTable) -> String {
-        let names = |rels: &BTreeSet<RelId>| -> String {
+        let names = |rels: &[RelId]| -> String {
             let v: Vec<&str> = rels.iter().map(|&r| syms.rel_name(r)).collect();
             v.join(",")
         };
         let mut out = String::from("graph conflicts {\n  node [shape=box];\n");
         for &s in &self.scheduled {
-            let fp = &self.footprints[&s];
+            let fp = self.footprints.get(s).expect("scheduled");
             let peripheries = if fp.self_interfering() {
                 ", peripheries=2"
             } else {
@@ -178,13 +201,13 @@ impl InterferenceAnalysis {
                 "  s{} [label=\"s{}\\nR: {}\\nW: {}\"{}];\n",
                 s,
                 s,
-                names(&fp.reads),
-                names(&fp.writes),
+                names(fp.reads),
+                names(fp.writes),
                 peripheries
             ));
         }
         for e in &self.edges {
-            let labels: Vec<&str> = e.kinds.iter().map(|k| k.label()).collect();
+            let labels: Vec<&str> = e.kinds.iter().map(ConflictKind::label).collect();
             out.push_str(&format!(
                 "  s{} -- s{} [label=\"{}\"];\n",
                 e.a,
@@ -224,9 +247,10 @@ mod tests {
         // Both write R: W–W. Statement 2 reads R which 0 and 1 write: R–W.
         let (_, a) = build("S(x) -> R(x)\nT(x) -> R(x)\nR(x) -> U(x)\n");
         let edge = |x: usize, y: usize| a.edges.iter().find(|e| e.a == x && e.b == y).unwrap();
-        assert_eq!(edge(0, 1).kinds, vec![ConflictKind::WriteWrite]);
-        assert_eq!(edge(0, 2).kinds, vec![ConflictKind::ReadWrite]);
-        assert_eq!(edge(1, 2).kinds, vec![ConflictKind::ReadWrite]);
+        let kinds = |x, y| edge(x, y).kinds.iter().collect::<Vec<_>>();
+        assert_eq!(kinds(0, 1), vec![ConflictKind::WriteWrite]);
+        assert_eq!(kinds(0, 2), vec![ConflictKind::ReadWrite]);
+        assert_eq!(kinds(1, 2), vec![ConflictKind::ReadWrite]);
         assert!(!a.independent(0, 1));
     }
 
@@ -236,7 +260,10 @@ mod tests {
         let src = "exists f . S(x) -> R(x, f(x))\nexists f . T(x) -> U(x, f(x))\n";
         let (_, a) = build(src);
         assert_eq!(a.edges.len(), 1);
-        assert_eq!(a.edges[0].kinds, vec![ConflictKind::SharedNullFactory]);
+        assert_eq!(
+            a.edges[0].kinds.iter().collect::<Vec<_>>(),
+            vec![ConflictKind::SharedNullFactory]
+        );
     }
 
     #[test]
@@ -252,7 +279,7 @@ mod tests {
     fn self_interfering_statement_is_flagged() {
         let (_, a) = build("E(x,y) & R(y) -> R(x)\n");
         assert_eq!(a.self_interfering, vec![0]);
-        assert!(a.footprints[&0].self_interfering());
+        assert!(a.footprints.get(0).unwrap().self_interfering());
     }
 
     #[test]
@@ -260,9 +287,10 @@ mod tests {
         let src = "fact: S(a, b)\negd: S(x,y) & S(x,z) -> y = z\nS(x,y) -> R(x)\n";
         let (_, a) = build(src);
         // The fact writes S; the egd reads S; only statement 2 schedules.
-        assert_eq!(a.scheduled.iter().copied().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(a.scheduled, vec![2]);
         assert_eq!(a.fact_relations.len(), 1);
-        assert!(a.footprints[&1].reads.len() == 1 && a.footprints[&1].writes.is_empty());
+        let egd = a.footprints.get(1).unwrap();
+        assert!(egd.reads.len() == 1 && egd.writes.is_empty());
         // S is both written (fact) and read; R is write-only.
         assert_eq!(a.write_only.len(), 1);
         assert!(a.read_only.is_empty());

@@ -30,26 +30,35 @@ pub enum StmtAst {
     Fact(Fact),
 }
 
-/// One statement of a program: its position in the source, its text, and
-/// its parsed form (`None` if parsing failed — the parse error is reported
+/// One statement of a program: where its text lies in the source, and its
+/// parsed form (`None` if parsing failed — the parse error is reported
 /// separately).
 #[derive(Clone, Debug)]
 pub struct Statement {
     /// 0-based statement index (counting only real statements, not
     /// comments or blank lines).
     pub index: usize,
-    /// Byte offset of `text` within the full program source. Spans located
-    /// inside `text` are mapped to program spans by `span.offset_by(offset)`.
+    /// Byte offset of the statement text within the full program source.
+    /// Spans located inside the text are mapped to program spans by
+    /// `span.offset_by(offset)`.
     pub offset: usize,
-    /// The statement text, prefix and surrounding whitespace stripped.
-    pub text: String,
+    /// Byte length of the statement text.
+    pub len: usize,
     /// The parsed statement, if any parser accepted it.
     pub ast: Option<StmtAst>,
 }
 
+impl Statement {
+    /// The statement text, prefix and surrounding whitespace stripped, read
+    /// from `src`, the program source the statement was parsed from.
+    pub fn text<'s>(&self, src: &'s str) -> &'s str {
+        &src[self.offset..self.offset + self.len]
+    }
+}
+
 /// Splits `src` into statements and parses each one. Returns the
 /// statements together with the parse errors, as `(statement index,
-/// error)` pairs; error offsets are relative to the statement's `text`.
+/// error)` pairs; error offsets are relative to the statement's text.
 pub fn parse_program(
     syms: &mut SymbolTable,
     src: &str,
@@ -81,7 +90,7 @@ pub fn parse_program(
         stmts.push(Statement {
             index,
             offset: text_off,
-            text: text.to_string(),
+            len: text.len(),
             ast,
         });
     }
@@ -123,27 +132,33 @@ fn parse_statement(syms: &mut SymbolTable, kind: Kind, toks: &[Spanned<'_>]) -> 
         Kind::Egd => parse_egd_lexed(syms, toks).map(StmtAst::Egd),
         Kind::Fact => parse_fact_lexed(syms, toks).map(StmtAst::Fact),
         Kind::Auto => {
+            // A failed attempt may have interned symbols (an SO-tgd attempt
+            // on the fact `f(a)` interns a function `f`); each is rolled
+            // back, so the winning parse — and every later statement —
+            // sees the table as if only the winner had run.
+            let mark = syms.mark();
             let mut best: Option<CoreError> = None;
-            let keep = |e: CoreError, best: &mut Option<CoreError>| {
+            let mut keep = |e: CoreError, syms: &mut SymbolTable| {
+                syms.rollback(mark);
                 if progress(&e) >= best.as_ref().map_or(0, progress) {
-                    *best = Some(e);
+                    best = Some(e);
                 }
             };
             match parse_nested_tgd_lexed(syms, toks) {
                 Ok(t) => return Ok(StmtAst::Tgd(t)),
-                Err(e) => keep(e, &mut best),
+                Err(e) => keep(e, syms),
             }
             match parse_so_tgd_lexed(syms, toks) {
                 Ok(t) => return Ok(StmtAst::So(t)),
-                Err(e) => keep(e, &mut best),
+                Err(e) => keep(e, syms),
             }
             match parse_egd_lexed(syms, toks) {
                 Ok(t) => return Ok(StmtAst::Egd(t)),
-                Err(e) => keep(e, &mut best),
+                Err(e) => keep(e, syms),
             }
             match parse_fact_lexed(syms, toks) {
                 Ok(t) => return Ok(StmtAst::Fact(t)),
-                Err(e) => keep(e, &mut best),
+                Err(e) => keep(e, syms),
             }
             Err(best.expect("at least one attempt ran"))
         }
@@ -225,6 +240,27 @@ mod tests {
         assert!(errs.is_empty(), "{errs:?}");
         assert_eq!(stmts.len(), 2);
         assert_eq!(stmts[0].offset, 2);
-        assert_eq!(stmts[0].text, "S(x) -> R(x)");
+        assert_eq!(stmts[0].text(src), "S(x) -> R(x)");
+    }
+
+    #[test]
+    fn failed_attempts_leave_no_symbols() {
+        // `f(a)` is tried as a nested tgd, an SO tgd (interning a function
+        // `f`) and an egd before it parses as a fact: only the fact's
+        // symbols remain.
+        let mut auto = SymbolTable::new();
+        let (stmts, errs) = parse_program(&mut auto, "f(a)\n");
+        assert!(errs.is_empty(), "{errs:?}");
+        assert!(matches!(stmts[0].ast, Some(StmtAst::Fact(_))));
+        let mut forced = SymbolTable::new();
+        parse_program(&mut forced, "fact: f(a)\n");
+        assert_eq!(auto.mark(), forced.mark());
+        assert_eq!(auto.num_funcs(), 0);
+        assert_eq!(auto.find_var("a"), None);
+        // A statement no parser accepts interns nothing either.
+        let mut bad = SymbolTable::new();
+        let (_, errs) = parse_program(&mut bad, "S(x) -> \n");
+        assert_eq!(errs.len(), 1);
+        assert_eq!(bad.mark(), SymbolTable::new().mark());
     }
 }

@@ -209,7 +209,7 @@ pub fn lint_source_timed(
     let (stmts, parse_errs) = parse_program(syms, src);
     let mut diags = Vec::new();
     for (i, e) in &parse_errs {
-        diags.push(core_diag(e, &stmts[*i], syms, &index));
+        diags.push(core_diag(e, &stmts[*i], src, syms, &index));
     }
 
     let mut schema = Schema::new();
@@ -230,12 +230,12 @@ pub fn lint_source_timed(
         }
         let clean = errs.is_empty();
         for e in &errs {
-            diags.push(core_diag(e, stmt, syms, &index));
+            diags.push(core_diag(e, stmt, src, syms, &index));
         }
         if clean {
             match ast {
                 StmtAst::Tgd(t) => {
-                    tgd_lints(t, stmt, syms, opts, &index, &mut diags);
+                    tgd_lints(t, stmt, src, syms, opts, &index, &mut diags);
                     clean_tgds.push((stmt.index, t.clone()));
                 }
                 StmtAst::Egd(e) => clean_egds.push(e.clone()),
@@ -260,7 +260,7 @@ pub fn lint_source_timed(
         &index,
         &mut diags,
     );
-    let passes_ns = semantic_lints(syms, &stmts, opts, &index, &mut diags);
+    let passes_ns = semantic_lints(syms, &stmts, src, opts, &index, &mut diags);
 
     diags.sort_by(|a, b| {
         let key = |d: &Diagnostic| {
@@ -275,29 +275,39 @@ pub fn lint_source_timed(
     (diags, passes_ns)
 }
 
-/// Lifts a [`CoreError`] of `stmt` to a spanned diagnostic.
-fn core_diag(e: &CoreError, stmt: &Statement, syms: &SymbolTable, index: &LineIndex) -> Diagnostic {
+/// Lifts a [`CoreError`] of `stmt` (parsed from `src`) to a spanned
+/// diagnostic.
+fn core_diag(
+    e: &CoreError,
+    stmt: &Statement,
+    src: &str,
+    syms: &SymbolTable,
+    index: &LineIndex,
+) -> Diagnostic {
     let mut d =
         Diagnostic::new(e.code(), Severity::Error, e.display(syms)).with_statement(stmt.index);
-    if let Some(sp) = e.locate(syms, &stmt.text) {
+    if let Some(sp) = e.locate(syms, stmt.text(src)) {
         d = d.with_span(sp.offset_by(stmt.offset), index);
     }
     d
 }
 
-/// The analyzer-only rules over one well-formed nested tgd.
+/// The analyzer-only rules over one well-formed nested tgd (parsed from
+/// `src`).
 fn tgd_lints(
     t: &NestedTgd,
     stmt: &Statement,
+    src: &str,
     syms: &SymbolTable,
     opts: &LintOptions,
     index: &LineIndex,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let whole = Span::new(stmt.offset, stmt.offset + stmt.text.len());
+    let text = stmt.text(src);
+    let whole = Span::new(stmt.offset, stmt.offset + stmt.len);
     let anchor_var = |name: &str| {
-        locate_quantified(&stmt.text, name, 0)
-            .or_else(|| locate_ident(&stmt.text, name, 0))
+        locate_quantified(text, name, 0)
+            .or_else(|| locate_ident(text, name, 0))
             .map(|s| s.offset_by(stmt.offset))
     };
     let push = |diags: &mut Vec<Diagnostic>, code, sev, msg: String, span: Option<Span>| {
@@ -377,7 +387,7 @@ fn tgd_lints(
                             "duplicate atom {name}/{} in the same conjunction",
                             a.args.len()
                         ),
-                        locate_applied(&stmt.text, name, Some(a.args.len()), 1)
+                        locate_applied(text, name, Some(a.args.len()), 1)
                             .map(|s| s.offset_by(stmt.offset)),
                     );
                 }
@@ -491,6 +501,7 @@ fn check_critical_chase(m: &NestedMapping, syms: &mut SymbolTable, diags: &mut V
 fn semantic_lints(
     syms: &mut SymbolTable,
     stmts: &[Statement],
+    src: &str,
     opts: &LintOptions,
     index: &LineIndex,
     diags: &mut Vec<Diagnostic>,
@@ -498,7 +509,7 @@ fn semantic_lints(
     let analysis = ChaseAnalysis::analyze(syms, stmts);
     let whole = |i: usize| {
         let s = &stmts[i];
-        Span::new(s.offset, s.offset + s.text.len())
+        Span::new(s.offset, s.offset + s.len)
     };
     // An edge's note anchors at the *target* position's relation in the
     // edge's statement, preferring the second occurrence (recursive
@@ -507,7 +518,7 @@ fn semantic_lints(
     let anchor_edge = |e: &crate::graph::PosEdge| {
         let (rel, _) = analysis.graphs.positions.positions[e.to];
         let name = syms.rel_name(rel);
-        let text = &stmts[e.stmt].text;
+        let text = stmts[e.stmt].text(src);
         locate_applied(text, name, None, 1)
             .or_else(|| locate_applied(text, name, None, 0))
             .map(|s| s.offset_by(stmts[e.stmt].offset))
@@ -856,7 +867,7 @@ fn subsumption_lints(
                     ),
                 )
                 .with_statement(si)
-                .with_span(Span::new(s.offset, s.offset + s.text.len()), index),
+                .with_span(Span::new(s.offset, s.offset + s.len), index),
             );
             break; // one subsumer per statement is enough
         }

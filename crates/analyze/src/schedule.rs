@@ -24,7 +24,8 @@
 //! (`ndl_chase::parallel::verify_schedule`): the schedule is a
 //! *certificate* to be checked, not a trusted input.
 
-use crate::interference::InterferenceAnalysis;
+use crate::graph::Csr;
+use crate::interference::{ConflictKind, InterferenceAnalysis};
 use ndl_chase::plan::ParallelSchedule;
 use ndl_core::prelude::*;
 use serde::Serialize;
@@ -32,27 +33,43 @@ use serde::Serialize;
 /// Builds the contiguous greedy schedule over the scheduled statements of
 /// `inter`, taken in `firing_order` (statement indices; non-scheduled
 /// entries — facts, egds, unparsed statements — are skipped).
+///
+/// Linear in statements plus conflict edges: adding a statement to the
+/// open stage stamps its conflict neighbours with the stage's epoch, so
+/// "independent of every member" is one look at the candidate's stamp.
 pub fn build_schedule(inter: &InterferenceAnalysis, firing_order: &[usize]) -> ParallelSchedule {
+    // Scheduled statements are numbered by their rank in `scheduled`, so
+    // the conflict adjacency and the stamps cost the scheduled
+    // statements only, however many facts the program has.
+    let rank = |s: usize| inter.scheduled.binary_search(&s).ok();
+    let mut pairs = Vec::with_capacity(2 * inter.edges.len());
+    for e in &inter.edges {
+        let (a, b) = (rank(e.a), rank(e.b));
+        let (a, b) = (a.expect("scheduled") as u32, b.expect("scheduled") as u32);
+        pairs.extend([(a, b), (b, a)]);
+    }
+    let conflicts = Csr::new(inter.scheduled.len(), &pairs);
+    drop(pairs);
+    let mut stamp = vec![0u32; inter.scheduled.len()];
+    let mut epoch = 0u32;
+    // Does the open stage hold a self-interfering statement? (Then it is
+    // that statement alone.)
+    let mut open_solo = false;
     let mut stages: Vec<Vec<usize>> = Vec::new();
     for &s in firing_order {
-        if !inter.scheduled.contains(&s) {
-            continue;
+        let Some(k) = rank(s) else { continue };
+        let solo = inter
+            .footprints
+            .get(s)
+            .is_some_and(|f| f.self_interfering());
+        if stages.is_empty() || solo || open_solo || stamp[k] == epoch {
+            stages.push(Vec::new());
+            epoch += 1;
+            open_solo = solo;
         }
-        let solo = inter.footprints[&s].self_interfering();
-        let fits = match stages.last() {
-            Some(stage) if !solo => {
-                // The open stage must not hold a self-interfering
-                // statement, and `s` must be independent of all members.
-                stage
-                    .iter()
-                    .all(|&t| !inter.footprints[&t].self_interfering() && inter.independent(s, t))
-            }
-            _ => false,
-        };
-        if fits {
-            stages.last_mut().expect("nonempty").push(s);
-        } else {
-            stages.push(vec![s]);
+        stages.last_mut().expect("nonempty").push(s);
+        for &t in conflicts.row(k) {
+            stamp[t as usize] = epoch;
         }
     }
     ParallelSchedule { stages }
@@ -111,7 +128,11 @@ impl ScheduleReport {
                 .map(|e| ConflictReport {
                     a: e.a,
                     b: e.b,
-                    kinds: e.kinds.iter().map(|k| k.label().to_string()).collect(),
+                    kinds: e
+                        .kinds
+                        .iter()
+                        .map(|k| ConflictKind::label(k).to_string())
+                        .collect(),
                 })
                 .collect(),
             self_interfering: inter.self_interfering.clone(),

@@ -17,7 +17,6 @@
 
 use crate::graph::{PosEdge, ProgramGraphs};
 use ndl_core::prelude::*;
-use std::collections::BTreeMap;
 
 /// The three-way termination classification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -63,30 +62,35 @@ pub struct Termination {
 }
 
 impl Termination {
-    /// Classifies the program behind `graphs`.
+    /// Classifies the program behind `graphs`. The weak-acyclicity graph
+    /// and its components are built once, for the cycle search and the
+    /// ranks; the rich-acyclicity graph only when the weak one is acyclic.
     pub fn of(graphs: &ProgramGraphs, syms: &SymbolTable) -> Termination {
         let pg = &graphs.positions;
-        let (class, witness) = match pg.special_cycle(true) {
+        let wa = pg.acyclicity_graph(true);
+        let (class, witness) = match pg.special_cycle(&wa) {
             Some(cycle) => (TerminationClass::Cyclic, cycle),
-            None => match pg.special_cycle(false) {
+            None => match pg.special_cycle(&pg.acyclicity_graph(false)) {
                 Some(cycle) => (TerminationClass::WeaklyAcyclic, cycle),
                 None => (TerminationClass::RichlyAcyclic, Vec::new()),
             },
         };
         let witness_rendered = witness.iter().map(|e| pg.display_edge(syms, e)).collect();
-        let witness: Vec<PosEdge> = witness.into_iter().cloned().collect();
-        let (max_rank, relation_depths) = match pg.ranks() {
+        let (max_rank, relation_depths) = match pg.ranks(&wa) {
             None => (None, Vec::new()),
             Some(ranks) => {
-                let mut depths: BTreeMap<RelId, usize> = BTreeMap::new();
-                for (p, &(rel, _)) in pg.positions.iter().enumerate() {
-                    let d = depths.entry(rel).or_insert(0);
-                    *d = (*d).max(ranks[p]);
+                // A relation's positions are numbered consecutively, so
+                // each relation is one run of `positions`.
+                let mut depths: Vec<(RelId, usize)> = Vec::new();
+                for (&(rel, _), &rank) in pg.positions.iter().zip(&ranks) {
+                    match depths.last_mut() {
+                        Some((r, d)) if *r == rel => *d = (*d).max(rank),
+                        _ => depths.push((rel, rank)),
+                    }
                 }
-                (
-                    Some(ranks.iter().copied().max().unwrap_or(0)),
-                    depths.into_iter().filter(|&(_, d)| d > 0).collect(),
-                )
+                depths.retain(|&(_, d)| d > 0);
+                depths.sort_unstable();
+                (Some(ranks.iter().copied().max().unwrap_or(0)), depths)
             }
         };
         Termination {

@@ -24,12 +24,12 @@ type Edge = (usize, usize, Vec<ConflictKind>);
 /// The conflict kinds of two distinct statements, straight from the
 /// definition (W–W, R–W either way, shared Skolem function).
 fn kinds(a: &Footprint, b: &Footprint) -> Vec<ConflictKind> {
-    let meets = |x: &BTreeSet<RelId>, y: &BTreeSet<RelId>| x.iter().any(|r| y.contains(r));
+    let meets = |x: &[RelId], y: &[RelId]| x.iter().any(|r| y.contains(r));
     let mut k = Vec::new();
-    if meets(&a.writes, &b.writes) {
+    if meets(a.writes, b.writes) {
         k.push(ConflictKind::WriteWrite);
     }
-    if meets(&a.reads, &b.writes) || meets(&b.reads, &a.writes) {
+    if meets(a.reads, b.writes) || meets(b.reads, a.writes) {
         k.push(ConflictKind::ReadWrite);
     }
     if a.funcs.iter().any(|f| b.funcs.contains(f)) {
@@ -41,16 +41,16 @@ fn kinds(a: &Footprint, b: &Footprint) -> Vec<ConflictKind> {
 /// Every scheduled pair tested: edges in `(a, b)` order, plus the
 /// self-interfering statements.
 fn oracle_conflicts(a: &ChaseAnalysis) -> (Vec<Edge>, Vec<usize>) {
-    let fps = &a.interference.footprints;
-    let sched: Vec<usize> = a.interference.scheduled.iter().copied().collect();
+    let fps = |s: usize| a.interference.footprints.get(s).unwrap();
+    let sched: &[usize] = &a.interference.scheduled;
     let mut edges = Vec::new();
     let mut selfish = Vec::new();
     for (i, &s) in sched.iter().enumerate() {
-        if fps[&s].reads.iter().any(|r| fps[&s].writes.contains(r)) {
+        if fps(s).reads.iter().any(|r| fps(s).writes.contains(r)) {
             selfish.push(s);
         }
         for &t in &sched[i + 1..] {
-            let k = kinds(&fps[&s], &fps[&t]);
+            let k = kinds(&fps(s), &fps(t));
             if !k.is_empty() {
                 edges.push((s, t, k));
             }
@@ -102,7 +102,7 @@ fn oracle_firing_order(a: &ChaseAnalysis) -> Vec<usize> {
 fn oracle_stages(a: &ChaseAnalysis, edges: &[Edge], order: &[usize]) -> Vec<Vec<usize>> {
     let inter = &a.interference;
     let selfish = |s: usize| {
-        let fp = &inter.footprints[&s];
+        let fp = inter.footprints.get(s).unwrap();
         fp.reads.iter().any(|r| fp.writes.contains(r))
     };
     let independent = |x: usize, y: usize| {
@@ -254,7 +254,7 @@ fn oracle_dataflow(a: &ChaseAnalysis, stmts: &[ndl_analyze::Statement]) -> Dataf
     let g = &a.graphs;
     let mut read = BTreeSet::new();
     let mut written = BTreeSet::new();
-    for fp in a.interference.footprints.values() {
+    for (_, fp) in a.interference.footprints.iter() {
         read.extend(fp.reads.iter().copied());
         written.extend(fp.writes.iter().copied());
     }
@@ -392,6 +392,54 @@ fn oracle_dataflow(a: &ChaseAnalysis, stmts: &[ndl_analyze::Statement]) -> Dataf
     (reachable, dead, live, nullable, ground, prov)
 }
 
+/// The unused source columns (NDL043), straight from the definition: a
+/// column of a source atom in a firing clause or an egd is used when its
+/// variable occurs at another body argument, in the head or in an
+/// equality; a column no occurrence uses is unused.
+fn oracle_unused_source_columns(
+    a: &ChaseAnalysis,
+    stmts: &[ndl_analyze::Statement],
+) -> BTreeSet<(RelId, usize)> {
+    let sources = &a.dataflow.sources;
+    let mut used: BTreeMap<(RelId, usize), bool> = BTreeMap::new();
+    let mut visit = |body: &[Atom], elsewhere: &dyn Fn(VarId) -> bool| {
+        for (ai, atom) in body.iter().enumerate() {
+            if !sources.contains(&atom.rel) {
+                continue;
+            }
+            for (i, &v) in atom.args.iter().enumerate() {
+                let in_body = body.iter().enumerate().any(|(bi, b)| {
+                    let mut others = b.args.iter().enumerate();
+                    others.any(|(j, &w)| w == v && (bi, j) != (ai, i))
+                });
+                *used.entry((atom.rel, i)).or_default() |= in_body || elsewhere(v);
+            }
+        }
+    };
+    for cv in &a.graphs.clauses {
+        let c = &cv.clause;
+        let fires = c.body.iter().all(|b| a.dataflow.reachable.contains(&b.rel));
+        if !fires {
+            continue;
+        }
+        let mut vars = BTreeSet::new();
+        let mut funcs = BTreeSet::new();
+        let terms = c.head.iter().flat_map(|ta| &ta.args);
+        for t in terms.chain(c.equalities.iter().flat_map(|(l, r)| [l, r])) {
+            collect_term(t, &mut funcs, &mut vars);
+        }
+        visit(&c.body, &|v| vars.contains(&v));
+    }
+    for stmt in stmts {
+        if let Some(StmtAst::Egd(e)) = &stmt.ast {
+            visit(&e.body, &|v| e.eq.0 == v || e.eq.1 == v);
+        }
+    }
+    used.into_iter()
+        .filter_map(|(col, u)| (!u).then_some(col))
+        .collect()
+}
+
 /// Appends egds and SO tgds that share Skolem functions (the generators
 /// emit neither), drawn from `seed` over the `R0..R{relations}` pool.
 fn with_egds_and_shared_funcs(mut src: String, relations: usize, seed: u64) -> String {
@@ -426,7 +474,7 @@ fn check(src: &str) {
         .interference
         .edges
         .iter()
-        .map(|e| (e.a, e.b, e.kinds.clone()))
+        .map(|e| (e.a, e.b, e.kinds.iter().collect()))
         .collect();
     assert_eq!(&got, &edges);
     assert_eq!(&a.interference.self_interfering, &selfish);
@@ -463,6 +511,10 @@ fn check(src: &str) {
     assert_eq!(&df.nullable, &nullable);
     assert_eq!(&df.ground, &ground);
     assert_eq!(&df.provenance, &prov);
+    assert_eq!(
+        &df.unused_source_columns,
+        &oracle_unused_source_columns(&a, &stmts)
+    );
 }
 
 proptest! {

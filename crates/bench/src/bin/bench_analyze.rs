@@ -5,7 +5,15 @@
 //! and records the throughput and per-pass split as `BENCH_analyze.json`
 //! (committed under `experiments/`; see `docs/performance.md`).
 //!
-//! A second table times the front end of `ndl chase` on fact-heavy
+//! A second table times the analysis behind `ndl chase` on the dead-code
+//! programs of the `exchange` benchmark (40 live statements padded with
+//! 300 and 600 dead ones, see [`ndl_bench::dead_code_program`]): the
+//! median milliseconds of each analysis pass, of `so_tgds` and of
+//! `tgd_plan`, and the heap allocations of all three. Every iteration's
+//! analysis, schedule and dataflow reports are asserted equal to the
+//! first iteration's before its timings count.
+//!
+//! A third table times the front end of `ndl chase` on fact-heavy
 //! programs — the flat Clio mapping over 1000 and 2000 departments, one
 //! `fact:` statement per source fact — split as `ProgramArtifacts::build`
 //! runs it: parse, analysis, source-instance extraction, and freeing it
@@ -16,9 +24,9 @@
 //!
 //! Pass an output directory as the first argument to write elsewhere
 //! (e.g. `bench_analyze target/experiments` for a throwaway run). With
-//! `--parent <record>`, the fact-heavy rows of an earlier record (the
-//! same binary built on the parent commit) are copied in, labelled
-//! `"build": "parent"`, beside this build's rows.
+//! `--parent <record>`, the dead-code and fact-heavy rows of an earlier
+//! record (the same binary built on the parent commit) are copied in,
+//! labelled `"build": "parent"`, beside this build's rows.
 //!
 //! Gate: the per-statement cost of every 10³-statement row stays within
 //! 20× of the cost at 10 statements (near-linear scaling). The binary
@@ -27,7 +35,7 @@
 
 use ndl_analyze::{parse_program, ChaseAnalysis, PassTimings, ProgramArtifacts, StmtAst};
 use ndl_bench::alloc::{allocations, CountingAlloc};
-use ndl_bench::ExperimentRecord;
+use ndl_bench::{dead_code_program, ExperimentRecord};
 use ndl_chase::NullFactory;
 use ndl_core::prelude::*;
 use ndl_gen::{clio_scenario, random_program, random_program_with_dead_code, ProgramGenOptions};
@@ -73,6 +81,103 @@ fn passes(t: &PassTimings) -> [(&'static str, u64); 7] {
         ("schedule", t.schedule),
         ("dataflow", t.dataflow),
     ]
+}
+
+/// Median of a column of timings.
+fn median(col: &mut [f64]) -> f64 {
+    col.sort_by(f64::total_cmp);
+    col[col.len() / 2]
+}
+
+/// The dead-code rows: median milliseconds per analysis pass, of
+/// `so_tgds` and of `tgd_plan` over `reps` runs (after one warm-up), and
+/// the allocations of the three; each run's reports asserted equal to the
+/// first run's.
+fn dead_code_rows(record: &mut ExperimentRecord, threads_available: usize) {
+    println!("\ndead-code analysis: exchange-shaped programs (median ms per run)\n");
+    println!(
+        "  dead  statements  graphs   term   cost  order  inter  sched  dflow  so_tgds  tgd_plan   total   allocs"
+    );
+    for dead in [300, 600] {
+        let text = dead_code_program(dead, 1);
+        let mut syms = SymbolTable::new();
+        let (stmts, errs) = parse_program(&mut syms, &text);
+        assert!(errs.is_empty(), "the dead-code program parses");
+        let reps = 31;
+        // Seven passes, then so_tgds, tgd_plan and the total.
+        let mut cols: [Vec<f64>; 10] = Default::default();
+        let mut want = None;
+        let mut allocs = 0;
+        for rep in 0..=reps {
+            let mut syms = SymbolTable::new();
+            let (stmts, _) = parse_program(&mut syms, &text);
+            let before = allocations();
+            let t = Instant::now();
+            let analysis = ChaseAnalysis::analyze(&mut syms, &stmts);
+            let analyzed = t.elapsed();
+            let t = Instant::now();
+            let tgds = std::hint::black_box(analysis.so_tgds());
+            let so_tgds = t.elapsed();
+            let t = Instant::now();
+            let plan = std::hint::black_box(analysis.tgd_plan(None));
+            let tgd_plan = t.elapsed();
+            let n = allocations() - before;
+            let got = (
+                analysis.report(&syms).to_json(),
+                analysis.schedule_report(&syms).to_json(),
+                analysis.dataflow_summary(&syms).to_json(),
+                tgds.len(),
+                plan.order,
+            );
+            match &want {
+                None => want = Some(got),
+                Some(w) => assert!(*w == got, "analysis reports differ between runs"),
+            }
+            if rep == 0 {
+                continue;
+            }
+            let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+            let split = passes(&analysis.passes_ns).map(|(_, ns)| ns as f64 / 1e6);
+            let total = ms(analyzed) + ms(so_tgds) + ms(tgd_plan);
+            let row = split.into_iter().chain([ms(so_tgds), ms(tgd_plan), total]);
+            for (col, x) in cols.iter_mut().zip(row) {
+                col.push(x);
+            }
+            allocs = n;
+        }
+        let med: Vec<f64> = cols.iter_mut().map(|c| median(c)).collect();
+        let cell: Vec<String> = med.iter().map(|x| format!("{x:.3}")).collect();
+        println!(
+            "  {dead:>4}  {:>10}  {}  {allocs:>7}",
+            stmts.len(),
+            cell.iter()
+                .zip([6, 5, 5, 5, 5, 5, 5, 7, 8, 6])
+                .map(|(c, w)| format!("{c:>w$}"))
+                .collect::<Vec<_>>()
+                .join("  ")
+        );
+        let mut row = vec![
+            ("program", "dead-code".to_string()),
+            ("build", "this".to_string()),
+            ("dead", dead.to_string()),
+            ("statements", stmts.len().to_string()),
+        ];
+        for ((name, _), c) in passes(&PassTimings::default()).iter().zip(&cell) {
+            row.push((name, c.clone()));
+        }
+        row.extend([
+            ("so_tgds", cell[7].clone()),
+            ("tgd_plan", cell[8].clone()),
+            ("total_ms", cell[9].clone()),
+            ("allocs", allocs.to_string()),
+            (
+                "allocs_per_statement",
+                format!("{:.2}", allocs as f64 / stmts.len() as f64),
+            ),
+            ("threads_available", threads_available.to_string()),
+        ]);
+        record.row(&row);
+    }
 }
 
 /// The flat Clio mapping over `depts` departments (about two employees
@@ -174,13 +279,7 @@ fn fact_heavy_rows(record: &mut ExperimentRecord, threads_available: usize) {
             }
             allocs = n;
         }
-        let med: Vec<f64> = phases
-            .iter_mut()
-            .map(|col| {
-                col.sort_by(f64::total_cmp);
-                col[col.len() / 2]
-            })
-            .collect();
+        let med: Vec<f64> = phases.iter_mut().map(|col| median(col)).collect();
         let total: f64 = med.iter().sum();
         println!(
             "  {depts:>11}  {statements:>10}  {facts:>5}  {:>6.2}  {:>8.2}  {:>6.2}  {:>6.2}  {total:>6.2}  {allocs:>9}",
@@ -204,8 +303,8 @@ fn fact_heavy_rows(record: &mut ExperimentRecord, threads_available: usize) {
     }
 }
 
-/// Copies the fact-heavy rows of the record at `path`, relabelled
-/// `"build": "parent"`.
+/// Copies the dead-code and fact-heavy rows of the record at `path`,
+/// relabelled `"build": "parent"`.
 fn parent_rows(record: &mut ExperimentRecord, path: &str) -> std::result::Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let parent: ExperimentRecord =
@@ -335,6 +434,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    dead_code_rows(&mut record, threads_available);
     fact_heavy_rows(&mut record, threads_available);
     match record.write_to(Path::new(&out_dir)) {
         Ok(path) => println!("record written to {}", path.display()),

@@ -16,6 +16,34 @@ pub mod record;
 pub use record::ExperimentRecord;
 
 use ndl_core::prelude::*;
+use ndl_gen::{random_program_with_dead_code, ProgramGenOptions};
+
+/// A dead-code program shaped like the `exchange` benchmark's dead-code
+/// jobs: [`random_program_with_dead_code`] over 40 live statements, a pool
+/// of `2 × dead` relations, no recursion, comment probability 0.1 and fact
+/// probability 0.3, drawn from seeds `seed`, `seed + 1`, … until the
+/// analyzer finds the program richly acyclic (its chase is then
+/// guaranteed to terminate).
+pub fn dead_code_program(dead: usize, seed: u64) -> String {
+    for attempt in 0.. {
+        let opts = ProgramGenOptions {
+            statements: 40,
+            relations: 2 * dead,
+            recursion_prob: 0.0,
+            comment_prob: 0.1,
+            fact_prob: 0.3,
+            seed: seed.wrapping_add(attempt),
+        };
+        let src = random_program_with_dead_code(&opts, dead);
+        let art = ndl_analyze::ProgramArtifacts::build(&src);
+        if art.parse_errors.is_empty()
+            && art.analysis.termination.class == ndl_analyze::TerminationClass::RichlyAcyclic
+        {
+            return src;
+        }
+    }
+    unreachable!("the attempt loop only exits by returning")
+}
 
 /// The running example σ of Section 2 (marked (*)), with parts σ1–σ4.
 pub fn running_sigma(syms: &mut SymbolTable) -> NestedTgd {

@@ -237,8 +237,9 @@ impl NestedTgd {
         if out.len() > before {
             return;
         }
-        // Reachability (tree, not forest).
-        {
+        // Reachability (tree, not forest). A lone part passed the link
+        // checks only with no parent and no children: nothing to search.
+        if self.parts.len() > 1 {
             let mut seen = vec![false; self.parts.len()];
             let mut stack = vec![0usize];
             while let Some(p) = stack.pop() {
@@ -271,43 +272,64 @@ impl NestedTgd {
                     push_unique(out, e);
                 }
             }
-            // Scoping.
-            let visible_u: BTreeSet<_> = self.visible_universals(i).into_iter().collect();
-            let visible_e: BTreeSet<_> = self.visible_existentials(i).into_iter().collect();
-            if visible_u.len() != self.visible_universals(i).len() {
+            // Scoping, over the variables visible along the part's scope;
+            // the sorted lists that fix the order of the reports are built
+            // only when there is something to report.
+            let visible = |pick: fn(&Part) -> &[VarId]| {
+                self.scope(i)
+                    .flat_map(move |q| pick(&self.parts[q]).iter().copied())
+            };
+            let (universals, existentials) = (
+                VarSet::new(visible(|q| &q.universals)),
+                VarSet::new(visible(|q| &q.existentials)),
+            );
+            if universals.repeats() {
                 let v = find_dup(&self.visible_universals(i));
                 push_unique(out, CoreError::ShadowedVariable { var: v });
             }
-            if visible_e.len() != self.visible_existentials(i).len() {
+            if existentials.repeats() {
                 let v = find_dup(&self.visible_existentials(i));
                 push_unique(out, CoreError::ShadowedVariable { var: v });
             }
-            for &v in visible_u.intersection(&visible_e) {
-                push_unique(out, CoreError::ShadowedVariable { var: v });
+            if visible(|q| &q.universals).any(|v| existentials.contains(v)) {
+                let visible_u: BTreeSet<_> = self.visible_universals(i).into_iter().collect();
+                let visible_e: BTreeSet<_> = self.visible_existentials(i).into_iter().collect();
+                for &v in visible_u.intersection(&visible_e) {
+                    push_unique(out, CoreError::ShadowedVariable { var: v });
+                }
             }
             // Safety of own universals.
-            let body_vars: BTreeSet<_> =
-                p.body.iter().flat_map(|a| a.args.iter().copied()).collect();
+            let body_vars = || p.body.iter().flat_map(|a| a.args.iter().copied());
+            let body = VarSet::new(body_vars());
             for &v in &p.universals {
-                if !body_vars.contains(&v) {
+                if !body.contains(v) {
                     push_unique(out, CoreError::UnsafeVariable { var: v });
                 }
             }
-            // Body uses only visible universals.
-            for &v in &body_vars {
-                if !visible_u.contains(&v) {
+            // Body uses only visible universals (reported in variable
+            // order).
+            if !body_vars().all(|v| universals.contains(v)) {
+                let unbound: BTreeSet<_> =
+                    body_vars().filter(|&v| !universals.contains(v)).collect();
+                for v in unbound {
                     push_unique(out, CoreError::UnboundVariable { var: v });
                 }
             }
             // Head uses only visible variables.
             for a in &p.head {
                 for &v in &a.args {
-                    if !visible_u.contains(&v) && !visible_e.contains(&v) {
+                    if !universals.contains(v) && !existentials.contains(v) {
                         push_unique(out, CoreError::UnboundVariable { var: v });
                     }
                 }
             }
         }
+    }
+
+    /// The part `id` and its ancestors, innermost first: the parts whose
+    /// variables are visible in `id`.
+    fn scope(&self, id: PartId) -> impl Iterator<Item = PartId> + Clone + '_ {
+        std::iter::successors(Some(id), move |&p| self.parts[p].parent)
     }
 
     /// Renders the nested tgd in the paper's notation, e.g.
@@ -351,6 +373,52 @@ impl NestedTgd {
             format!("({body} -> {conclusion})")
         } else {
             format!("forall {} ({body} -> {conclusion})", vars(&p.universals))
+        }
+    }
+}
+
+/// A list of variables for membership tests. A short list — every scope
+/// of a hand-written or generated tgd — is scanned in place and costs no
+/// allocation; a longer one is sorted once, so that a statement with
+/// thousands of variables is checked in `n log n`, not `n²`.
+enum VarSet<I> {
+    Scan(I),
+    Sorted(Vec<VarId>),
+}
+
+impl<I: Iterator<Item = VarId> + Clone> VarSet<I> {
+    /// Lists of up to this many variables are scanned.
+    const SCAN: usize = 16;
+
+    fn new(vs: I) -> Self {
+        if vs.clone().nth(Self::SCAN).is_none() {
+            return VarSet::Scan(vs);
+        }
+        let mut sorted: Vec<VarId> = vs.collect();
+        sorted.sort_unstable();
+        VarSet::Sorted(sorted)
+    }
+
+    fn contains(&self, x: VarId) -> bool {
+        match self {
+            VarSet::Scan(vs) => vs.clone().any(|v| v == x),
+            VarSet::Sorted(vs) => vs.binary_search(&x).is_ok(),
+        }
+    }
+
+    /// Does the list hold some variable twice?
+    fn repeats(&self) -> bool {
+        match self {
+            VarSet::Scan(vs) => {
+                let mut vs = vs.clone();
+                while let Some(v) = vs.next() {
+                    if vs.clone().any(|w| w == v) {
+                        return true;
+                    }
+                }
+                false
+            }
+            VarSet::Sorted(vs) => vs.windows(2).any(|w| w[0] == w[1]),
         }
     }
 }
@@ -508,6 +576,45 @@ mod tests {
             t.validate(&mut sch),
             Err(CoreError::UnsafeVariable { var: z })
         );
+    }
+
+    #[test]
+    fn scope_errors_do_not_depend_on_scope_width() {
+        // The same defects in a scope of 4 variables (scanned) and of 40
+        // (sorted): x0 quantified twice, y both universal and
+        // existential, the last universal unused in the body, and w and u
+        // used unbound in the body and the head.
+        for n in [4, 40] {
+            let mut syms = SymbolTable::new();
+            let (s, r) = (syms.rel("S"), syms.rel("R"));
+            let xs: Vec<VarId> = (0..n).map(|i| syms.var(&format!("x{i}"))).collect();
+            let (y, w, u) = (syms.var("y"), syms.var("w"), syms.var("u"));
+            let mut universals = xs.clone();
+            universals.extend([xs[0], y]);
+            let mut body = xs[..n - 1].to_vec();
+            body.extend([y, w]);
+            let t = NestedTgd::from_parts(vec![Part {
+                parent: None,
+                universals,
+                body: vec![Atom::new(s, body)],
+                existentials: vec![y],
+                head: vec![Atom::new(r, vec![xs[1], y, u])],
+                children: vec![],
+            }]);
+            let mut errs = Vec::new();
+            t.check(&mut Schema::new(), &mut errs);
+            assert_eq!(
+                errs,
+                vec![
+                    CoreError::ShadowedVariable { var: xs[0] },
+                    CoreError::ShadowedVariable { var: y },
+                    CoreError::UnsafeVariable { var: xs[n - 1] },
+                    CoreError::UnboundVariable { var: w },
+                    CoreError::UnboundVariable { var: u },
+                ],
+                "{n} variables"
+            );
+        }
     }
 
     #[test]

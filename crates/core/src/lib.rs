@@ -75,7 +75,7 @@ pub mod prelude {
         fact_hash, fingerprint_str, Fingerprint, Revision, SetFingerprint, TrackedStore,
     };
     pub use crate::schema::{Schema, Side};
-    pub use crate::skolem::{skolemize, skolemize_with, SkolemInfo};
+    pub use crate::skolem::{skolemize, skolemize_clauses, skolemize_with, SkolemInfo};
     pub use crate::span::Span;
     pub use crate::store::{FactId, FactStore, Inserted, StoreCounters};
     pub use crate::symbol::{ConstId, FuncId, RelId, SymbolTable, VarId};

@@ -11,6 +11,7 @@ use crate::dep::nested::{NestedTgd, PartId};
 use crate::dep::so_tgd::{SoClause, SoTgd};
 use crate::symbol::{FuncId, SymbolTable, VarId};
 use crate::term::Term;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// The Skolem assignment of a nested tgd: for every existential variable,
@@ -33,15 +34,22 @@ impl SkolemInfo {
         let mut funcs = Vec::new();
         let mut counter = 0usize;
         // Pre-order traversal so names follow the textual order of the tgd.
-        let mut order = vec![tgd.root()];
-        order.extend(tgd.descendants(tgd.root()));
-        for part in order {
-            let args = tgd.visible_universals(part);
-            for &y in &tgd.part(part).existentials {
+        for part in preorder(tgd) {
+            let existentials = &tgd.part(part).existentials;
+            if existentials.is_empty() {
+                continue;
+            }
+            let mut args = tgd.visible_universals(part);
+            for (k, &y) in existentials.iter().enumerate() {
                 let name = skolem_name(counter);
                 counter += 1;
                 let f = syms.fresh_func(&name);
-                assignment.insert(y, (f, args.clone()));
+                // The last existential takes the list itself.
+                let args = match k + 1 == existentials.len() {
+                    true => std::mem::take(&mut args),
+                    false => args.clone(),
+                };
+                assignment.insert(y, (f, args));
                 funcs.push(f);
             }
         }
@@ -76,12 +84,12 @@ impl SkolemInfo {
 }
 
 /// Names `f, g, h` then `f4, f5, ...` like the paper's examples.
-fn skolem_name(i: usize) -> String {
+fn skolem_name(i: usize) -> Cow<'static, str> {
     match i {
-        0 => "f".to_string(),
-        1 => "g".to_string(),
-        2 => "h".to_string(),
-        n => format!("f{}", n + 1),
+        0 => "f".into(),
+        1 => "g".into(),
+        2 => "h".into(),
+        n => format!("f{}", n + 1).into(),
     }
 }
 
@@ -100,18 +108,27 @@ pub fn skolemize(tgd: &NestedTgd, syms: &mut SymbolTable) -> (SoTgd, SkolemInfo)
 /// that nulls are labeled consistently with the reasoning procedures).
 pub fn skolemize_with(tgd: &NestedTgd, info: &SkolemInfo) -> SoTgd {
     let mut clauses = Vec::new();
-    let mut order = vec![tgd.root()];
-    order.extend(tgd.descendants(tgd.root()));
-    for part in order {
+    skolemize_clauses(tgd, info, &mut clauses);
+    SoTgd::new(info.funcs.clone(), clauses)
+}
+
+/// The clauses of [`skolemize_with`], appended to `out` — for a caller
+/// that collects the clauses of many tgds in one vector.
+pub fn skolemize_clauses(tgd: &NestedTgd, info: &SkolemInfo, out: &mut Vec<SoClause>) {
+    for part in preorder(tgd) {
         let head_atoms = &tgd.part(part).head;
         if head_atoms.is_empty() {
             continue;
         }
         let body = accumulated_body(tgd, part);
         let head: Vec<TermAtom> = head_atoms.iter().map(|a| skolemize_atom(a, info)).collect();
-        clauses.push(SoClause::new(body, vec![], head));
+        out.push(SoClause::new(body, vec![], head));
     }
-    SoTgd::new(info.funcs.clone(), clauses)
+}
+
+/// The parts of `tgd` in pre-order (the textual order), root first.
+fn preorder(tgd: &NestedTgd) -> impl Iterator<Item = PartId> {
+    std::iter::once(tgd.root()).chain(tgd.descendants(tgd.root()))
 }
 
 /// The conjunction of the body atoms of `part` and all of its ancestors,

@@ -7,7 +7,7 @@
 use crate::hash::FxHasher;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::Hasher;
 
 macro_rules! id_type {
@@ -122,19 +122,26 @@ impl Namespace {
 
     fn intern(&mut self, name: &str) -> u32 {
         let hash = name_hash(name);
-        let slot = match self.find(name, hash) {
-            Ok(id) => return id,
-            Err(slot) => slot,
-        };
+        match self.find(name, hash) {
+            Ok(id) => id,
+            Err(slot) => {
+                self.text.push_str(name);
+                self.file(hash, slot)
+            }
+        }
+    }
+
+    /// Gives the next id to the name just appended to `text`, whose hash
+    /// is `hash` and whose table slot would be `slot`.
+    fn file(&mut self, hash: u32, slot: usize) -> u32 {
         let id = u32::try_from(self.ends.len())
             .ok()
             .filter(|&id| id != u32::MAX)
             .expect("symbol namespace overflow");
-        self.text.push_str(name);
         self.ends.push(self.text.len());
         let slot = if self.ends.len() * 2 > self.slots.len() {
             self.grow();
-            self.find(name, hash)
+            self.find(self.name(id), hash)
                 .expect_err("a new name is not filed yet")
         } else {
             slot
@@ -163,11 +170,22 @@ impl Namespace {
             return self.intern(prefix);
         }
         let mut i = self.fresh_next.get(prefix).copied().unwrap_or(1);
+        // Each candidate is written where a new name goes, at the end of
+        // `text`, and filed there once it proves unused.
+        let start = self.text.len();
         loop {
-            let cand = format!("{prefix}_{i}");
-            if self.lookup(&cand).is_none() {
-                self.fresh_next.insert(prefix.to_owned(), i);
-                return self.intern(&cand);
+            self.text.truncate(start);
+            let _ = write!(self.text, "{prefix}_{i}");
+            let cand = &self.text[start..];
+            let hash = name_hash(cand);
+            if let Err(slot) = self.find(cand, hash) {
+                match self.fresh_next.get_mut(prefix) {
+                    Some(next) => *next = i,
+                    None => {
+                        self.fresh_next.insert(prefix.to_owned(), i);
+                    }
+                }
+                return self.file(hash, slot);
             }
             i += 1;
         }
@@ -186,7 +204,48 @@ impl Namespace {
     fn len(&self) -> usize {
         self.ends.len()
     }
+
+    /// Forgets every name with an id of `len` or more, newest first: each
+    /// leaves its table slot by backward-shift deletion, so the probe
+    /// sequences of the names that stay are as if it had never been
+    /// filed.
+    fn truncate(&mut self, len: usize) {
+        if self.ends.len() <= len {
+            return;
+        }
+        let mask = self.slots.len() - 1;
+        while self.ends.len() > len {
+            let id = self.ends.len() - 1;
+            let mut hole = self.home(name_hash(self.name(id as u32)));
+            while self.slots[hole] as u32 != id as u32 {
+                hole = (hole + 1) & mask;
+            }
+            // Pull later entries of the probe run back into the hole,
+            // unless an entry's home slot lies after the hole.
+            let mut j = (hole + 1) & mask;
+            while self.slots[j] != EMPTY {
+                let home = self.home((self.slots[j] >> 32) as u32);
+                if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                    self.slots[hole] = self.slots[j];
+                    hole = j;
+                }
+                j = (j + 1) & mask;
+            }
+            self.slots[hole] = EMPTY;
+            self.ends.pop();
+            self.text.truncate(self.ends.last().copied().unwrap_or(0));
+        }
+        // A forgotten name may have been a `fresh` suffix below a
+        // recorded resume point; searching from the start again keeps
+        // `fresh` picking the smallest free suffix.
+        self.fresh_next.clear();
+    }
 }
+
+/// How many names each namespace of a [`SymbolTable`] held at some point:
+/// what [`SymbolTable::rollback`] returns the table to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SymbolMark([usize; 4]);
 
 /// Interner for all symbol namespaces appearing in schemas, dependencies and
 /// instances.
@@ -300,11 +359,73 @@ impl SymbolTable {
     pub fn num_funcs(&self) -> usize {
         self.funcs.len()
     }
+
+    /// The current size of every namespace, to [`rollback`](Self::rollback)
+    /// to later.
+    pub fn mark(&self) -> SymbolMark {
+        SymbolMark([
+            self.rels.len(),
+            self.vars.len(),
+            self.consts.len(),
+            self.funcs.len(),
+        ])
+    }
+
+    /// Forgets every symbol interned since `mark` was taken: ids and names
+    /// are as they were then, and interning a forgotten name again gives
+    /// it the next free id. A parser that tries several grammars on one
+    /// input uses this to leave no trace of the attempts that failed.
+    pub fn rollback(&mut self, mark: SymbolMark) {
+        let [rels, vars, consts, funcs] = mark.0;
+        self.rels.truncate(rels);
+        self.vars.truncate(vars);
+        self.consts.truncate(consts);
+        self.funcs.truncate(funcs);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rollback_forgets_names_and_reuses_their_ids() {
+        let mut t = SymbolTable::new();
+        let kept: Vec<RelId> = (0..40).map(|i| t.rel(&format!("K{i}"))).collect();
+        let x = t.var("x");
+        let mark = t.mark();
+        for i in 0..200 {
+            t.rel(&format!("T{i}"));
+            t.func(&format!("f{i}"));
+        }
+        t.var("y");
+        t.rollback(mark);
+        assert_eq!(t.mark(), mark);
+        assert_eq!(t.find_rel("T0"), None);
+        assert_eq!(t.find_rel("T199"), None);
+        assert_eq!(t.find_var("y"), None);
+        for (i, &r) in kept.iter().enumerate() {
+            assert_eq!(t.find_rel(&format!("K{i}")), Some(r));
+            assert_eq!(t.rel(&format!("K{i}")), r);
+        }
+        assert_eq!(t.var("x"), x);
+        // Forgotten names come back with the next free ids.
+        assert_eq!(t.func("f7"), FuncId(0));
+        assert_eq!(t.rel("T5"), RelId(40));
+        assert_eq!(t.rel_name(RelId(40)), "T5");
+    }
+
+    #[test]
+    fn rollback_keeps_fresh_minimal() {
+        let mut t = SymbolTable::new();
+        t.func("f");
+        let mark = t.mark();
+        let f1 = t.fresh_func("f");
+        assert_eq!(t.func_name(f1), "f_1");
+        t.rollback(mark);
+        let again = t.fresh_func("f");
+        assert_eq!(t.func_name(again), "f_1");
+    }
 
     #[test]
     fn interning_is_idempotent() {

@@ -43,6 +43,43 @@ fn running_example_dot_matches_the_committed_golden() {
     assert_eq!(got, golden("running.dot"));
 }
 
+/// The exchange-shaped dead-code example: every analyzer output, the lint
+/// report and the rendered chase listing are pinned byte for byte.
+#[test]
+fn dead_code_example_matches_its_goldens() {
+    for (flag, golden_name) in [("--json", "dead_code.json"), ("--dot", "dead_code.dot")] {
+        let got = analyze_cli("dead_code.ndl", flag);
+        assert_eq!(got.trim_end(), golden(golden_name).trim_end(), "{flag}");
+    }
+    let run = |args: &[&str]| {
+        let mut full: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        full.push(example("dead_code.ndl"));
+        Command::new(env!("CARGO_BIN_EXE_ndl"))
+            .args(&full)
+            .output()
+            .expect("ndl runs")
+    };
+    for (args, golden_name) in [
+        (
+            &["analyze", "--schedule", "--json"][..],
+            "dead_code.schedule.json",
+        ),
+        (
+            &["analyze", "--dataflow", "--json"][..],
+            "dead_code.dataflow.json",
+        ),
+        (&["chase"][..], "dead_code.chase.txt"),
+        (&["lint", "--json"][..], "dead_code.lint.json"),
+    ] {
+        let out = run(args);
+        let got = String::from_utf8(out.stdout).expect("utf-8 output");
+        assert_eq!(got, golden(golden_name), "{args:?}");
+        // `ndl lint` exits with its error+warning count, capped at 100.
+        let code = if args[0] == "lint" { 100 } else { 0 };
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+    }
+}
+
 #[test]
 fn library_report_matches_the_cli() {
     for name in ["running", "recursive", "pipeline"] {

@@ -411,3 +411,24 @@ fn chase_output_into_a_closed_pipe_exits_quietly() {
     assert!(!err.contains("panicked"), "{err}");
     assert_eq!(out.status.code(), Some(0), "{err}");
 }
+
+/// An unprefixed fact is auto-detected by trying the tgd, SO-tgd and egd
+/// parsers first; their failed attempts must not leave symbols behind.
+/// `f(a)` read as an SO tgd would intern a function `f`, and the Skolem
+/// function of the tgd below would then print as `f_1`.
+#[test]
+fn auto_detected_facts_name_nulls_like_prefixed_ones() {
+    let dir = std::env::temp_dir().join("ndl_cli_auto_fact");
+    std::fs::create_dir_all(&dir).unwrap();
+    let tgd = "f(x) -> exists y R(x,y)\n";
+    let mut listings = Vec::new();
+    for (name, fact) in [("auto.ndl", "f(a)\n"), ("prefixed.ndl", "fact: f(a)\n")] {
+        let path = dir.join(name);
+        std::fs::write(&path, format!("{fact}{tgd}")).unwrap();
+        let (ok, out) = ndl(&["chase", path.to_str().unwrap()]);
+        assert!(ok, "{out}");
+        listings.push(out);
+    }
+    assert!(listings[0].contains("R(a,f(a))"), "{}", listings[0]);
+    assert_eq!(listings[0], listings[1]);
+}

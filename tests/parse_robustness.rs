@@ -178,7 +178,7 @@ fn assert_yields_statements_or_diagnostics(text: &str) {
             "statement {} of {text:?}",
             s.index
         );
-        assert!(text[s.offset..].starts_with(&s.text));
+        assert!(text[s.offset..].starts_with(s.text(text)));
     }
     let lines = text
         .lines()
