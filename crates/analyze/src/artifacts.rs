@@ -44,20 +44,48 @@ pub struct ProgramArtifacts {
 
 impl ProgramArtifacts {
     /// Parses and analyzes `src`. The daemon's cache-miss path, the CLI's
-    /// every-run path and the incremental runtime's recompute path are
+    /// every-run path and the incremental runtime's `--scratch` oracle are
     /// this same function, always from a fresh [`SymbolTable`].
     pub fn build(src: &str) -> ProgramArtifacts {
+        ProgramArtifacts::build_with_facts(src, &[])
+    }
+
+    /// [`ProgramArtifacts::build`] of `src` followed by fact statements
+    /// over the named `(relation, arity)` pairs, without their constants:
+    /// the relations are interned after the parse, in the order given,
+    /// and analyzed by [`ChaseAnalysis::analyze_with_facts`]. The source
+    /// instance holds `src`'s own facts only.
+    ///
+    /// `ndl-incr` builds a program's statements this way once, with its
+    /// fact relations in the order their first `fact:` line has in the
+    /// canonical text, and adds the facts themselves per recompute: the
+    /// symbols, tgds and chase plan are then those of building the whole
+    /// canonical text.
+    pub fn build_with_facts(src: &str, facts: &[(&str, usize)]) -> ProgramArtifacts {
         let mut syms = SymbolTable::new();
         let (stmts, errs) = parse_program(&mut syms, src);
         let parse_errors = errs.iter().map(|(i, e)| (*i, e.to_string())).collect();
-        let analysis = ChaseAnalysis::analyze(&mut syms, &stmts);
+        let facts: Vec<(RelId, usize)> = (facts.iter())
+            .map(|&(name, arity)| (syms.rel(name), arity))
+            .collect();
+        let analysis = ChaseAnalysis::analyze_with_facts(&mut syms, &stmts, &facts);
         let facts = (stmts.iter())
             .filter(|s| matches!(s.ast, Some(StmtAst::Fact(_))))
             .count();
         let mut source = Instance::from_store(FactStore::with_capacity(facts));
         let mut egds = Vec::new();
+        // A fact refused for its arity stays out of the source: the store
+        // holds one arity per relation (the chase front ends report the
+        // refusal instead of chasing).
+        let mut refused = analysis
+            .graphs
+            .fact_clashes
+            .iter()
+            .map(|c| c.stmt)
+            .peekable();
         for s in &stmts {
             match &s.ast {
+                Some(StmtAst::Fact(_)) if refused.next_if_eq(&s.index).is_some() => {}
                 Some(StmtAst::Fact(f)) => {
                     source.insert_tuple(f.rel, &f.args);
                 }
@@ -76,5 +104,16 @@ impl ProgramArtifacts {
             tgds,
             src_len: src.len(),
         }
+    }
+
+    /// Why this program cannot be chased, if it cannot: its first
+    /// statement that does not parse, else its first fact refused for its
+    /// arity. `path` labels the program in the message.
+    pub fn chase_refusal(&self, path: &str) -> Option<String> {
+        if let Some((stmt, e)) = self.parse_errors.first() {
+            return Some(format!("{path} statement {} does not parse: {e}", stmt + 1));
+        }
+        let clash = self.analysis.graphs.fact_clashes.first()?;
+        Some(clash.message(&self.syms, path))
     }
 }

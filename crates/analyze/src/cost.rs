@@ -216,6 +216,24 @@ impl ChaseAnalysis {
     /// Analyzes parsed statements. Skolemization interns fresh function
     /// symbols into `syms`.
     pub fn analyze(syms: &mut SymbolTable, stmts: &[Statement]) -> ChaseAnalysis {
+        ChaseAnalysis::analyze_with_facts(syms, stmts, &[])
+    }
+
+    /// Analyzes `stmts` followed by fact statements over the
+    /// `(relation, arity)` pairs of `facts`, each pair standing for every
+    /// fact of its relation. Facts reach the analysis only
+    /// through their relation: arity admission, and the populated sources
+    /// of the dataflow pass. So the chase inputs — [`Self::so_tgds`] and
+    /// [`Self::tgd_plan`] with its certificate — equal those of the full
+    /// program whose fact statements follow `stmts`, whatever the facts'
+    /// constants. The incremental runtime (`ndl-incr`) analyzes a
+    /// program's statements once this way and reuses the analysis while
+    /// fact edits leave the set of fact relations alone.
+    pub fn analyze_with_facts(
+        syms: &mut SymbolTable,
+        stmts: &[Statement],
+        facts: &[(RelId, usize)],
+    ) -> ChaseAnalysis {
         let mut passes_ns = PassTimings::default();
         let mut clock = Instant::now();
         let mut lap = |slot: &mut u64| {
@@ -223,8 +241,10 @@ impl ChaseAnalysis {
             *slot = (now - clock).as_nanos() as u64;
             clock = now;
         };
-        let graphs = ProgramGraphs::build(syms, stmts);
-        let footprints = ProgramFootprints::of(&graphs, stmts);
+        let graphs = ProgramGraphs::build_with_facts(syms, stmts, facts);
+        let mut footprints = ProgramFootprints::of(&graphs, stmts);
+        let fact_rels = facts.iter().map(|&(rel, _)| rel);
+        footprints.fact_relations.extend(fact_rels);
         lap(&mut passes_ns.graphs);
         let termination = Termination::of(&graphs, syms);
         lap(&mut passes_ns.termination);

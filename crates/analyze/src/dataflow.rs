@@ -175,10 +175,25 @@ impl DataflowAnalysis {
         // head argument introduces a null when it is a Skolem term, or a
         // variable all of whose body bindings come from nullable
         // relations (a join binds the variable at *every* occurrence, so
-        // one null-free occurrence grounds it).
+        // one null-free occurrence grounds it). A variable's occurrences
+        // are looked up in its firing clause's sorted `(variable, body
+        // position)` list, built once: no round rescans a body.
+        let pg = &graphs.positions;
+        let (mut bodies, mut body) = (Vec::new(), Vec::new());
+        let mut ends = Vec::with_capacity(graphs.clauses.len());
+        for (cv, &fires) in graphs.clauses.iter().zip(&firing) {
+            if fires {
+                clause_body_positions(pg, &cv.clause, &mut body);
+                bodies.extend_from_slice(&body);
+            }
+            ends.push(bodies.len());
+        }
         loop {
             let mut changed = false;
-            for (cv, &fires) in graphs.clauses.iter().zip(&firing) {
+            let mut start = 0;
+            for ((cv, &fires), &end) in graphs.clauses.iter().zip(&firing).zip(&ends) {
+                let body = &bodies[start..end];
+                start = end;
                 if !fires {
                     continue;
                 }
@@ -188,12 +203,9 @@ impl DataflowAnalysis {
                     }
                     let introduces = ta.args.iter().any(|t| match t {
                         Term::App(..) => true,
-                        Term::Var(v) => cv
-                            .clause
-                            .body
+                        Term::Var(v) => var_positions(body, *v)
                             .iter()
-                            .filter(|b| b.args.contains(v))
-                            .all(|b| has(&rel, b.rel, NULLABLE)),
+                            .all(|&(_, p)| has(&rel, pg.positions[p].0, NULLABLE)),
                     });
                     if introduces {
                         rel[ta.rel.index()] |= NULLABLE;
@@ -789,6 +801,38 @@ mod tests {
         let (_syms, _, a) = dataflow(src);
         // Column 1 joins the egd atoms; column 2 is equated.
         assert!(a.unused_source_columns.is_empty());
+    }
+
+    #[test]
+    fn wide_clauses_cost_near_linear_time() {
+        // `R(x0..xn) -> S(x0..xn)`, with R an assumed source: the
+        // groundness fixpoint asks of every head variable whether all its
+        // body occurrences are nullable. Each is a lookup in the clause's
+        // sorted occurrence list, so four times the width costs about four
+        // times as much; rescanning the body per variable cost sixteen.
+        let secs = |n: usize| {
+            let vars = (0..n)
+                .map(|i| format!("x{i}"))
+                .collect::<Vec<_>>()
+                .join(",");
+            let src = format!("R({vars}) -> S({vars})\n");
+            let mut syms = SymbolTable::new();
+            let (stmts, _) = parse_program(&mut syms, &src);
+            let graphs = ProgramGraphs::build(&mut syms, &stmts);
+            let fps = ProgramFootprints::of(&graphs, &stmts);
+            let run = || {
+                let start = std::time::Instant::now();
+                let a = DataflowAnalysis::of(&graphs, &stmts, &fps);
+                assert!(a.ground.contains(&rel(&syms, "S")));
+                start.elapsed().as_secs_f64()
+            };
+            (0..3).map(|_| run()).fold(f64::INFINITY, f64::min)
+        };
+        let (narrow, wide) = (secs(4_000), secs(16_000));
+        assert!(
+            wide <= 8.0 * narrow,
+            "16k-wide clause took {wide:.4} s, 4k-wide {narrow:.4} s"
+        );
     }
 
     #[test]

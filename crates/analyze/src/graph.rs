@@ -306,6 +306,42 @@ pub struct ProgramGraphs {
     pub statements: usize,
     /// Statements that entered the analysis (parsed, arity-consistent).
     pub analyzed: Vec<usize>,
+    /// Facts refused because an earlier statement gave their relation
+    /// another arity, in statement order. No chase can hold such a fact
+    /// beside the earlier statement's, so the chase front ends report the
+    /// first one as an error.
+    pub fact_clashes: Vec<ArityClash>,
+}
+
+/// A fact whose relation an earlier statement fixed at another arity.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ArityClash {
+    /// The fact's statement index. A fact relation passed to
+    /// [`crate::ChaseAnalysis::analyze_with_facts`] stands for the fact
+    /// statements after the program's: the `i`-th is numbered
+    /// `statements + i`.
+    pub stmt: usize,
+    /// The fact's relation.
+    pub rel: RelId,
+    /// The arity the earlier statements fixed.
+    pub expected: usize,
+    /// The fact's arity.
+    pub found: usize,
+}
+
+impl ArityClash {
+    /// The error the chase front ends report (`ndl chase`, the daemon,
+    /// `ndl incr`): the 1-based statement and both arities.
+    pub fn message(&self, syms: &SymbolTable, path: &str) -> String {
+        let rel = syms.rel_name(self.rel);
+        format!(
+            "{path} statement {}: this {rel} fact has arity {}, but an earlier statement \
+             uses {rel} with arity {}",
+            self.stmt + 1,
+            self.found,
+            self.expected
+        )
+    }
 }
 
 impl ProgramGraphs {
@@ -315,6 +351,21 @@ impl ProgramGraphs {
     /// it — see the module docs. Nested tgds are Skolemized here (fresh
     /// function symbols are interned into `syms`).
     pub fn build(syms: &mut SymbolTable, stmts: &[Statement]) -> ProgramGraphs {
+        ProgramGraphs::build_with_facts(syms, stmts, &[])
+    }
+
+    /// [`ProgramGraphs::build`] for `stmts` followed by fact statements
+    /// over the `(relation, arity)` pairs of `facts`, in that order, each
+    /// pair standing for every fact of its relation. Facts contribute
+    /// nothing to the graphs but their arity admission, and that depends
+    /// only on the pair, so the result equals building the full program
+    /// with its fact statements — except that `statements` and
+    /// `analyzed` count `stmts` alone.
+    pub(crate) fn build_with_facts(
+        syms: &mut SymbolTable,
+        stmts: &[Statement],
+        facts: &[(RelId, usize)],
+    ) -> ProgramGraphs {
         let mut g = ProgramGraphs {
             statements: stmts.len(),
             ..ProgramGraphs::default()
@@ -346,8 +397,9 @@ impl ProgramGraphs {
                     &t.funcs
                 }
                 StmtAst::Fact(f) => {
-                    if arity.admit([(f.rel, f.args.len())]) {
-                        g.analyzed.push(stmt.index);
+                    match arity.admit_fact(stmt.index, f.rel, f.args.len()) {
+                        Ok(()) => g.analyzed.push(stmt.index),
+                        Err(clash) => g.fact_clashes.push(clash),
                     }
                     continue;
                 }
@@ -377,6 +429,11 @@ impl ProgramGraphs {
                 clause,
             });
             g.clauses.extend(views);
+        }
+        for (i, &(rel, n)) in facts.iter().enumerate() {
+            if let Err(clash) = arity.admit_fact(stmts.len() + i, rel, n) {
+                g.fact_clashes.push(clash);
+            }
         }
         g.build_position_graph();
         g.build_skolem_graph(&func_stmt);
@@ -802,6 +859,25 @@ impl Arities {
             }
         }
         true
+    }
+
+    /// Admits a fact statement `stmt` of `rel` at arity `n`, or names the
+    /// arity an admitted statement fixed for `rel`.
+    fn admit_fact(
+        &mut self,
+        stmt: usize,
+        rel: RelId,
+        n: usize,
+    ) -> std::result::Result<(), ArityClash> {
+        if self.admit([(rel, n)]) {
+            return Ok(());
+        }
+        Err(ArityClash {
+            stmt,
+            rel,
+            expected: self.of[rel.index()],
+            found: n,
+        })
     }
 }
 

@@ -13,7 +13,9 @@
 
 use ndl_analyze::dataflow::Provenance;
 use ndl_analyze::graph::{PosId, PositionGraph};
-use ndl_analyze::{parse_program, ChaseAnalysis, ConflictKind, Footprint, StmtAst};
+use ndl_analyze::{
+    parse_program, ChaseAnalysis, ConflictKind, Footprint, ProgramArtifacts, StmtAst,
+};
 use ndl_core::prelude::*;
 use ndl_gen::{random_program, random_program_with_dead_code, ProgramGenOptions};
 use proptest::prelude::*;
@@ -517,8 +519,75 @@ fn check(src: &str) {
     );
 }
 
+/// Building a program's statements with only its fact relations — named
+/// in the order of their first line among the sorted fact lines — gives
+/// the symbols and chase inputs of building the whole program with its
+/// fact lines sorted after the statements (the incremental runtime's
+/// canonical text).
+fn check_fact_relations(src: &str) {
+    let lines = src.lines().map(str::trim);
+    let lines = lines.filter(|l| !l.is_empty() && !l.starts_with('#'));
+    let (mut facts, stmts): (Vec<&str>, Vec<&str>) = lines.partition(|l| l.starts_with("fact:"));
+    facts.sort_unstable();
+    let stmt_src: String = stmts.iter().map(|l| format!("{l}\n")).collect();
+    let fact_src: String = facts.iter().map(|l| format!("{l}\n")).collect();
+    let full = ProgramArtifacts::build(&format!("{stmt_src}{fact_src}"));
+    let mut rels: Vec<(&str, usize)> = Vec::new();
+    for f in &facts {
+        let (name, args) = f["fact:".len()..].split_once('(').expect("a fact");
+        let name = name.trim();
+        let args = args.trim_end_matches(')');
+        let arity = args.split(',').filter(|a| !a.trim().is_empty()).count();
+        if !rels.iter().any(|&(r, _)| r == name) {
+            rels.push((name, arity));
+        }
+    }
+    let part = ProgramArtifacts::build_with_facts(&stmt_src, &rels);
+    assert_eq!(part.tgds, full.tgds);
+    assert_eq!(part.egds, full.egds);
+    for budget in [None, Some(7)] {
+        assert_eq!(
+            part.analysis.tgd_plan(budget),
+            full.analysis.tgd_plan(budget)
+        );
+    }
+    assert_eq!(part.syms.num_rels(), full.syms.num_rels());
+    for r in (0..full.syms.num_rels()).map(|i| RelId(i as u32)) {
+        assert_eq!(part.syms.rel_name(r), full.syms.rel_name(r));
+    }
+    assert_eq!(part.syms.num_funcs(), full.syms.num_funcs());
+    for f in (0..full.syms.num_funcs()).map(|i| FuncId(i as u32)) {
+        assert_eq!(part.syms.func_name(f), full.syms.func_name(f));
+    }
+    let clashing = |a: &ProgramArtifacts| {
+        let clashes = a.analysis.graphs.fact_clashes.iter();
+        clashes.map(|c| c.rel).collect::<BTreeSet<RelId>>()
+    };
+    assert_eq!(clashing(&part), clashing(&full));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random programs with facts, analyzed with their fact relations
+    /// only.
+    #[test]
+    fn fact_relations_stand_for_their_facts(
+        seed in 0u64..1_000_000,
+        statements in 1usize..40,
+        relations in 2usize..12,
+        recursion in 0u32..5,
+    ) {
+        let text = random_program(&ProgramGenOptions {
+            statements,
+            relations,
+            recursion_prob: f64::from(recursion) * 0.2,
+            fact_prob: 0.4,
+            seed,
+            ..Default::default()
+        });
+        check_fact_relations(&with_egds_and_shared_funcs(text, relations, seed));
+    }
 
     /// Random programs, from forward-only (richly acyclic) to heavily
     /// recursive (cyclic), with facts, egds and shared Skolem functions.
@@ -586,6 +655,7 @@ fn example_programs_match_the_oracle() {
         if path.extension().is_some_and(|e| e == "ndl") {
             let src = std::fs::read_to_string(&path).expect("readable program");
             check(&src);
+            check_fact_relations(&src);
             seen += 1;
         }
     }

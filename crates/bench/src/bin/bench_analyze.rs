@@ -303,32 +303,6 @@ fn fact_heavy_rows(record: &mut ExperimentRecord, threads_available: usize) {
     }
 }
 
-/// Copies the dead-code and fact-heavy rows of the record at `path`,
-/// relabelled `"build": "parent"`.
-fn parent_rows(record: &mut ExperimentRecord, path: &str) -> std::result::Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let parent: ExperimentRecord =
-        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    for row in parent.rows {
-        if !row.iter().any(|(k, _)| k == "build") {
-            continue;
-        }
-        record.rows.push(
-            row.into_iter()
-                .map(|(k, v)| {
-                    let v = if k == "build" {
-                        "parent".to_string()
-                    } else {
-                        v
-                    };
-                    (k, v)
-                })
-                .collect(),
-        );
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parent = args
@@ -429,7 +403,7 @@ fn main() -> ExitCode {
     );
     record.passed = passed;
     if let Some(path) = parent {
-        if let Err(e) = parent_rows(&mut record, &path) {
+        if let Err(e) = record.push_parent_rows(&path) {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }

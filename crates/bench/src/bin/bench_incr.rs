@@ -1,41 +1,46 @@
 //! Measures the red-green incremental query graph (`ndl-incr`) against
-//! from-scratch recomputation on a 10⁵-fact live instance under small
-//! edit batches. **Output identity is asserted before any timing**: the
-//! incremental replay of every script must render byte-identically to
-//! the `--scratch` replay (which recomputes every query), or the run
-//! fails. The results land in `BENCH_incr.json` (committed under
-//! `experiments/`; see `docs/incremental.md`).
+//! from-scratch recomputation. **Output identity is asserted before any
+//! timing**: the incremental replay of every script must render
+//! byte-identically to the `--scratch` replay (which recomputes every
+//! query from the canonical program text), or the run fails. The results
+//! land in `BENCH_incr.json` (committed under `experiments/`; see
+//! `docs/incremental.md` and `docs/performance.md`).
 //!
-//! The gate: on the 10⁵-fact workload the incremental replay of the
-//! timed batch script must beat the scratch replay by ≥ 5×, and the
-//! record's `passed` flag carries the verdict.
+//! Two cases, one row per workload each:
 //!
-//! Two scripts run over each workload:
+//! - **no-op churn** (`pipeline/*`, a 10⁵-fact live instance): the timed
+//!   script is `batches` churn pairs (insert then retract the same fresh
+//!   fact — two revision bumps, no net change to the fact set's
+//!   fingerprint), each followed by `chase` and `core` queries. The
+//!   red-green engine verifies the chase memo green from the unchanged
+//!   fact fingerprint and never recomputes; scratch mode re-chases the
+//!   full instance for every query. The script is state-neutral, so
+//!   repeated replays on one live instance measure the same work. The
+//!   gate: incremental ≥ 5× scratch on these rows.
+//! - **net edit** (`clio/*`, Clio HR tenants shaped like the daemon
+//!   benchmark's sessions: about four source facts per department): each
+//!   batch inserts three new employees and retracts three existing
+//!   members, so the chased instance changes and every `chase` query
+//!   recomputes; the `core` variant queries the core too. Both sides
+//!   recompute here, so the row measures what one recompute costs: the
+//!   memoized path numbers the live store straight into the memoized
+//!   statement analysis, scratch re-renders, re-parses and re-analyzes
+//!   the whole canonical text. Each rep replays the script on a freshly
+//!   loaded session whose chase is already memoized (loading untimed);
+//!   the row reports the median rep.
 //!
-//! - the **verify script** (untimed) mixes real edits — inserts that
-//!   grow the chase, a retract, a compact — with churn and queries over
-//!   every query kind, and is replayed incrementally and from scratch to
-//!   pin identity on this workload size (the `ndl-incr` proptests pin it
-//!   on random programs);
-//! - the **timed script** is `batches` small edit batches, each a churn
-//!   pair (insert then retract the same fresh fact — two revision bumps,
-//!   no net change to the fact set's fingerprint) followed by `chase`
-//!   and `core` queries. The red-green engine verifies the chase memo
-//!   green from the unchanged fact fingerprint and never recomputes;
-//!   scratch mode re-chases the full instance for every query. The
-//!   timed script is state-neutral, so repeated replays on one live
-//!   instance measure the same work.
+//! Before the timed scripts, a verify script (untimed) mixes real edits —
+//! inserts that grow the chase, a retract, a compact — with churn and
+//! queries over every query kind on each workload.
 //!
-//! The speedup is the honest product of the design: the incremental
-//! engine does O(dependency-fingerprint) work per verified query instead
-//! of O(instance) work per recomputed one, and the identity assertion
-//! guarantees nobody is cutting rendering corners to get there.
-//!
-//! `--smoke` runs a reduced workload (still identity-checked) for CI;
-//! pass an output directory as the first positional argument to write
-//! elsewhere (default `experiments`).
+//! `--smoke` runs a reduced workload of each case (still identity-checked)
+//! for CI; pass an output directory as the first positional argument to
+//! write elsewhere (default `experiments`). `--parent <record>` copies the
+//! rows of an earlier record — the same binary built on the parent commit
+//! — into this one, labelled `"build": "parent"`.
 
 use ndl_bench::ExperimentRecord;
+use ndl_core::prelude::SymbolTable;
 use ndl_incr::{parse_edit_script, IncrDb, IncrOptions, QueryKey, QueryOutput};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -64,6 +69,55 @@ fn pipeline_src(depth: usize, seeds: usize) -> String {
         let _ = writeln!(src, "fact: S0(a{p},b{p})");
     }
     src
+}
+
+/// A Clio HR tenant over `depts` departments as `ndl incr` source text
+/// (the nested mapping, then the source facts), with its member facts:
+/// the `Emp`/`Proj` facts net edits retract.
+fn clio_src(depts: usize, seed: u64) -> (String, Vec<String>) {
+    let mut syms = SymbolTable::new();
+    let sc = ndl_gen::clio_scenario(&mut syms, depts, 2, seed);
+    let mut src = String::new();
+    for t in &sc.nested.tgds {
+        let _ = writeln!(src, "{}", t.display(&syms));
+    }
+    let mut members = Vec::new();
+    for f in sc.source.facts() {
+        let fact = f.display(&syms).to_string();
+        let _ = writeln!(src, "fact: {fact}");
+        if fact.starts_with("Emp(") || fact.starts_with("Proj(") {
+            members.push(fact);
+        }
+    }
+    (src, members)
+}
+
+/// The timed net-edit script: `batches` batches of three inserted
+/// employees and three retracted members (taken in a fixed stride over
+/// `members`), each followed by `chase` (and `core`) queries.
+fn net_script(depts: usize, members: &[String], batches: usize, core: bool) -> String {
+    let mut s = String::new();
+    let mut next = 0usize;
+    for b in 0..batches {
+        for j in 0..3 {
+            let d = (b * 3 + j) * 7919 % depts;
+            let _ = writeln!(
+                s,
+                "{{\"op\":\"insert\",\"fact\":\"Emp(dept{d},new{b}_{j})\"}}"
+            );
+            let _ = writeln!(
+                s,
+                "{{\"op\":\"retract\",\"fact\":\"{}\"}}",
+                members[next % members.len()]
+            );
+            next += 13;
+        }
+        let _ = writeln!(s, "{{\"op\":\"query\",\"q\":\"chase\"}}");
+        if core {
+            let _ = writeln!(s, "{{\"op\":\"query\",\"q\":\"core\"}}");
+        }
+    }
+    s
 }
 
 /// The untimed identity script: real growth, churn, a compact, and every
@@ -120,7 +174,8 @@ fn replay(db: &mut IncrDb, script: &str) -> Vec<(QueryKey, QueryOutput)> {
     db.apply_script(&ops).expect("script applies")
 }
 
-struct Workload {
+/// One `pipeline/*` no-op churn row.
+struct Churn {
     name: String,
     depth: usize,
     seeds: usize,
@@ -130,13 +185,73 @@ struct Workload {
     gate_5x: bool,
 }
 
+/// One `clio/*` net-edit row.
+struct NetEdit {
+    name: String,
+    depts: usize,
+    batches: usize,
+    reps: usize,
+    core: bool,
+}
+
+/// Asserts the incremental and scratch replays of `script` on `src`
+/// identical; returns the incremental outputs.
+fn assert_identical(src: &str, script: &str, what: &str) -> Vec<(QueryKey, QueryOutput)> {
+    let incr = replay(&mut load(src, false), script);
+    assert_eq!(
+        incr,
+        replay(&mut load(src, true), script),
+        "{what}: outputs diverged"
+    );
+    incr
+}
+
+/// Median seconds of replaying `script` on a freshly loaded session
+/// whose memos `warm` filled (loading and warming untimed).
+fn median_replay(src: &str, script: &str, scratch: bool, reps: usize, warm: &[QueryKey]) -> f64 {
+    let mut secs: Vec<f64> = (0..reps)
+        .map(|_| {
+            let mut db = load(src, scratch);
+            for &key in warm {
+                db.query(key);
+            }
+            let start = Instant::now();
+            std::hint::black_box(replay(&mut db, script).len());
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[secs.len() / 2]
+}
+
+/// Red-green counters of one incremental replay of `script` on `src`
+/// after `warm`: `(green marks, recomputes)`.
+fn replay_stats(src: &str, script: &str, warm: &[QueryKey]) -> (u64, u64) {
+    let mut db = load(src, false);
+    for &key in warm {
+        db.query(key);
+    }
+    let before = db.stats().clone();
+    replay(&mut db, script);
+    let s = db.stats();
+    (
+        s.green_marks - before.green_marks,
+        s.recomputes - before.recomputes,
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
+    let parent = args
+        .iter()
+        .position(|a| a == "--parent")
+        .map(|i| args.get(i + 1).cloned().unwrap_or_default());
     let out_dir = args
         .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
+        .enumerate()
+        .find(|&(i, a)| !a.starts_with("--") && (i == 0 || args[i - 1] != "--parent"))
+        .map(|(_, a)| a.clone())
         .unwrap_or_else(|| {
             if smoke {
                 "target/experiments".into()
@@ -146,71 +261,90 @@ fn main() {
         });
     let mut record = ExperimentRecord::new(
         "BENCH_incr",
-        "red-green incremental query graph vs from-scratch recomputation on a 10^5-fact \
-         live instance under small churn-edit batches",
+        "red-green incremental query graph vs from-scratch recomputation: no-op churn \
+         batches on a 10^5-fact live instance, and net edits that change the chased \
+         instance of Clio tenants",
         "the incremental and --scratch replays of every script are asserted byte-identical \
-         before any timing; the gate requires incremental >= 5x scratch on the gated \
-         workload; the timed script is state-neutral so repeated replays measure the \
-         same work",
+         before any timing; the gate requires incremental >= 5x scratch on the no-op churn \
+         rows; the churn script is state-neutral so repeated replays measure the same work, \
+         and each net-edit rep replays on a freshly loaded session",
     );
 
-    let workloads = if smoke {
-        vec![Workload {
-            name: "pipeline/4x500".into(),
-            depth: 4,
-            seeds: 500,
-            batches: 2,
-            reps: 1,
-            gate_5x: false,
-        }]
-    } else {
-        vec![
-            Workload {
-                name: "pipeline/4x2500".into(),
+    let (churn, net) = if smoke {
+        (
+            vec![Churn {
+                name: "pipeline/4x500".into(),
                 depth: 4,
-                seeds: 2_500,
-                batches: 4,
-                reps: 2,
-                gate_5x: true,
-            },
-            Workload {
-                name: "pipeline/4x25000".into(),
-                depth: 4,
-                seeds: 25_000,
-                batches: 4,
+                seeds: 500,
+                batches: 2,
                 reps: 1,
-                gate_5x: true,
-            },
-        ]
+                gate_5x: false,
+            }],
+            vec![NetEdit {
+                name: "clio/50".into(),
+                depts: 50,
+                batches: 2,
+                reps: 1,
+                core: true,
+            }],
+        )
+    } else {
+        (
+            vec![
+                Churn {
+                    name: "pipeline/4x2500".into(),
+                    depth: 4,
+                    seeds: 2_500,
+                    batches: 4,
+                    reps: 2,
+                    gate_5x: true,
+                },
+                Churn {
+                    name: "pipeline/4x25000".into(),
+                    depth: 4,
+                    seeds: 25_000,
+                    batches: 4,
+                    reps: 1,
+                    gate_5x: true,
+                },
+            ],
+            vec![
+                NetEdit {
+                    name: "clio/500".into(),
+                    depts: 500,
+                    batches: 8,
+                    reps: 15,
+                    core: false,
+                },
+                NetEdit {
+                    name: "clio/750+core".into(),
+                    depts: 750,
+                    batches: 8,
+                    reps: 9,
+                    core: true,
+                },
+            ],
+        )
     };
 
     println!(
-        "red-green incremental replay vs scratch recomputation{} (mean ms per batch script)\n",
+        "red-green incremental replay vs scratch recomputation{} (ms per timed script)\n",
         if smoke { " (smoke)" } else { "" }
     );
-    println!("  workload            facts  queries   scratch ms    incr ms  speedup");
+    println!("  case          workload            facts  queries   scratch ms    incr ms  speedup");
     let mut all_pass = true;
-    for w in &workloads {
+    let verify = verify_script();
+    for w in &churn {
         let src = pipeline_src(w.depth, w.seeds);
         let timed = timed_script(w.batches);
 
         // Identity first, on both scripts: the incremental replay must
         // render byte-for-byte what scratch recomputation renders, or
         // the workload is disqualified from timing at all.
-        let verify = verify_script();
-        let vi = replay(&mut load(&src, false), &verify);
-        let vs = replay(&mut load(&src, true), &verify);
-        assert_eq!(vi, vs, "{}: verify-script outputs diverged", w.name);
-        let ti = replay(&mut load(&src, false), &timed);
-        let ts = replay(&mut load(&src, true), &timed);
-        assert_eq!(ti, ts, "{}: timed-script outputs diverged", w.name);
-        let queries = ti.len();
-        let facts = {
-            // Total chased size: the final chase query's first line
-            // reports it, but count from the structure instead: seeds
-            // source facts + depth·seeds derived.
-            w.seeds * (w.depth + 1)
-        };
+        assert_identical(&src, &verify, &format!("{}: verify script", w.name));
+        let queries = assert_identical(&src, &timed, &format!("{}: timed script", w.name)).len();
+        // Seeds source facts + depth·seeds derived.
+        let facts = w.seeds * (w.depth + 1);
 
         // The timed script is state-neutral: replaying it on a live
         // instance leaves the fact set (and every memo's inputs)
@@ -225,17 +359,10 @@ fn main() {
 
         // Red-green accounting for one fresh replay, for the record: the
         // churn batches must verify green without recomputing.
-        let mut db_stats = load(&src, false);
-        let before = db_stats.stats().clone();
-        replay(&mut db_stats, &timed);
-        let s = db_stats.stats().clone();
-        let (greens, recomputes) = (
-            s.green_marks - before.green_marks,
-            s.recomputes - before.recomputes,
-        );
+        let (greens, recomputes) = replay_stats(&src, &timed, &[]);
 
         println!(
-            "  {:<18} {:>7}  {:>7}  {:>11.2}  {:>9.3}  {:>6.1}x{}",
+            "  no-op churn   {:<18} {:>7}  {:>7}  {:>11.2}  {:>9.3}  {:>6.1}x{}",
             w.name,
             facts,
             queries,
@@ -245,6 +372,8 @@ fn main() {
             if gate_ok { "" } else { "  << below 5x gate" }
         );
         record.row(&[
+            ("build", "this".to_string()),
+            ("case", "no-op churn".to_string()),
             ("workload", w.name.clone()),
             ("facts", facts.to_string()),
             ("batches", w.batches.to_string()),
@@ -260,12 +389,59 @@ fn main() {
             ("smoke", smoke.to_string()),
         ]);
     }
+    for w in &net {
+        let (src, members) = clio_src(w.depts, 11);
+        let timed = net_script(w.depts, &members, w.batches, w.core);
+        assert_identical(&src, &verify, &format!("{}: verify script", w.name));
+        let queries = assert_identical(&src, &timed, &format!("{}: timed script", w.name)).len();
+        let facts = src.lines().filter(|l| l.starts_with("fact: ")).count();
+        let warm: &[QueryKey] = match w.core {
+            true => &[QueryKey::Chase, QueryKey::Core],
+            false => &[QueryKey::Chase],
+        };
+        let incr_secs = median_replay(&src, &timed, false, w.reps, warm);
+        let scratch_secs = median_replay(&src, &timed, true, w.reps, warm);
+        let speedup = scratch_secs / incr_secs;
+        let (greens, recomputes) = replay_stats(&src, &timed, warm);
+        println!(
+            "  net edit      {:<18} {:>7}  {:>7}  {:>11.2}  {:>9.3}  {:>6.2}x",
+            w.name,
+            facts,
+            queries,
+            scratch_secs * 1e3,
+            incr_secs * 1e3,
+            speedup,
+        );
+        record.row(&[
+            ("build", "this".to_string()),
+            ("case", "net edit".to_string()),
+            ("workload", w.name.clone()),
+            ("facts", facts.to_string()),
+            ("batches", w.batches.to_string()),
+            ("queries", queries.to_string()),
+            ("identical", "true".to_string()),
+            ("scratch_ms", format!("{:.3}", scratch_secs * 1e3)),
+            ("incremental_ms", format!("{:.3}", incr_secs * 1e3)),
+            ("speedup", format!("{speedup:.2}")),
+            ("green_marks", greens.to_string()),
+            ("recomputes", recomputes.to_string()),
+            ("gate_5x", "false".to_string()),
+            ("gate_ok", "true".to_string()),
+            ("smoke", smoke.to_string()),
+        ]);
+    }
 
     println!(
         "\n=> identity asserted on every script; 5x gate: {}",
         if all_pass { "pass" } else { "FAIL" }
     );
     record.passed = all_pass;
+    if let Some(path) = parent {
+        if let Err(e) = record.push_parent_rows(&path) {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+    }
     let path = record
         .write_to(std::path::Path::new(&out_dir))
         .expect("record written");

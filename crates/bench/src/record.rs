@@ -45,6 +45,26 @@ impl ExperimentRecord {
         self
     }
 
+    /// Appends the `build`-labelled rows of the record at `path` — the
+    /// same benchmark binary built on the parent commit — relabelled
+    /// `"build": "parent"`, to sit beside this build's rows.
+    pub fn push_parent_rows(&mut self, path: &str) -> Result<(), String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let parent: ExperimentRecord =
+            serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+        for row in parent.rows {
+            if !row.iter().any(|(k, _)| k == "build") {
+                continue;
+            }
+            let relabel = |(k, v): (String, String)| match k.as_str() {
+                "build" => (k, "parent".to_string()),
+                _ => (k, v),
+            };
+            self.rows.push(row.into_iter().map(relabel).collect());
+        }
+        Ok(())
+    }
+
     /// The default output directory: `target/experiments`.
     pub fn default_dir() -> PathBuf {
         PathBuf::from("target/experiments")

@@ -7,6 +7,7 @@ use ndl_analyze::{parse_program, ChaseAnalysis, ProgramArtifacts};
 use ndl_bench::alloc::{counting, CountingAlloc};
 use ndl_bench::dead_code_program;
 use ndl_core::prelude::*;
+use ndl_incr::{IncrDb, IncrOptions, QueryKey};
 use std::fmt::Write as _;
 
 #[global_allocator]
@@ -104,4 +105,39 @@ fn front_end_allocations_are_bounded() {
         growth <= 15.0,
         "{growth:.2} allocations per added statement ({small} for {n_small}, {large} for {n_large})"
     );
+
+    // A chase recompute of an incremental session after one insert. The
+    // memoized path numbers the live facts into its memoized statement
+    // analysis and chases them: beyond the chase's own allocations, a
+    // small constant per source fact. The `--scratch` text path
+    // re-renders, re-parses and re-analyzes every fact statement.
+    let src = fact_program(2_000);
+    let chase = {
+        let art = ProgramArtifacts::build(&src);
+        let plan = art.analysis.tgd_plan(None);
+        let mut nulls = ndl_chase::NullFactory::new();
+        let run = || ndl_chase::chase_fixpoint_delta(&art.source, &art.tgds, &plan, &mut nulls);
+        let (res, allocs) = counting(run);
+        assert!(res.is_ok());
+        allocs as f64 / art.source.len() as f64
+    };
+    let recompute = |scratch: bool| {
+        let opts = IncrOptions {
+            scratch,
+            ..IncrOptions::default()
+        };
+        let mut db = IncrDb::new(&src, opts).expect("session loads");
+        db.query(QueryKey::Chase);
+        assert!(db.insert_fact("U(fresh)").expect("insert applies"));
+        let (out, allocs) = counting(|| db.query(QueryKey::Chase));
+        assert!(out.stdout.starts_with("fixpoint: "), "{out:?}");
+        allocs as f64 / db.fact_count() as f64
+    };
+    let (direct, text) = (recompute(false), recompute(true));
+    let shown = format!(
+        "allocations per source fact: {direct:.2} memoized recompute, {text:.2} text path, \
+         {chase:.2} the chase alone"
+    );
+    assert!(direct - chase <= 0.25, "{shown}");
+    assert!(direct < 2.0 && direct < text, "{shown}");
 }

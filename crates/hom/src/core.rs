@@ -93,12 +93,19 @@ pub fn core_and_blocks_observed<O: HomObserver>(
 /// The f-block size of the core of `inst` (0 for the empty instance) —
 /// the quantity the Section 4 boundedness ladders sample at every rung.
 pub fn core_f_block_size(inst: &Instance) -> usize {
-    core_and_blocks(inst)
-        .1
-        .iter()
-        .map(Instance::len)
-        .max()
-        .unwrap_or(0)
+    core_with_f_block_size(inst).1
+}
+
+/// The core of `inst` with its f-block size, equal to
+/// `(core_of(inst), f_block_size(&core_of(inst)))`. The size is read off
+/// the engine's surviving null blocks — the largest, or 1 when a ground
+/// fact survives (a singleton f-block) — so neither the core's fact
+/// graph nor an instance per block is built.
+pub fn core_with_f_block_size(inst: &Instance) -> (Instance, usize) {
+    let (core, blocks) = CoreEngine::new(inst, &BTreeSet::new(), &NoopObserver).run();
+    let largest = blocks.iter().map(Instance::len).max().unwrap_or(0);
+    let ground = (core.facts_unordered()).any(|f| f.args.iter().all(|v| !v.is_null()));
+    (core, largest.max(usize::from(ground)))
 }
 
 /// Is `inst` a core (no proper retraction)? Probes all nulls, in parallel

@@ -38,8 +38,8 @@ pub use blocks::{
 pub use config::HomConfig;
 pub use core::{
     core_and_blocks, core_and_blocks_observed, core_f_block_size, core_of, core_of_assuming_ground,
-    core_of_assuming_ground_observed, core_of_observed, instance_value_fingerprint, is_core,
-    is_core_observed, verify_core,
+    core_of_assuming_ground_observed, core_of_observed, core_with_f_block_size,
+    instance_value_fingerprint, is_core, is_core_observed, verify_core,
 };
 pub use graph::{FactGraph, IncidenceGraph, NullGraph};
 pub use hom::{

@@ -8,7 +8,10 @@
 
 use ndl_core::prelude::*;
 use ndl_hom::scan::{core_of_scan, homomorphic_scan, is_core_scan};
-use ndl_hom::{core_of, hom_equivalent, homomorphic, is_core, verify_core};
+use ndl_hom::{
+    core_f_block_size, core_of, core_with_f_block_size, f_block_size, hom_equivalent, homomorphic,
+    is_core, verify_core,
+};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -79,6 +82,21 @@ proptest! {
         prop_assert!(hom_equivalent(&a, &b));
         prop_assert!(verify_core(&a, &j));
         prop_assert!(verify_core(&b, &j));
+    }
+
+    #[test]
+    fn core_block_size_matches_the_core_fact_graph(
+        seed in 0u64..1_000_000,
+        facts in 0usize..14,
+        nulls in 0usize..6,
+    ) {
+        // From all-null to all-ground instances: the block size read off
+        // the core engine equals the fact graph's of the same core.
+        let j = random_instance(seed, facts, 5, nulls * 2);
+        let (core, size) = core_with_f_block_size(&j);
+        prop_assert_eq!(&core, &core_of(&j));
+        prop_assert_eq!(size, f_block_size(&core));
+        prop_assert_eq!(core_f_block_size(&j), size);
     }
 
     #[test]

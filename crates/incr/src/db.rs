@@ -25,29 +25,45 @@
 //! ## Bit-identity by construction
 //!
 //! Recomputation is *not* an incremental algorithm that patches previous
-//! results; it is the scratch computation, run on the canonical source
-//! text assembled from the current inputs ([`IncrDb::canonical_src`]:
-//! statement lines in order, then the rendered `fact:` lines sorted).
-//! Every front end — `ndl chase` on a file, the daemon, this graph —
-//! funnels through [`ProgramArtifacts::build`] and the same chase entry
-//! points (the recompute runs the semi-naive delta engine, `ndl chase`'s
-//! default, which is bit-identical to the naive `--no-delta` oracle), so
-//! a memoized result is byte-identical to a from-scratch run
-//! *whenever it is computed at all*; the red-green machinery only decides
-//! **whether** to run, never **what** the answer is. The proptests in
-//! `tests/incr_props.rs` pin exactly this: after every prefix of a random
-//! edit script, each query's incremental answer equals a scratch replay,
-//! including budget-exhaustion and cyclic-refusal diagnostics.
+//! results; it is the scratch computation on the current inputs. Its
+//! reference is the canonical source text ([`IncrDb::canonical_src`]:
+//! statement lines in order, then the rendered `fact:` lines sorted),
+//! built by [`ProgramArtifacts::build`] and chased by the semi-naive delta
+//! engine, exactly as `ndl chase` on that file would (the delta engine is
+//! bit-identical to the naive `--no-delta` oracle). `--scratch` runs that
+//! text path on every query; it is the oracle the incremental path is
+//! checked against.
+//!
+//! A memoized chase recompute reaches the same inputs without the text.
+//! The statements are parsed and analyzed once and kept while the
+//! statement text and the store's `(fact relation, arity)` pairs stay put
+//! ([`ProgramArtifacts::build_with_facts`]: facts reach the analysis only
+//! through those pairs). Each recompute then numbers the store's facts
+//! into the analysis's symbol table in the order of the sorted `fact:`
+//! lines — constants and relations get the ids parsing the canonical
+//! text would give them — and fills the source instance in that order.
+//! The order is kept on integers: every constant has a rank in line
+//! order, maintained as constants are interned, and a relation's facts
+//! sort by their argument ranks. So a fact edit reaches neither the
+//! lexer nor the analyzer. The proptests in `tests/incr_props.rs` pin
+//! the result: after every prefix of a random edit script, each query's
+//! incremental answer equals the scratch replay, including
+//! budget-exhaustion, cyclic-refusal and arity-clash diagnostics, over
+//! primed and multi-byte names, relation names that prefix one another
+//! and fact-free sessions.
 
 use crate::edit::EditOp;
 use crate::query::{deps_of, DepKey, QueryKey, QueryOutput};
-use ndl_analyze::ProgramArtifacts;
-use ndl_chase::{chase_fixpoint_delta, satisfies_egds, FixpointChase, FixpointError, NullFactory};
+use ndl_analyze::{ArityClash, ProgramArtifacts, StmtAst};
+use ndl_chase::{
+    chase_fixpoint_delta, satisfies_egds, ChasePlan, FixpointChase, FixpointError, NullFactory,
+};
 use ndl_core::prelude::*;
 use ndl_core::revision::{fingerprint_str, Fingerprint, Revision, TrackedStore};
-use ndl_hom::{core_of, f_block_size, null_blocks};
+use ndl_hom::{core_with_f_block_size, null_blocks};
 use ndl_obs::{IncrObserver, IncrStats};
 use ndl_reasoning::{equivalent_fingerprinted, implies_fingerprinted, ImpliesOptions};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 // The core prelude exports a `Result<T>` alias over `CoreError`; this
@@ -79,13 +95,14 @@ impl Default for IncrOptions {
     }
 }
 
-/// The chase memo's value: the artifacts and chased instance are kept
+/// The chase memo's value: the symbols and chased instance are kept
 /// (behind an `Arc` — the daemon shares sessions across worker threads)
 /// so core/blocks recomputes never re-run the chase.
 #[derive(Debug)]
 pub struct ChaseData {
-    /// Artifacts built from the canonical source at compute time.
-    pub art: ProgramArtifacts,
+    /// The symbols of the canonical source, the labels for rendering
+    /// (empty when the chase is unavailable).
+    pub syms: SymbolTable,
     /// The null factory the chase populated (labels for rendering).
     pub nulls: NullFactory,
     /// The chased instance, when the chase reached a fixpoint.
@@ -131,6 +148,86 @@ enum Changed {
     Stmt(usize),
 }
 
+/// The statement-only parse and analysis a chase recompute starts from,
+/// with the key of what it read: the statements' fingerprint and the
+/// store's `(fact relation, arity)` pairs.
+#[derive(Debug)]
+struct StmtAnalysis {
+    stmts_fp: u64,
+    /// The store's fact relations (session ids) with their arities, in
+    /// the order of their first `fact:` line.
+    fact_rels: Vec<(RelId, usize)>,
+    /// The statements built with `fact_rels` as fact relations.
+    art: ProgramArtifacts,
+    /// `fact_rels`' relations in `art.syms`.
+    canon_rels: Vec<RelId>,
+    /// `art`'s chase plan under the session budget.
+    plan: ChasePlan,
+}
+
+/// The session's constants in rendered-line order, kept as constants are
+/// interned.
+#[derive(Debug, Default)]
+struct ConstOrder {
+    /// Every interned constant, in line order.
+    sorted: Vec<ConstId>,
+    /// `ConstId →` its position in `sorted`.
+    rank: Vec<u32>,
+}
+
+impl ConstOrder {
+    /// Takes in the constants interned since the last call.
+    fn refresh(&mut self, syms: &SymbolTable) {
+        let known = self.rank.len();
+        if syms.num_consts() == known {
+            return;
+        }
+        let name = |c: &ConstId| syms.const_name(*c);
+        let mut new: Vec<ConstId> = (known..syms.num_consts())
+            .map(|i| ConstId(i as u32))
+            .collect();
+        new.sort_unstable_by(|a, b| line_order(name(a), name(b)));
+        // Merge the new run into the sorted one.
+        let old = std::mem::take(&mut self.sorted);
+        self.sorted.reserve(old.len() + new.len());
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < new.len() {
+            if line_order(name(&old[i]), name(&new[j])) == Ordering::Less {
+                self.sorted.push(old[i]);
+                i += 1;
+            } else {
+                self.sorted.push(new[j]);
+                j += 1;
+            }
+        }
+        self.sorted.extend_from_slice(&old[i..]);
+        self.sorted.extend_from_slice(&new[j..]);
+        self.rank.resize(syms.num_consts(), 0);
+        for (r, c) in self.sorted.iter().enumerate() {
+            self.rank[c.index()] = r as u32;
+        }
+    }
+
+    fn of(&self, v: Value) -> u32 {
+        match v {
+            Value::Const(c) => self.rank[c.index()],
+            Value::Null(_) => unreachable!("source facts are ground"),
+        }
+    }
+}
+
+/// Orders identifiers as they sort in rendered fact lines, where each is
+/// followed by `(`, `,` or `)`. Identifier bytes are ASCII letters,
+/// digits, `_` and `'`, or non-ASCII: none falls between `(` and `,`, and
+/// only `'` sorts below them. So the end of a name sorts as one `(` does:
+/// `a'` precedes `a`, which precedes `a0` and `ab`.
+fn line_order(a: &str, b: &str) -> Ordering {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let n = a.len().min(b.len());
+    let end = |s: &[u8]| s.get(n).copied().unwrap_or(b'(');
+    a[..n].cmp(&b[..n]).then_with(|| end(a).cmp(&end(b)))
+}
+
 /// The incremental database over one program.
 #[derive(Debug)]
 pub struct IncrDb {
@@ -142,6 +239,10 @@ pub struct IncrDb {
     clock: Revision,
     memos: BTreeMap<QueryKey, Memo>,
     stats: IncrStats,
+    /// The chase recompute's statement analysis (memoized path only).
+    stmt_analysis: Option<StmtAnalysis>,
+    /// The session's constants in line order (memoized path only).
+    const_order: ConstOrder,
 }
 
 impl IncrDb {
@@ -159,6 +260,8 @@ impl IncrDb {
             clock: Revision::ZERO,
             memos: BTreeMap::new(),
             stats: IncrStats::new(),
+            stmt_analysis: None,
+            const_order: ConstOrder::default(),
         };
         for (lineno, line) in src.lines().enumerate() {
             let body = line.trim();
@@ -405,14 +508,7 @@ impl IncrDb {
     /// this is the bottom-up leg of green marking.
     fn dep_fp(&mut self, dep: DepKey) -> u64 {
         match dep {
-            DepKey::AllStmts => {
-                let mut f = Fingerprint::new();
-                for s in &self.stmts {
-                    f.write_str(s);
-                }
-                f.write_u64(self.stmts.len() as u64);
-                f.finish()
-            }
+            DepKey::AllStmts => self.stmts_fingerprint(),
             DepKey::Stmt(i) => {
                 fingerprint_str(self.stmts.get(i).map_or("<out of range>", String::as_str))
             }
@@ -424,13 +520,22 @@ impl IncrDb {
         }
     }
 
+    fn stmts_fingerprint(&self) -> u64 {
+        let mut f = Fingerprint::new();
+        for s in &self.stmts {
+            f.write_str(s);
+        }
+        f.write_u64(self.stmts.len() as u64);
+        f.finish()
+    }
+
     // ---------- compute functions (shared by memoized and scratch paths) ----------
 
     /// The canonical program text of the current inputs: statement lines
-    /// in order, then the rendered `fact:` lines sorted. Both the scratch
-    /// path and every recompute parse exactly this text from a fresh
-    /// symbol table, which is what makes memoized outputs byte-identical
-    /// to a one-shot CLI run on the same text.
+    /// in order, then the rendered `fact:` lines sorted. The `--scratch`
+    /// path parses exactly this text from a fresh symbol table, as a
+    /// one-shot `ndl chase` of it would; a memoized recompute builds the
+    /// same symbols and source instance from the store directly.
     pub fn canonical_src(&self) -> String {
         let mut src = self.canonical_stmt_src();
         // Every line is written once into one buffer; sorting orders the
@@ -521,63 +626,124 @@ impl IncrDb {
         }
     }
 
-    fn compute_chase(&self) -> ChaseData {
-        let src = self.canonical_src();
-        let art = ProgramArtifacts::build(&src);
-        let mut nulls = NullFactory::new();
-        let path = &self.opts.path;
-        if let Some((stmt, e)) = art.parse_errors.first() {
-            let msg = format!("{path} statement {} does not parse: {e}", stmt + 1);
-            return ChaseData::unavailable(art, nulls, msg);
+    /// The chase of the current inputs: from the canonical text under
+    /// `--scratch`, from the store otherwise.
+    fn compute_chase(&mut self) -> ChaseData {
+        if self.opts.scratch {
+            return self.chase_from_text();
         }
-        if !satisfies_egds(&art.source, &art.egds) {
-            let msg = "the fact statements violate the program's egds".to_string();
-            return ChaseData::unavailable(art, nulls, msg);
+        self.chase_from_store()
+    }
+
+    /// The `--scratch` oracle: [`ProgramArtifacts::build`] of
+    /// [`IncrDb::canonical_src`], chased.
+    fn chase_from_text(&self) -> ChaseData {
+        let mut art = ProgramArtifacts::build(&self.canonical_src());
+        if let Some(msg) = art.chase_refusal(&self.opts.path) {
+            return ChaseData::unavailable(msg);
         }
         let plan = art.analysis.tgd_plan(self.opts.budget);
-        let outcome = chase_fixpoint_delta(&art.source, &art.tgds, &plan, &mut nulls);
-        let mut rendered = QueryOutput::default();
-        let (result, summary) = match outcome {
-            Ok(res) => {
-                let summary = format!(
-                    "fixpoint: {} facts ({} derived, {} nulls) in {} rounds",
-                    res.instance.len(),
-                    res.derived,
-                    nulls.len(),
-                    res.rounds
-                );
-                let _ = writeln!(rendered.stdout, "{summary}");
-                nulls.write_fact_lines(res.instance.facts(), &art.syms, "  ", &mut rendered.stdout);
-                (Some(res), summary)
-            }
-            Err(FixpointError::BudgetExhausted {
-                budget, progress, ..
-            }) => {
-                let summary = format!(
-                    "budget exhausted: {} facts derived in {} rounds (budget {})",
-                    progress.derived, progress.rounds, budget
-                );
-                let _ = writeln!(rendered.stdout, "{summary}");
-                (None, summary)
-            }
-            Err(e @ FixpointError::NonTerminating { .. }) => {
-                let summary = e.to_string();
-                rendered.error = Some(format!("{e}; re-run with --budget N to chase it anyway"));
-                (None, summary)
-            }
-            Err(e) => {
-                let summary = e.to_string();
-                rendered.error = Some(summary.clone());
-                (None, summary)
-            }
-        };
-        ChaseData {
-            art,
-            nulls,
-            result,
-            rendered,
-            summary,
+        let syms = std::mem::take(&mut art.syms);
+        chase_source(syms, &art.source, &art, &plan)
+    }
+
+    /// The memoized path: the statement analysis (rebuilt only when the
+    /// statements or the fact relations changed), the store's facts
+    /// numbered into its symbols in canonical-text order, chased.
+    fn chase_from_store(&mut self) -> ChaseData {
+        let store = self.facts.store();
+        let mut fact_rels: Vec<(RelId, usize)> = (store.active_relations())
+            .map(|r| (r, store.arity(r).expect("an active relation has an arity")))
+            .collect();
+        let name = |r: RelId| self.syms.rel_name(r);
+        fact_rels.sort_unstable_by(|a, b| line_order(name(a.0), name(b.0)));
+        let stmts_fp = self.stmts_fingerprint();
+        let stale = self
+            .stmt_analysis
+            .as_ref()
+            .is_none_or(|m| m.stmts_fp != stmts_fp || m.fact_rels != fact_rels);
+        if stale {
+            let names: Vec<(&str, usize)> = fact_rels.iter().map(|&(r, n)| (name(r), n)).collect();
+            let art = ProgramArtifacts::build_with_facts(&self.canonical_stmt_src(), &names);
+            let canon_rels = (names.iter())
+                .map(|&(n, _)| art.syms.find_rel(n).expect("fact relations are interned"))
+                .collect();
+            let plan = art.analysis.tgd_plan(self.opts.budget);
+            self.stmt_analysis = Some(StmtAnalysis {
+                stmts_fp,
+                fact_rels,
+                art,
+                canon_rels,
+                plan,
+            });
         }
+        self.const_order.refresh(&self.syms);
+        let memo = self
+            .stmt_analysis
+            .as_ref()
+            .expect("statement analysis built");
+        let (art, store) = (&memo.art, self.facts.store());
+        let path = &self.opts.path;
+        // Refusals, as the text path words them. A clash of a fact
+        // relation names the relation's first `fact:` line, which follows
+        // the lines of every relation before it.
+        let n = self.stmts.len();
+        let refusal = match art.analysis.graphs.fact_clashes.first() {
+            Some(&clash) if art.parse_errors.is_empty() && clash.stmt >= n => {
+                let before = memo.fact_rels[..clash.stmt - n].iter();
+                let stmt = n + before.map(|&(r, _)| store.rel_len(r)).sum::<usize>();
+                Some(ArityClash { stmt, ..clash }.message(&art.syms, path))
+            }
+            _ => art.chase_refusal(path),
+        };
+        if let Some(msg) = refusal {
+            return ChaseData::unavailable(msg);
+        }
+        // The source: the statements' facts, then the store's in line
+        // order, each constant numbered at its first occurrence.
+        let mut syms = art.syms.clone();
+        let stmt_facts = art.source.len();
+        let mut source = Instance::from_store(FactStore::with_capacity(stmt_facts + store.len()));
+        for s in &art.stmts {
+            if let Some(StmtAst::Fact(f)) = &s.ast {
+                source.insert_tuple(f.rel, &f.args);
+            }
+        }
+        const UNSEEN: u32 = u32::MAX;
+        let mut canon = vec![UNSEEN; self.syms.num_consts()];
+        let mut rows: Vec<(u128, FactId)> = Vec::new();
+        let mut args: Vec<Value> = Vec::new();
+        let order = &self.const_order;
+        for (&(rel, arity), &canon_rel) in memo.fact_rels.iter().zip(&memo.canon_rels) {
+            rows.clear();
+            if arity <= 4 {
+                // The ranks packed 32 bits each, the first argument's
+                // highest: one arity per relation, so keys compare as
+                // rank tuples.
+                let key =
+                    |t: &[Value]| (t.iter()).fold(0, |k, &v| k << 32 | u128::from(order.of(v)));
+                rows.extend(store.iter_rel(rel).map(|(id, t)| (key(t), id)));
+                rows.sort_unstable_by_key(|&(k, _)| k);
+            } else {
+                rows.extend(store.iter_rel(rel).map(|(id, _)| (0, id)));
+                let ranks = |id: FactId| store.tuple(id).iter().map(|&v| order.of(v));
+                rows.sort_unstable_by(|a, b| ranks(a.1).cmp(ranks(b.1)));
+            }
+            for &(_, id) in &rows {
+                args.clear();
+                for &v in store.tuple(id) {
+                    let Value::Const(c) = v else {
+                        unreachable!("source facts are ground")
+                    };
+                    if canon[c.index()] == UNSEEN {
+                        canon[c.index()] = syms.constant(self.syms.const_name(c)).0;
+                    }
+                    args.push(Value::Const(ConstId(canon[c.index()])));
+                }
+                source.insert_tuple(canon_rel, &args);
+            }
+        }
+        chase_source(syms, &source, art, &memo.plan)
     }
 
     /// A statement's text as nested-tgd source, or why it cannot be one.
@@ -650,22 +816,82 @@ impl IncrDb {
     }
 }
 
+/// Chases `source` with `art`'s tgds and egds under `plan`, rendering
+/// the output as `ndl chase` does.
+fn chase_source(
+    syms: SymbolTable,
+    source: &Instance,
+    art: &ProgramArtifacts,
+    plan: &ChasePlan,
+) -> ChaseData {
+    if !satisfies_egds(source, &art.egds) {
+        let msg = "the fact statements violate the program's egds".to_string();
+        return ChaseData::unavailable(msg);
+    }
+    let mut nulls = NullFactory::new();
+    let outcome = chase_fixpoint_delta(source, &art.tgds, plan, &mut nulls);
+    let mut rendered = QueryOutput::default();
+    let (result, summary) = match outcome {
+        Ok(res) => {
+            let summary = format!(
+                "fixpoint: {} facts ({} derived, {} nulls) in {} rounds",
+                res.instance.len(),
+                res.derived,
+                nulls.len(),
+                res.rounds
+            );
+            let _ = writeln!(rendered.stdout, "{summary}");
+            nulls.write_fact_lines(res.instance.facts(), &syms, "  ", &mut rendered.stdout);
+            (Some(res), summary)
+        }
+        Err(FixpointError::BudgetExhausted {
+            budget, progress, ..
+        }) => {
+            let summary = format!(
+                "budget exhausted: {} facts derived in {} rounds (budget {})",
+                progress.derived, progress.rounds, budget
+            );
+            let _ = writeln!(rendered.stdout, "{summary}");
+            (None, summary)
+        }
+        Err(e @ FixpointError::NonTerminating { .. }) => {
+            let summary = e.to_string();
+            rendered.error = Some(format!("{e}; re-run with --budget N to chase it anyway"));
+            (None, summary)
+        }
+        Err(e) => {
+            let summary = e.to_string();
+            rendered.error = Some(summary.clone());
+            (None, summary)
+        }
+    };
+    ChaseData {
+        syms,
+        nulls,
+        result,
+        rendered,
+        summary,
+    }
+}
+
 impl ChaseData {
-    fn unavailable(art: ProgramArtifacts, nulls: NullFactory, msg: String) -> ChaseData {
+    fn unavailable(msg: String) -> ChaseData {
         ChaseData {
-            art,
-            nulls,
+            syms: SymbolTable::new(),
+            nulls: NullFactory::new(),
             result: None,
             rendered: QueryOutput::err(msg.clone()),
             summary: msg,
         }
     }
 
-    /// The memo's `(value, instance)` fingerprints, both read off the
-    /// rendered output. The value fingerprint is the whole output's, so
-    /// it changes exactly when the output does. The instance fingerprint
-    /// covers the fact lines (everything after the summary line) when the
-    /// chase reached a fixpoint, and the summary otherwise.
+    /// The memo's `(value, instance)` fingerprints. The instance
+    /// fingerprint covers the rendered fact lines (everything after the
+    /// summary line) when the chase reached a fixpoint, and the summary
+    /// otherwise. The rendered output is the summary line, those fact
+    /// lines and the error, so the value fingerprint hashes the summary,
+    /// the instance fingerprint and the error: it changes exactly when
+    /// the output does, and the listing is read once.
     fn fingerprints(&self) -> (u64, u64) {
         let instance = match self.result {
             Some(_) => {
@@ -674,7 +900,14 @@ impl ChaseData {
             }
             None => fingerprint_str(&self.summary),
         };
-        (output_hash(&self.rendered), instance)
+        let mut value = Fingerprint::new();
+        value.write_str(&self.summary);
+        value.write_u64(instance);
+        match &self.rendered.error {
+            Some(e) => value.write_str(e),
+            None => value.write_u64(0),
+        }
+        (value.finish(), instance)
     }
 }
 
@@ -692,17 +925,16 @@ fn compute_core(chase: &ChaseData) -> QueryOutput {
     let Some(res) = &chase.result else {
         return QueryOutput::err(format!("chase unavailable: {}", chase.summary));
     };
-    let core = core_of(&res.instance);
+    let (core, block_size) = core_with_f_block_size(&res.instance);
     let mut out = QueryOutput::default();
     let _ = writeln!(
         out.stdout,
-        "core: {} facts, {} nulls, f-block size {}",
+        "core: {} facts, {} nulls, f-block size {block_size}",
         core.len(),
         core.nulls().len(),
-        f_block_size(&core)
     );
     let nulls = &chase.nulls;
-    nulls.write_fact_lines(core.facts(), &chase.art.syms, "  ", &mut out.stdout);
+    nulls.write_fact_lines(core.facts(), &chase.syms, "  ", &mut out.stdout);
     out
 }
 
@@ -713,7 +945,7 @@ fn compute_blocks(chase: &ChaseData) -> QueryOutput {
     let blocks = null_blocks(&res.instance);
     // One writer for every block, so a subterm null that also occurs in
     // another block's listing is rendered once.
-    let mut w = chase.nulls.fact_writer(&chase.art.syms, String::new());
+    let mut w = chase.nulls.fact_writer(&chase.syms, String::new());
     let _ = writeln!(w, "null blocks: {}", blocks.len());
     for (i, block) in blocks.iter().enumerate() {
         let _ = writeln!(
@@ -727,5 +959,25 @@ fn compute_blocks(chase: &ChaseData) -> QueryOutput {
     QueryOutput {
         stdout: w.into_string(),
         ..QueryOutput::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn line_order_is_the_order_of_rendered_names() {
+        let names = [
+            "a", "a'", "a''", "ab", "a0", "a_", "é", "éa", "R", "RS", "R'",
+        ];
+        for x in names {
+            for y in names {
+                for end in ["(", ",", ")"] {
+                    let rendered = format!("{x}{end}").cmp(&format!("{y}{end}"));
+                    assert_eq!(line_order(x, y), rendered, "{x} vs {y}, then {end}");
+                }
+            }
+        }
     }
 }

@@ -206,3 +206,57 @@ fn apply_script_runs_end_to_end() {
     assert!(outputs[3].1.stdout.starts_with('{'));
     assert!(outputs[3].1.stdout.contains("\"statements\""));
 }
+
+/// A source fact whose relation the statements use at another arity —
+/// inserted, or left behind by a statement edit — makes the chase an
+/// error naming the fact's statement in the canonical text, exactly as
+/// the scratch text path (and `ndl chase` on that text) words it; undoing
+/// the clash restores the chase.
+#[test]
+fn arity_clashes_are_chase_errors() {
+    let src = "S(x) -> R(x)\nfact: S(a)\nfact: P(a)\n";
+    let mut incr = db_from(src);
+    let mut scratch = IncrDb::new(
+        src,
+        IncrOptions {
+            scratch: true,
+            ..IncrOptions::default()
+        },
+    )
+    .unwrap();
+    let clash = "<incr> statement 3: this R fact has arity 2, but an earlier statement uses R \
+                 with arity 1";
+    let script = parse_edit_script(
+        r#"
+{"op":"query","q":"chase"}
+{"op":"insert","fact":"R(a,b)"}
+{"op":"query","q":"chase"}
+{"op":"query","q":"core"}
+{"op":"retract","fact":"R(a,b)"}
+{"op":"query","q":"chase"}
+{"op":"set-stmt","index":0,"text":"S(x) -> R(x,x)"}
+{"op":"insert","fact":"R(a,b)"}
+{"op":"query","q":"chase"}
+{"op":"set-stmt","index":0,"text":"S(x) -> R(x)"}
+{"op":"query","q":"chase"}
+"#,
+    )
+    .unwrap();
+    let outputs = incr.apply_script(&script).unwrap();
+    assert_eq!(outputs, scratch.apply_script(&script).unwrap());
+    let errors: Vec<Option<&str>> = outputs.iter().map(|(_, o)| o.error.as_deref()).collect();
+    let unavailable = format!("chase unavailable: {clash}");
+    assert_eq!(
+        errors,
+        [
+            None,
+            Some(clash),
+            Some(unavailable.as_str()),
+            None,
+            None,
+            Some(clash)
+        ]
+    );
+    assert_eq!(outputs[3].1, outputs[0].1);
+    assert!(outputs[4].1.stdout.contains("R(a,b)"), "{:?}", outputs[4].1);
+}

@@ -21,7 +21,7 @@ use ndl_chase::{
     chase_fixpoint_with, chase_mapping, satisfies_egds, ChaseConfig, FixpointError, NullFactory,
 };
 use ndl_core::prelude::*;
-use ndl_hom::{core_of, f_block_size};
+use ndl_hom::{core_with_f_block_size, f_block_size};
 use ndl_incr::{parse_edit_script, IncrDb, IncrOptions, QueryKey, QueryOutput};
 use ndl_obs::{ChaseStats, IncrStats, JsonlTracer};
 use ndl_reasoning::{equivalent, glav_equivalent, implies_tgd, FblockOptions, ImpliesOptions};
@@ -132,7 +132,17 @@ pub fn parse_facts(
 ) -> std::result::Result<Instance, String> {
     let mut inst = Instance::new();
     for f in facts {
-        inst.insert(parse_fact(syms, f).map_err(err)?);
+        let fact = parse_fact(syms, f).map_err(err)?;
+        if let Some(arity) = inst.store().arity(fact.rel) {
+            if arity != fact.args.len() {
+                let rel = syms.rel_name(fact.rel);
+                let found = fact.args.len();
+                return Err(format!(
+                    "--fact {f}: arity mismatch: {rel} has arity {arity}, got {found}"
+                ));
+            }
+        }
+        inst.insert(fact);
     }
     Ok(inst)
 }
@@ -381,8 +391,8 @@ pub fn chase_program(
     cfg: &ChaseConfig,
     budget_ceiling: Option<usize>,
 ) -> Result<EvalOutput, String> {
-    if let Some((stmt, e)) = art.parse_errors.first() {
-        return Err(format!("{path} statement {} does not parse: {e}", stmt + 1));
+    if let Some(refusal) = art.chase_refusal(path) {
+        return Err(refusal);
     }
     if !satisfies_egds(&art.source, &art.egds) {
         return Err("the fact statements violate the program's egds".into());
@@ -522,19 +532,19 @@ pub fn chase_inline(args: &[String]) -> Result<EvalOutput, String> {
         return Err("source instance violates the source egds".into());
     }
     let (res, nulls) = chase_mapping(&source, &m, &mut syms);
-    let mut target = res.target;
-    let mut label = "chase(I, M)";
-    if has_flag(args, "--core") {
-        target = core_of(&target);
-        label = "core(chase(I, M))";
-    }
+    let (target, label, block_size) = if has_flag(args, "--core") {
+        let (core, size) = core_with_f_block_size(&res.target);
+        (core, "core(chase(I, M))", size)
+    } else {
+        let size = f_block_size(&res.target);
+        (res.target, "chase(I, M)", size)
+    };
     let mut out = EvalOutput::default();
     let _ = writeln!(
         out.stdout,
-        "{label}: {} facts, {} nulls, f-block size {}",
+        "{label}: {} facts, {} nulls, f-block size {block_size}",
         target.len(),
         target.nulls().len(),
-        f_block_size(&target)
     );
     nulls.write_fact_lines(target.facts(), &syms, "  ", &mut out.stdout);
     Ok(out)

@@ -432,3 +432,57 @@ fn auto_detected_facts_name_nulls_like_prefixed_ones() {
     assert!(listings[0].contains("R(a,f(a))"), "{}", listings[0]);
     assert_eq!(listings[0], listings[1]);
 }
+
+/// A fact whose relation an earlier statement — a fact or a tgd — uses at
+/// another arity is a chase error naming the statement and both arities,
+/// not a panic.
+#[test]
+fn chase_reports_fact_arity_clashes() {
+    let dir = std::env::temp_dir().join(format!("ndl_cli_arity_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, src, stmt) in [
+        ("facts.ndl", "fact: R(a)\nfact: R(a,b)\n", 2),
+        ("tgd.ndl", "S(x) -> R(x)\nfact: S(a)\nfact: R(a,b)\n", 3),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, src).unwrap();
+        let path = path.to_str().unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_ndl"))
+            .args(["chase", path])
+            .output()
+            .expect("ndl runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{err}");
+        assert_eq!(out.status.code(), Some(101), "{err}");
+        assert!(
+            err.starts_with(&format!(
+                "error: {path} statement {stmt}: this R fact has arity 2, but an earlier \
+                 statement uses R with arity 1\n"
+            )),
+            "{err}"
+        );
+    }
+    // Inline source facts of one relation at two arities.
+    let out = Command::new(env!("CARGO_BIN_EXE_ndl"))
+        .args([
+            "chase",
+            "--tgd",
+            "S(x) -> R(x)",
+            "--fact",
+            "S(a)",
+            "--fact",
+            "S(a,b)",
+        ])
+        .output()
+        .expect("ndl runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(101), "{err}");
+    assert!(
+        err.starts_with("error: --fact S(a,b): arity mismatch: S has arity 1, got 2\n"),
+        "{err}"
+    );
+    // Valid programs over the same relations still chase.
+    let (ok, out) = ndl(&["chase", "--tgd", "S(x) -> R(x)", "--fact", "S(a)"]);
+    assert!(ok, "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -522,3 +522,83 @@ fn incr_sessions_edit_query_and_invalidate_the_response_cache() {
     );
     let _ = std::fs::remove_file(&script_path);
 }
+
+/// A fact whose relation an earlier statement uses at another arity is a
+/// chase error with one message across `ndl chase`, `ndl incr` and the
+/// daemon's `chase` and `incr-edit` ops — not a worker panic — and the
+/// daemon keeps serving afterwards.
+#[test]
+fn arity_clashes_are_errors_across_cli_daemon_and_incr() {
+    let dir = std::env::temp_dir().join(format!("ndl-parity-arity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (_sock, handle, mut client) = boot("arity", None);
+    for (name, src, stmt) in [
+        ("facts.ndl", "fact: R(a)\nfact: R(a,b)\n", 2),
+        ("tgd.ndl", "S(x) -> R(x)\nfact: S(a)\nfact: R(a,b)\n", 3),
+    ] {
+        let f = dir.join(name);
+        std::fs::write(&f, src).expect("write program");
+        let f = f.to_str().expect("utf-8 path");
+        let (stdout, cli_err, code) = cli(&["chase", f], &[]);
+        assert_eq!((stdout.as_str(), code), ("", 101), "{cli_err}");
+        let want = format!(
+            "{f} statement {stmt}: this R fact has arity 2, but an earlier statement uses R \
+             with arity 1"
+        );
+        assert!(cli_err.contains(&format!("error: {want}\n")), "{cli_err}");
+        assert!(!cli_err.contains("panicked"), "{cli_err}");
+        let resp = client
+            .call(&file_request("chase", f, &[]))
+            .expect("daemon response");
+        assert!(!resp.ok);
+        assert_eq!(resp.exit, 101);
+        assert_eq!(resp.error.as_deref(), Some(want.as_str()));
+    }
+
+    // An insert that clashes with the statements' arity: the session's
+    // chase query reports it, as `ndl incr` on the same script does.
+    let f = dir.join("session.ndl");
+    std::fs::write(&f, "S(x) -> R(x)\nfact: S(a)\n").expect("write program");
+    let f = f.to_str().expect("utf-8 path").to_string();
+    let script = "{\"op\":\"insert\",\"fact\":\"R(a,b)\"}\n{\"op\":\"query\",\"q\":\"chase\"}\n";
+    let script_path = dir.join("session.edits.jsonl");
+    std::fs::write(&script_path, script).expect("write edit script");
+    let (cli_stdout, cli_err, code) = cli(
+        &["incr", &f, "--edits", script_path.to_str().expect("utf-8")],
+        &[],
+    );
+    assert_eq!(code, 0, "{cli_err}");
+    let want = format!(
+        "== chase\nerror: {f} statement 2: this R fact has arity 2, but an earlier statement \
+         uses R with arity 1\n"
+    );
+    assert_eq!(cli_stdout, want);
+    let session = |op: &str, program: Option<String>| Request {
+        op: op.into(),
+        tenant: "carol".into(),
+        path: f.clone(),
+        program,
+        ..Request::default()
+    };
+    let program = std::fs::read_to_string(&f).expect("program file");
+    let resp = client
+        .call(&session("incr-open", Some(program)))
+        .expect("response");
+    assert!(resp.ok, "{:?}", resp.error);
+    let resp = client
+        .call(&session("incr-edit", Some(script.to_string())))
+        .expect("response");
+    assert!(resp.ok, "{:?}", resp.error);
+    assert_eq!(resp.output, cli_stdout);
+
+    // The daemon still serves.
+    let f = example("running");
+    let (stdout, _, _) = cli(&["chase", &f], &[]);
+    let resp = client
+        .call(&file_request("chase", &f, &[]))
+        .expect("daemon response");
+    assert!(resp.ok, "{:?}", resp.error);
+    assert_eq!(resp.output, stdout);
+    shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
