@@ -10,7 +10,7 @@
 //! one-shot CLI run by construction.
 
 use crate::program::{parse_program, Statement, StmtAst};
-use crate::ChaseAnalysis;
+use crate::{ChaseAnalysis, ClashKind};
 use ndl_core::prelude::*;
 
 /// The parse, the full [`ChaseAnalysis`] (position/Skolem graphs,
@@ -77,10 +77,8 @@ impl ProgramArtifacts {
         // A fact refused for its arity stays out of the source: the store
         // holds one arity per relation (the chase front ends report the
         // refusal instead of chasing).
-        let mut refused = analysis
-            .graphs
-            .fact_clashes
-            .iter()
+        let mut refused = (analysis.graphs.arity_clashes.iter())
+            .filter(|c| c.kind == ClashKind::Fact)
             .map(|c| c.stmt)
             .peekable();
         for s in &stmts {
@@ -107,13 +105,13 @@ impl ProgramArtifacts {
     }
 
     /// Why this program cannot be chased, if it cannot: its first
-    /// statement that does not parse, else its first fact refused for its
-    /// arity. `path` labels the program in the message.
+    /// statement that does not parse, else its first fact or tgd refused
+    /// for its arities. `path` labels the program in the message.
     pub fn chase_refusal(&self, path: &str) -> Option<String> {
         if let Some((stmt, e)) = self.parse_errors.first() {
             return Some(format!("{path} statement {} does not parse: {e}", stmt + 1));
         }
-        let clash = self.analysis.graphs.fact_clashes.first()?;
+        let clash = self.analysis.graphs.arity_clashes.first()?;
         Some(clash.message(&self.syms, path))
     }
 }

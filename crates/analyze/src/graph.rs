@@ -306,27 +306,44 @@ pub struct ProgramGraphs {
     pub statements: usize,
     /// Statements that entered the analysis (parsed, arity-consistent).
     pub analyzed: Vec<usize>,
-    /// Facts refused because an earlier statement gave their relation
-    /// another arity, in statement order. No chase can hold such a fact
-    /// beside the earlier statement's, so the chase front ends report the
-    /// first one as an error.
-    pub fact_clashes: Vec<ArityClash>,
+    /// Facts and tgds refused for their arities, in statement order: a
+    /// relation an earlier statement fixed at another arity, or a tgd
+    /// using one relation at two arities. A chase without the refused
+    /// statement would not be the program's chase, so the chase front
+    /// ends report the first one as an error (`ndl lint` reports each as
+    /// NDL005).
+    pub arity_clashes: Vec<ArityClash>,
 }
 
-/// A fact whose relation an earlier statement fixed at another arity.
+/// A statement refused for the arity at which it uses a relation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ArityClash {
-    /// The fact's statement index. A fact relation passed to
+    /// The statement index. A fact relation passed to
     /// [`crate::ChaseAnalysis::analyze_with_facts`] stands for the fact
     /// statements after the program's: the `i`-th is numbered
     /// `statements + i`.
     pub stmt: usize,
-    /// The fact's relation.
+    /// What the statement is, and what it clashes with.
+    pub kind: ClashKind,
+    /// The relation.
     pub rel: RelId,
-    /// The arity the earlier statements fixed.
+    /// The arity fixed first: by an earlier statement, or for
+    /// [`ClashKind::WithinTgd`] by this tgd's earlier use.
     pub expected: usize,
-    /// The fact's arity.
+    /// The arity of the refused use.
     pub found: usize,
+}
+
+/// The statement an [`ArityClash`] refused, and what fixed the arity it
+/// disagrees with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClashKind {
+    /// A fact against an earlier statement.
+    Fact,
+    /// A tgd against an earlier statement.
+    Tgd,
+    /// A tgd using one relation at two arities.
+    WithinTgd,
 }
 
 impl ArityClash {
@@ -334,13 +351,21 @@ impl ArityClash {
     /// `ndl incr`): the 1-based statement and both arities.
     pub fn message(&self, syms: &SymbolTable, path: &str) -> String {
         let rel = syms.rel_name(self.rel);
-        format!(
-            "{path} statement {}: this {rel} fact has arity {}, but an earlier statement \
-             uses {rel} with arity {}",
-            self.stmt + 1,
-            self.found,
-            self.expected
-        )
+        let (stmt, found, expected) = (self.stmt + 1, self.found, self.expected);
+        match self.kind {
+            ClashKind::Fact => format!(
+                "{path} statement {stmt}: this {rel} fact has arity {found}, but an earlier \
+                 statement uses {rel} with arity {expected}"
+            ),
+            ClashKind::Tgd => format!(
+                "{path} statement {stmt}: this tgd uses {rel} with arity {found}, but an \
+                 earlier statement uses {rel} with arity {expected}"
+            ),
+            ClashKind::WithinTgd => format!(
+                "{path} statement {stmt}: this tgd uses {rel} with arity {expected} and with \
+                 arity {found}"
+            ),
+        }
     }
 }
 
@@ -382,7 +407,11 @@ impl ProgramGraphs {
             let info;
             let funcs = match ast {
                 StmtAst::Tgd(t) => {
-                    if !checker.well_formed_ignoring_sides(|s, e| t.check(s, e)) {
+                    if let Err(clash) = checker.well_formed_ignoring_sides(|s, e| t.check(s, e)) {
+                        g.arity_clashes.extend(clash.map(|c| ArityClash {
+                            stmt: stmt.index,
+                            ..c
+                        }));
                         continue;
                     }
                     info = SkolemInfo::for_nested(t, syms);
@@ -390,7 +419,11 @@ impl ProgramGraphs {
                     &info.funcs
                 }
                 StmtAst::So(t) => {
-                    if !checker.well_formed_ignoring_sides(|s, e| t.check(s, e)) {
+                    if let Err(clash) = checker.well_formed_ignoring_sides(|s, e| t.check(s, e)) {
+                        g.arity_clashes.extend(clash.map(|c| ArityClash {
+                            stmt: stmt.index,
+                            ..c
+                        }));
                         continue;
                     }
                     clauses.extend(t.clauses.iter().cloned());
@@ -399,7 +432,7 @@ impl ProgramGraphs {
                 StmtAst::Fact(f) => {
                     match arity.admit_fact(stmt.index, f.rel, f.args.len()) {
                         Ok(()) => g.analyzed.push(stmt.index),
-                        Err(clash) => g.fact_clashes.push(clash),
+                        Err(clash) => g.arity_clashes.push(clash),
                     }
                     continue;
                 }
@@ -414,7 +447,12 @@ impl ProgramGraphs {
                 let body = c.body.iter().map(|a| (a.rel, a.args.len()));
                 body.chain(c.head.iter().map(|a| (a.rel, a.args.len())))
             });
-            if !arity.admit(uses) {
+            if let Err(clash) = arity.admit(uses) {
+                g.arity_clashes.push(ArityClash {
+                    stmt: stmt.index,
+                    kind: ClashKind::Tgd,
+                    ..clash
+                });
                 continue;
             }
             g.analyzed.push(stmt.index);
@@ -432,7 +470,7 @@ impl ProgramGraphs {
         }
         for (i, &(rel, n)) in facts.iter().enumerate() {
             if let Err(clash) = arity.admit_fact(stmts.len() + i, rel, n) {
-                g.fact_clashes.push(clash);
+                g.arity_clashes.push(clash);
             }
         }
         g.build_position_graph();
@@ -808,16 +846,32 @@ impl Checker {
     /// Is a statement well-formed apart from side discipline?
     /// `SideMismatch` (NDL006) is tolerated — recursive programs
     /// necessarily read their own target relations, and their termination
-    /// class is exactly what the analysis must determine.
+    /// class is exactly what the analysis must determine. A statement
+    /// that is not fails with its first arity mismatch, if it has one, as
+    /// a [`ClashKind::WithinTgd`] clash numbered statement 0.
     fn well_formed_ignoring_sides(
         &mut self,
         check: impl FnOnce(&mut Schema, &mut Vec<CoreError>),
-    ) -> bool {
+    ) -> std::result::Result<(), Option<ArityClash>> {
         self.errs.clear();
         check(&mut Schema::new(), &mut self.errs);
-        self.errs
-            .iter()
-            .all(|e| matches!(e, CoreError::SideMismatch { .. }))
+        if (self.errs.iter()).all(|e| matches!(e, CoreError::SideMismatch { .. })) {
+            return Ok(());
+        }
+        Err(self.errs.iter().find_map(|e| match *e {
+            CoreError::ArityMismatch {
+                rel,
+                expected,
+                found,
+            } => Some(ArityClash {
+                stmt: 0,
+                kind: ClashKind::WithinTgd,
+                rel,
+                expected,
+                found,
+            }),
+            _ => None,
+        }))
     }
 }
 
@@ -840,8 +894,13 @@ impl Arities {
     /// Admits a statement using relations at the arities `uses` lists,
     /// unless a use disagrees with an admitted statement or with another
     /// use of the same statement — then nothing is recorded (a statement
-    /// must not half-register).
-    fn admit(&mut self, uses: impl IntoIterator<Item = (RelId, usize)>) -> bool {
+    /// must not half-register), and the first disagreeing use is returned
+    /// as a [`ClashKind::Fact`] clash numbered statement 0. (A tgd reaches
+    /// admission only once its own uses agree.)
+    fn admit(
+        &mut self,
+        uses: impl IntoIterator<Item = (RelId, usize)>,
+    ) -> std::result::Result<(), ArityClash> {
         self.added.clear();
         for (r, n) in uses {
             let i = r.index();
@@ -852,13 +911,20 @@ impl Arities {
                 self.of[i] = n;
                 self.added.push(r);
             } else if self.of[i] != n {
+                let clash = ArityClash {
+                    stmt: 0,
+                    kind: ClashKind::Fact,
+                    rel: r,
+                    expected: self.of[i],
+                    found: n,
+                };
                 for r in self.added.drain(..) {
                     self.of[r.index()] = Self::UNSET;
                 }
-                return false;
+                return Err(clash);
             }
         }
-        true
+        Ok(())
     }
 
     /// Admits a fact statement `stmt` of `rel` at arity `n`, or names the
@@ -869,15 +935,8 @@ impl Arities {
         rel: RelId,
         n: usize,
     ) -> std::result::Result<(), ArityClash> {
-        if self.admit([(rel, n)]) {
-            return Ok(());
-        }
-        Err(ArityClash {
-            stmt,
-            rel,
-            expected: self.of[rel.index()],
-            found: n,
-        })
+        self.admit([(rel, n)])
+            .map_err(|clash| ArityClash { stmt, ..clash })
     }
 }
 

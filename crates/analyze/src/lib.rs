@@ -76,7 +76,7 @@ pub use cost::{AnalysisReport, ChaseAnalysis, CostModel, PassTimings};
 pub use dataflow::{DataflowAnalysis, DataflowSummary};
 pub use diagnostic::{render, summary, Diagnostic, LineIndex, Note, Severity};
 pub use footprint::ProgramFootprints;
-pub use graph::{ArityClash, PositionGraph, ProgramGraphs, SkolemGraph};
+pub use graph::{ArityClash, ClashKind, PositionGraph, ProgramGraphs, SkolemGraph};
 pub use interference::{ConflictEdge, ConflictKind, Footprint, InterferenceAnalysis};
 pub use program::{parse_program, Statement, StmtAst};
 pub use rules::{lint_source, lint_source_timed, LintOptions};

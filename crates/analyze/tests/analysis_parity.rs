@@ -560,7 +560,7 @@ fn check_fact_relations(src: &str) {
         assert_eq!(part.syms.func_name(f), full.syms.func_name(f));
     }
     let clashing = |a: &ProgramArtifacts| {
-        let clashes = a.analysis.graphs.fact_clashes.iter();
+        let clashes = a.analysis.graphs.arity_clashes.iter();
         clashes.map(|c| c.rel).collect::<BTreeSet<RelId>>()
     };
     assert_eq!(clashing(&part), clashing(&full));

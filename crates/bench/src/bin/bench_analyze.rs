@@ -35,11 +35,10 @@
 
 use ndl_analyze::{parse_program, ChaseAnalysis, PassTimings, ProgramArtifacts, StmtAst};
 use ndl_bench::alloc::{allocations, CountingAlloc};
-use ndl_bench::{dead_code_program, ExperimentRecord};
+use ndl_bench::{clio_program, dead_code_program, ExperimentRecord};
 use ndl_chase::NullFactory;
 use ndl_core::prelude::*;
-use ndl_gen::{clio_scenario, random_program, random_program_with_dead_code, ProgramGenOptions};
-use std::fmt::Write as _;
+use ndl_gen::{random_program, random_program_with_dead_code, ProgramGenOptions};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -180,21 +179,6 @@ fn dead_code_rows(record: &mut ExperimentRecord, threads_available: usize) {
     }
 }
 
-/// The flat Clio mapping over `depts` departments (about two employees
-/// and two projects each) as a program file: its three tgds, then one
-/// `fact:` statement per source fact — the shape of the `exchange`
-/// benchmark's Clio jobs.
-fn clio_flat_program(depts: usize) -> String {
-    let mut syms = SymbolTable::new();
-    let sc = clio_scenario(&mut syms, depts, 2, 1);
-    let mut src = String::new();
-    for t in &sc.flat.tgds {
-        let _ = writeln!(src, "{}", t.display(&syms));
-    }
-    NullFactory::new().write_fact_lines(sc.source.facts(), &syms, "fact: ", &mut src);
-    src
-}
-
 /// What one front-end run leaves, rendered for the identity check: the
 /// analysis report as JSON and the source instance's fact listing.
 fn outputs(syms: &SymbolTable, analysis: &ChaseAnalysis, source: &Instance) -> (String, String) {
@@ -257,7 +241,7 @@ fn fact_heavy_rows(record: &mut ExperimentRecord, threads_available: usize) {
         "  departments  statements  facts   parse   analyze  source    drop   total     allocs"
     );
     for depts in [1000, 2000] {
-        let text = clio_flat_program(depts);
+        let text = clio_program(depts, 1, true);
         let art = ProgramArtifacts::build(&text);
         let want = outputs(&art.syms, &art.analysis, &art.source);
         let (statements, facts) = (art.stmts.len(), art.source.len());

@@ -26,24 +26,46 @@
 //! disjoint_pairs}`) so the parser never sees 10⁵ `fact:` lines; the
 //! small program text still goes through the analyzer for the real plan.
 //!
+//! A second table follows a user path: `clio-flat/<d>` and
+//! `clio-nested/<d>` are the Clio programs of the `exchange` benchmark
+//! (the flat or nested mapping over `d` departments, one `fact:` statement
+//! per source fact; [`ndl_bench::clio_program`]), built through
+//! `ProgramArtifacts` as `ndl chase` builds them and chased with the
+//! sequential delta engine. Before any timing, the rendered listing is
+//! asserted equal to `ndl chase`'s output (`eval::chase_program`). Each row
+//! splits the median run into build (artifacts and plan), index build
+//! (after the certificate check), match rounds, round commits, render and
+//! drop (of the result, the nulls, the listing and the artifacts), with
+//! the heap allocations of the chase phases and the render (a counting
+//! global allocator is installed).
+//!
 //! Speedups are honest about hardware: `threads_available` is recorded
 //! in every row, and on a 1-CPU host the sharded-parallel column is
 //! expected to trail the sequential delta engine slightly.
 //!
 //! Pass an output directory as the first argument to write elsewhere
-//! (e.g. `bench_delta target/experiments` for a throwaway run).
+//! (e.g. `bench_delta target/experiments` for a throwaway run). With
+//! `--parent <record>`, the Clio rows of an earlier record (the same
+//! bench source built on the parent commit) are copied in, labelled
+//! `"build": "parent"`, beside this build's rows. `--clio` runs the Clio
+//! rows alone, as such a parent record needs.
 
-use ndl_analyze::{parse_program, ChaseAnalysis};
-use ndl_bench::ExperimentRecord;
+use ndl_analyze::{parse_program, ChaseAnalysis, ProgramArtifacts};
+use ndl_bench::alloc::{allocations, CountingAlloc};
+use ndl_bench::{clio_program, ExperimentRecord};
 use ndl_chase::{
-    chase_fixpoint, chase_fixpoint_delta, chase_fixpoint_delta_parallel_with, ChaseConfig,
-    ChasePlan, NullFactory,
+    chase_fixpoint, chase_fixpoint_delta, chase_fixpoint_delta_parallel_with,
+    chase_fixpoint_delta_with, ChaseConfig, ChasePlan, NullFactory,
 };
 use ndl_core::prelude::*;
 use ndl_gen::{disjoint_pairs, successor};
-use ndl_obs::NoopObserver;
+use ndl_obs::{ChaseObserver, NoopObserver, StmtRound};
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Mean seconds per call over `reps` calls (plus one warm-up).
 fn time<R>(reps: u32, mut f: impl FnMut() -> R) -> f64 {
@@ -127,10 +149,176 @@ fn analyze_into(syms: &mut SymbolTable, text: &str, w: &mut Workload) {
     );
 }
 
-fn main() {
-    let out_dir = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "experiments".into());
+/// Wall time and allocations of one chase, split at the engine's
+/// observer events: index build (from the certificate check, or the
+/// start, to round 1), match rounds (statement by statement), and round
+/// commits (from a round's last statement to its end).
+#[derive(Default)]
+struct PhaseClock {
+    /// When the current phase began, and the allocation count then.
+    mark: Option<(Instant, u64)>,
+    /// Per phase: nanoseconds and allocations.
+    index: (u64, u64),
+    rounds: (u64, u64),
+    commit: (u64, u64),
+}
+
+impl PhaseClock {
+    /// Ends the current phase, adding it to `phase`, and starts the next.
+    fn lap(&mut self, phase: fn(&mut PhaseClock) -> &mut (u64, u64)) {
+        let now = (Instant::now(), allocations());
+        if let Some((at, allocs)) = self.mark {
+            let p = phase(self);
+            p.0 += (now.0 - at).as_nanos() as u64;
+            p.1 += now.1 - allocs;
+        }
+        self.mark = Some(now);
+    }
+}
+
+impl ChaseObserver for PhaseClock {
+    fn chase_start(&mut self, _: usize, _: usize) {
+        self.mark = Some((Instant::now(), allocations()));
+    }
+
+    fn dataflow_cert(&mut self, _: usize, _: usize) {
+        self.mark = Some((Instant::now(), allocations()));
+    }
+
+    fn round_start(&mut self, round: usize) {
+        if round == 1 {
+            self.lap(|c| &mut c.index);
+        }
+    }
+
+    fn statement_skipped(&mut self, _: usize, _: usize) {
+        self.lap(|c| &mut c.rounds);
+    }
+
+    fn statement(&mut self, _: &StmtRound) {
+        self.lap(|c| &mut c.rounds);
+    }
+
+    fn round_end(&mut self, _: usize, _: u64, _: u64) {
+        self.lap(|c| &mut c.commit);
+    }
+}
+
+fn median(col: &mut [f64]) -> f64 {
+    col.sort_by(f64::total_cmp);
+    col[col.len() / 2]
+}
+
+/// The Clio rows: each program chased `reps` times (after one warm-up)
+/// the way `ndl chase` chases it, its output asserted equal to
+/// `ndl chase`'s first; median milliseconds and allocations per phase.
+fn clio_rows(record: &mut ExperimentRecord, threads_available: usize) {
+    println!("\nClio programs, as ndl chase runs them (median ms per run)\n");
+    println!(
+        "  program            facts  derived  nulls   build   index  rounds  commit  render    drop   chase   allocs (index/rounds/commit/render)"
+    );
+    const PATH: &str = "clio.ndl";
+    let cfg = ChaseConfig::default();
+    for (flat, depts) in [(true, 1000), (true, 2000), (false, 1000), (false, 2000)] {
+        let family = if flat { "clio-flat" } else { "clio-nested" };
+        let text = clio_program(depts, 1, flat);
+        let want = {
+            let art = ProgramArtifacts::build(&text);
+            let out = ndl_serve::eval::chase_program(&art, PATH, &[], &cfg, None);
+            out.expect("the Clio program chases").stdout
+        };
+        let reps = 21;
+        // build (artifacts and plan), index, rounds, commit, render, drop.
+        let mut ms: [Vec<f64>; 6] = Default::default();
+        let mut allocs = [0u64; 4];
+        let mut counts = (0, 0, 0);
+        for rep in 0..=reps {
+            let t = Instant::now();
+            let art = ProgramArtifacts::build(&text);
+            let plan = art.analysis.tgd_plan(None);
+            let build_ms = t.elapsed().as_secs_f64() * 1e3;
+            let mut nulls = NullFactory::new();
+            let mut clock = PhaseClock::default();
+            let res =
+                chase_fixpoint_delta_with(&art.source, &art.tgds, &plan, &mut nulls, &mut clock)
+                    .expect("the Clio program chases");
+            let (t, before) = (Instant::now(), allocations());
+            let mut out = format!(
+                "fixpoint: {} facts ({} derived, {} nulls) in {} rounds\n",
+                res.instance.len(),
+                res.derived,
+                nulls.len(),
+                res.rounds
+            );
+            nulls.write_fact_lines(res.instance.facts(), &art.syms, "  ", &mut out);
+            let render = (t.elapsed().as_secs_f64() * 1e3, allocations() - before);
+            assert!(
+                out == want,
+                "{family}/{depts}: output differs from ndl chase"
+            );
+            counts = (res.instance.len(), res.derived, nulls.len());
+            let t = Instant::now();
+            drop((res, nulls, out, plan, art));
+            let drop_ms = t.elapsed().as_secs_f64() * 1e3;
+            if rep == 0 {
+                continue;
+            }
+            let phases = [clock.index, clock.rounds, clock.commit];
+            let row = [
+                build_ms,
+                phases[0].0 as f64 / 1e6,
+                phases[1].0 as f64 / 1e6,
+                phases[2].0 as f64 / 1e6,
+                render.0,
+                drop_ms,
+            ];
+            for (col, v) in ms.iter_mut().zip(row) {
+                col.push(v);
+            }
+            allocs = [phases[0].1, phases[1].1, phases[2].1, render.1];
+        }
+        let med: Vec<f64> = ms.iter_mut().map(|col| median(col)).collect();
+        let chase_ms = med[1] + med[2] + med[3];
+        let name = format!("{family}/{depts}");
+        println!(
+            "  {name:<17} {:>6}  {:>7}  {:>5}  {:>6.2}  {:>6.2}  {:>6.2}  {:>6.2}  {:>6.2}  {:>6.2}  {chase_ms:>6.2}   {}/{}/{}/{}",
+            counts.0, counts.1, counts.2, med[0], med[1], med[2], med[3], med[4], med[5],
+            allocs[0], allocs[1], allocs[2], allocs[3]
+        );
+        record.row(&[
+            ("workload", name),
+            ("build", "this".to_string()),
+            ("facts", counts.0.to_string()),
+            ("derived", counts.1.to_string()),
+            ("nulls", counts.2.to_string()),
+            ("identical", "true".to_string()),
+            ("build_ms", format!("{:.3}", med[0])),
+            ("index_ms", format!("{:.3}", med[1])),
+            ("rounds_ms", format!("{:.3}", med[2])),
+            ("commit_ms", format!("{:.3}", med[3])),
+            ("render_ms", format!("{:.3}", med[4])),
+            ("drop_ms", format!("{:.3}", med[5])),
+            ("chase_ms", format!("{chase_ms:.3}")),
+            ("index_allocs", allocs[0].to_string()),
+            ("rounds_allocs", allocs[1].to_string()),
+            ("commit_allocs", allocs[2].to_string()),
+            ("render_allocs", allocs[3].to_string()),
+            ("threads_available", threads_available.to_string()),
+        ]);
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let parent = args
+        .iter()
+        .position(|a| a == "--parent")
+        .map(|i| args.get(i + 1).cloned().unwrap_or_default());
+    let out_dir = args
+        .iter()
+        .enumerate()
+        .find(|&(i, a)| !a.starts_with("--") && (i == 0 || args[i - 1] != "--parent"))
+        .map_or_else(|| "experiments".into(), |(_, a)| a.clone());
     let cfg = ChaseConfig::from_env();
     let threads_available = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -144,12 +332,19 @@ fn main() {
          gated workloads; threads_available records the hardware the parallel column ran on",
     );
 
+    // The Clio rows run first, so that a parent build's `--clio` run
+    // made just before is timed under the same host speed.
+    clio_rows(&mut record, threads_available);
     let mut syms = SymbolTable::new();
-    let workloads = vec![
-        tc_workload(&mut syms, 450, 2),
-        pipeline_workload(&mut syms, 48, 2_500, 3),
-        pipeline_workload(&mut syms, 48, 21_000, 1),
-    ];
+    let workloads = if args.iter().any(|a| a == "--clio") {
+        Vec::new()
+    } else {
+        vec![
+            tc_workload(&mut syms, 450, 2),
+            pipeline_workload(&mut syms, 48, 2_500, 3),
+            pipeline_workload(&mut syms, 48, 21_000, 1),
+        ]
+    };
 
     println!(
         "semi-naive delta chase, {} worker thread(s), {} shard(s), {} CPU(s) (mean ms per run)\n",
@@ -263,11 +458,19 @@ fn main() {
         if all_pass { "pass" } else { "FAIL" }
     );
     record.passed = all_pass;
+    if let Some(path) = parent {
+        if let Err(e) = record.push_parent_rows(&path) {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    }
     let path = record
         .write_to(std::path::Path::new(&out_dir))
         .expect("record written");
     println!("record: {}", path.display());
-    if !all_pass {
-        std::process::exit(1);
+    if all_pass {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

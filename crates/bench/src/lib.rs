@@ -16,7 +16,8 @@ pub mod record;
 pub use record::ExperimentRecord;
 
 use ndl_core::prelude::*;
-use ndl_gen::{random_program_with_dead_code, ProgramGenOptions};
+use ndl_gen::{clio_scenario, random_program_with_dead_code, ProgramGenOptions};
+use std::fmt::Write as _;
 
 /// A dead-code program shaped like the `exchange` benchmark's dead-code
 /// jobs: [`random_program_with_dead_code`] over 40 live statements, a pool
@@ -43,6 +44,22 @@ pub fn dead_code_program(dead: usize, seed: u64) -> String {
         }
     }
     unreachable!("the attempt loop only exits by returning")
+}
+
+/// A Clio HR program shaped like the `exchange` benchmark's Clio jobs:
+/// the flat or the nested mapping of [`clio_scenario`] over `depts`
+/// departments with two members each, then one `fact:` statement per
+/// source fact — the text `ndl chase` reads.
+pub fn clio_program(depts: usize, seed: u64, flat: bool) -> String {
+    let mut syms = SymbolTable::new();
+    let sc = clio_scenario(&mut syms, depts, 2, seed);
+    let mapping = if flat { &sc.flat } else { &sc.nested };
+    let mut src = String::new();
+    for t in &mapping.tgds {
+        let _ = writeln!(src, "{}", t.display(&syms));
+    }
+    ndl_chase::NullFactory::new().write_fact_lines(sc.source.facts(), &syms, "fact: ", &mut src);
+    src
 }
 
 /// The running example σ of Section 2 (marked (*)), with parts σ1–σ4.

@@ -1,11 +1,13 @@
-//! Heap allocations of the front end, counted by a global allocator.
+//! Heap allocations of the front end and the chase, counted by a global
+//! allocator.
 //!
 //! The count is process-wide, so this binary holds a single test: no other
 //! test thread allocates while it measures.
 
 use ndl_analyze::{parse_program, ChaseAnalysis, ProgramArtifacts};
 use ndl_bench::alloc::{counting, CountingAlloc};
-use ndl_bench::dead_code_program;
+use ndl_bench::{clio_program, dead_code_program};
+use ndl_chase::NullFactory;
 use ndl_core::prelude::*;
 use ndl_incr::{IncrDb, IncrOptions, QueryKey};
 use std::fmt::Write as _;
@@ -37,8 +39,91 @@ fn fact_program(facts: usize) -> String {
     src
 }
 
+/// A depth-`depth` existential pipeline over `seeds` disjoint pairs.
+fn pipeline_program(depth: usize, seeds: usize) -> String {
+    let mut src = String::new();
+    for i in 0..depth {
+        let _ = writeln!(src, "S{i}(x,y) -> exists z S{}(y,z)", i + 1);
+    }
+    for i in 0..seeds {
+        let _ = writeln!(src, "fact: S0(a{i},b{i})");
+    }
+    src
+}
+
+/// The allocations of `chase_fixpoint_delta` over a program's source
+/// (built, planned and warmed up outside the count), with the chased
+/// fact count.
+fn chase_allocations(src: &str) -> (u64, usize) {
+    let art = ProgramArtifacts::build(src);
+    assert!(art.chase_refusal("p").is_none());
+    let plan = art.analysis.tgd_plan(None);
+    let run = || {
+        let mut nulls = NullFactory::new();
+        let res = ndl_chase::chase_fixpoint_delta(&art.source, &art.tgds, &plan, &mut nulls);
+        res.expect("terminates").instance.len()
+    };
+    run();
+    let (facts, allocs) = counting(run);
+    (allocs, facts)
+}
+
+/// The chase's claims: interning `n` new nulls allocates `O(log n)`
+/// times, and a delta chase's allocation count grows at most
+/// logarithmically with its source — a bounded number more each time the
+/// source doubles, on a Clio-flat program and on a depth-8 pipeline.
+fn chase_allocations_are_logarithmic() {
+    let mut syms = SymbolTable::new();
+    let f = syms.func("f");
+    let intern = |n: u32| {
+        let (len, allocs) = counting(|| {
+            let mut nulls = NullFactory::new();
+            for i in 0..n {
+                let args = [Value::Const(ConstId(i)), Value::Null(NullId(i / 2))];
+                nulls.null_for_app_slice(f, &args);
+            }
+            nulls.len()
+        });
+        assert_eq!(len, n as usize);
+        allocs
+    };
+    for n in [1_000u32, 8_000, 64_000] {
+        let allocs = intern(n);
+        // Four arrays, each growing by doubling: a function symbol, an
+        // argument end and the arguments per null, and the id table.
+        let bound = 4 * u64::from(n.ilog2() + 2);
+        assert!(
+            allocs <= bound,
+            "interning {n} nulls allocated {allocs} times (bound {bound})"
+        );
+    }
+
+    for (name, program) in [
+        (
+            "clio-flat",
+            &(|n: usize| clio_program(n, 1, true)) as &dyn Fn(usize) -> String,
+        ),
+        ("pipeline depth 8", &|n: usize| pipeline_program(8, 2 * n)),
+    ] {
+        let counts: Vec<(usize, u64, usize)> = [250, 500, 1_000, 2_000]
+            .into_iter()
+            .map(|n| {
+                let (allocs, facts) = chase_allocations(&program(n));
+                (n, allocs, facts)
+            })
+            .collect();
+        let shown = format!("{name}: (size, allocations, facts) {counts:?}");
+        for w in counts.windows(2) {
+            assert!(10 * w[1].2 >= 19 * w[0].2, "the source doubles: {shown}");
+            assert!(w[1].1 <= w[0].1 + 64, "{shown}");
+        }
+    }
+}
+
 #[test]
-fn front_end_allocations_are_bounded() {
+fn allocations_are_bounded() {
+    chase_allocations_are_logarithmic();
+
     // Lexing and parsing a fact against a warm symbol table allocates a
     // fixed number of times (the token buffer and the argument vector),
     // whatever the fact's arity.

@@ -127,7 +127,7 @@ pub fn chase_fixpoint_delta_with<O: ChaseObserver>(
     let epoch = index.epoch();
     let mut rounds = 0usize;
     let mut derived = 0usize;
-    let mut fresh = FactStore::new();
+    let mut fresh = Staging::with_capacity(source.len());
     let mut head_buf: Vec<Value> = Vec::new();
     loop {
         rounds += 1;
@@ -176,9 +176,7 @@ pub fn chase_fixpoint_delta_with<O: ChaseObserver>(
                             for t in &ta.args {
                                 head_buf.push(resolve_value(t, binding, nulls));
                             }
-                            if index.contains(ta.rel, &head_buf) {
-                                sr.dedup_hits += 1;
-                            } else if fresh.insert(ta.rel, &head_buf).is_new() {
+                            if fresh.stage(&index, ta.rel, &head_buf) {
                                 sr.derived += 1;
                                 if let Some(budget) = plan.step_budget {
                                     if derived + fresh.len() > budget {
@@ -231,7 +229,7 @@ pub fn chase_fixpoint_delta_with<O: ChaseObserver>(
         // round derived becomes the next round's frontier, everything
         // older falls below it.
         index.mark_frontier();
-        let added = commit(&mut index, &fresh);
+        let added = fresh.commit(&mut index);
         derived += added as usize;
         obs.round_end(
             rounds,
@@ -257,18 +255,68 @@ fn live_probes(tgds: &[SoTgd], live: impl Iterator<Item = usize>) -> ProbeSet {
     probe_set(live.flat_map(|si| tgds[si].clauses.iter().map(|c| c.body.as_slice())))
 }
 
-/// Commits a round's staged fresh facts to the index in sorted
-/// `(rel, tuple)` order — the order the naive engine commits its
-/// `BTreeSet<Fact>` in, so `FactId`s are assigned identically. Returns
-/// the number of facts added.
-fn commit(index: &mut TupleIndex, fresh: &FactStore) -> u64 {
-    let mut added = 0u64;
-    for id in fresh.sorted_ids() {
-        if index.insert(fresh.rel_of(id), fresh.tuple(id)) {
-            added += 1;
+/// One round's fresh facts, staged apart from the index until the round
+/// commits, each with the [`FactStore::tuple_hash`] it was derived under:
+/// a derived fact is hashed once, and that hash serves the index probe,
+/// the staging insert and the commit.
+struct Staging {
+    facts: FactStore,
+    /// `FactId` of `facts` → the fact's tuple hash.
+    hashes: Vec<u32>,
+}
+
+impl Staging {
+    /// A staging area sized for `facts` fresh facts a round; it keeps its
+    /// allocations from round to round.
+    fn with_capacity(facts: usize) -> Self {
+        Staging {
+            facts: FactStore::with_capacity(facts),
+            hashes: Vec::with_capacity(facts),
         }
     }
-    added
+
+    fn clear(&mut self) {
+        self.facts.clear();
+        self.hashes.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.facts.len()
+    }
+
+    /// Stages `rel(args)` unless the index or this round already holds
+    /// it; returns whether it was staged.
+    #[inline]
+    fn stage(&mut self, index: &TupleIndex, rel: RelId, args: &[Value]) -> bool {
+        let hash = FactStore::tuple_hash(rel, args);
+        if index.contains_hashed(rel, args, hash) {
+            return false;
+        }
+        let fresh = matches!(
+            self.facts.insert_hashed(rel, args, hash),
+            Inserted::Fresh(_)
+        );
+        if fresh {
+            self.hashes.push(hash);
+        }
+        fresh
+    }
+
+    /// Commits the staged facts to the index in sorted `(rel, tuple)`
+    /// order — the order the naive engine commits its `BTreeSet<Fact>` in,
+    /// so `FactId`s are assigned identically — after reserving room for
+    /// all of them. Returns the number of facts added.
+    fn commit(&self, index: &mut TupleIndex) -> u64 {
+        index.reserve(self.len());
+        let mut added = 0u64;
+        for id in self.facts.sorted_ids() {
+            let (rel, args) = (self.facts.rel_of(id), self.facts.tuple(id));
+            if index.insert_hashed(rel, args, self.hashes[id.index()]) {
+                added += 1;
+            }
+        }
+        added
+    }
 }
 
 /// One contiguous chunk of one clause's root-candidate list: the unit of
@@ -634,7 +682,7 @@ pub fn chase_fixpoint_delta_parallel_with<O: ChaseObserver>(
     let epoch = index.epoch();
     let mut rounds = 0usize;
     let mut derived = 0usize;
-    let mut fresh = FactStore::new();
+    let mut fresh = Staging::with_capacity(source.len());
     let mut head_buf: Vec<Value> = Vec::new();
     let mut binding = Binding::new();
     loop {
@@ -703,9 +751,7 @@ pub fn chase_fixpoint_delta_parallel_with<O: ChaseObserver>(
                             for t in &ta.args {
                                 head_buf.push(resolve_value(t, &binding, nulls));
                             }
-                            if index.contains(ta.rel, &head_buf) {
-                                sr.dedup_hits += 1;
-                            } else if fresh.insert(ta.rel, &head_buf).is_new() {
+                            if fresh.stage(&index, ta.rel, &head_buf) {
                                 sr.derived += 1;
                                 if cfg!(debug_assertions) {
                                     written.insert(ta.rel);
@@ -774,7 +820,7 @@ pub fn chase_fixpoint_delta_parallel_with<O: ChaseObserver>(
         }
 
         index.mark_frontier();
-        let added = commit(&mut index, &fresh);
+        let added = fresh.commit(&mut index);
         derived += added as usize;
         committed += added as usize;
         obs.round_end(

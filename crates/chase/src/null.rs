@@ -14,20 +14,34 @@
 //! every argument subterm). Structural [`GroundTerm`]s are reconstructed
 //! on demand for egd constant renaming; display never builds them — a
 //! [`FactWriter`] writes each null's term once, straight into the output.
+//!
+//! The applications are flat: per null its function symbol and the end of
+//! its arguments in one shared argument arena, found again through the
+//! workspace's one open-addressed [`IdTable`] (the table under the symbol
+//! namespaces and the fact store's dedup). Interning a new null appends to
+//! three vectors and files one id, so `n` nulls cost `O(log n)`
+//! allocations in all; an application seen before costs none.
 
+use ndl_core::hash::tuple_hash;
+use ndl_core::idtable::IdTable;
 use ndl_core::prelude::*;
 use std::fmt::{self, Write as _};
 
 /// Allocator and registry of labeled nulls, keyed by ground Skolem term.
 ///
-/// The interning map is keyed per function symbol, with argument vectors as
-/// the inner keys: probes borrow `&[Value]` (via `Vec<Value>: Borrow<[Value]>`)
-/// so the hot re-derivation path never allocates.
+/// Every probe borrows its arguments as `&[Value]`, so the hot
+/// re-derivation path never allocates.
 #[derive(Clone, Debug, Default)]
 pub struct NullFactory {
-    /// Per null, its defining application over already-interned values.
-    apps: Vec<(FuncId, Vec<Value>)>,
-    ids: FxHashMap<FuncId, FxHashMap<Vec<Value>, NullId>>,
+    /// Per null (by index), its function symbol.
+    funcs: Vec<FuncId>,
+    /// Per null, the end of its arguments in `args` (they start where the
+    /// previous null's end).
+    ends: Vec<u32>,
+    /// Every null's arguments, in null order, back to back.
+    args: Vec<Value>,
+    /// Null indices filed under the [`tuple_hash`] of their application.
+    table: IdTable,
     offset: u32,
 }
 
@@ -49,7 +63,7 @@ impl NullFactory {
 
     /// The first id that would be allocated next (offset + count).
     pub fn next_id(&self) -> u32 {
-        self.offset + self.apps.len() as u32
+        self.offset + self.len() as u32
     }
 
     /// The null labeled by one function application over interned values.
@@ -57,27 +71,30 @@ impl NullFactory {
     /// Skolem applications are passed as their nulls, so no structural
     /// term is ever materialized.
     pub fn null_for_app(&mut self, f: FuncId, args: Vec<Value>) -> NullId {
-        let per_f = self.ids.entry(f).or_default();
-        if let Some(&id) = per_f.get(args.as_slice()) {
-            return id;
-        }
-        let id = NullId(self.offset + self.apps.len() as u32);
-        self.apps.push((f, args.clone()));
-        per_f.insert(args, id);
-        id
+        self.null_for_app_slice(f, &args)
     }
 
     /// [`null_for_app`](Self::null_for_app) over a borrowed argument slice:
-    /// the interned id is returned without allocating when the application
-    /// has been seen before (the common case once the chase starts
-    /// re-deriving facts); the owned vectors are built only on first use.
+    /// an application seen before is found without allocating (the common
+    /// case once the chase starts re-deriving facts), and a new one is
+    /// appended to the flat arena, which grows by doubling.
     pub fn null_for_app_slice(&mut self, f: FuncId, args: &[Value]) -> NullId {
-        if let Some(&id) = self.ids.get(&f).and_then(|per_f| per_f.get(args)) {
-            return id;
-        }
-        let id = NullId(self.offset + self.apps.len() as u32);
-        self.apps.push((f, args.to_vec()));
-        self.ids.entry(f).or_default().insert(args.to_vec(), id);
+        let hash = tuple_hash(f.0, args);
+        let at = match self.table.find(hash, |i| self.app(i as usize) == (f, args)) {
+            Ok(i) => return NullId(self.offset + i),
+            Err(at) => at,
+        };
+        let index = u32::try_from(self.funcs.len()).expect("null factory overflow");
+        let id = NullId(
+            self.offset
+                .checked_add(index)
+                .expect("null id space exhausted"),
+        );
+        self.funcs.push(f);
+        self.args.extend_from_slice(args);
+        self.ends
+            .push(u32::try_from(self.args.len()).expect("null argument arena overflow"));
+        self.table.insert(at, hash, index);
         id
     }
 
@@ -87,7 +104,27 @@ impl NullFactory {
     /// clauses that never fire (a failing equality must leave the factory
     /// untouched).
     pub fn lookup_app(&self, f: FuncId, args: &[Value]) -> Option<NullId> {
-        self.ids.get(&f)?.get(args).copied()
+        let hash = tuple_hash(f.0, args);
+        let i = self
+            .table
+            .find(hash, |i| self.app(i as usize) == (f, args))
+            .ok()?;
+        Some(NullId(self.offset + i))
+    }
+
+    /// The application of the null at `index`: its function symbol and
+    /// arguments.
+    #[inline]
+    fn app(&self, index: usize) -> (FuncId, &[Value]) {
+        let start = if index == 0 {
+            0
+        } else {
+            self.ends[index - 1] as usize
+        };
+        (
+            self.funcs[index],
+            &self.args[start..self.ends[index] as usize],
+        )
     }
 
     /// The null labeled by `term`, allocated on first use. Subterms are
@@ -117,7 +154,7 @@ impl NullFactory {
     /// outside this factory's range (including argument nulls minted by a
     /// different factory).
     pub fn term(&self, id: NullId) -> Option<GroundTerm> {
-        let (f, args) = &self.apps[self.index(id)?];
+        let (f, args) = self.app(self.index(id)?);
         let args = args
             .iter()
             .map(|&v| match v {
@@ -125,17 +162,17 @@ impl NullFactory {
                 Value::Null(n) => self.term(n),
             })
             .collect::<Option<Vec<_>>>()?;
-        Some(GroundTerm::App(*f, args))
+        Some(GroundTerm::App(f, args))
     }
 
     /// Number of nulls allocated so far.
     pub fn len(&self) -> usize {
-        self.apps.len()
+        self.funcs.len()
     }
 
     /// Has no null been allocated yet?
     pub fn is_empty(&self) -> bool {
-        self.apps.is_empty()
+        self.funcs.is_empty()
     }
 
     /// Renders a value, printing nulls as their ground Skolem terms when
@@ -188,13 +225,13 @@ impl NullFactory {
     /// A writer appending to `out` that renders each null's term once
     /// across every listing written through it.
     pub fn fact_writer<'a>(&'a self, syms: &'a SymbolTable, out: String) -> FactWriter<'a> {
-        FactWriter::new(self, syms, out, Memo::Dense(vec![UNSEEN; self.apps.len()]))
+        FactWriter::new(self, syms, out, Memo::Dense(vec![UNSEEN; self.len()]))
     }
 
     /// The position of `id` among this factory's nulls, if it is one.
     fn index(&self, id: NullId) -> Option<usize> {
         let idx = id.0.checked_sub(self.offset)? as usize;
-        (idx < self.apps.len()).then_some(idx)
+        (idx < self.len()).then_some(idx)
     }
 }
 
@@ -335,11 +372,10 @@ impl<'a> FactWriter<'a> {
 
     /// Marks `root` and every unseen null in its term `KNOWN` or `FOREIGN`.
     fn resolve(&mut self, root: usize) {
-        let apps = &self.nulls.apps;
         self.memo.set(root, VISITING);
         self.stack.push((root, 0, 0));
         while let Some(&(idx, next, _)) = self.stack.last() {
-            let Some(&arg) = apps[idx].1.get(next) else {
+            let Some(&arg) = self.nulls.app(idx).1.get(next) else {
                 self.memo.set(idx, KNOWN);
                 self.stack.pop();
                 continue;
@@ -368,10 +404,10 @@ impl<'a> FactWriter<'a> {
     /// Writes the term of a `KNOWN` null, memoizing the span of every
     /// application it writes.
     fn term(&mut self, root: usize) {
-        let apps = &self.nulls.apps;
+        let nulls = self.nulls;
         self.open(root);
         while let Some(&(idx, next, start)) = self.stack.last() {
-            let args = &apps[idx].1;
+            let args = nulls.app(idx).1;
             if next == args.len() {
                 self.out.push(')');
                 let end = self.out.len();
@@ -403,7 +439,7 @@ impl<'a> FactWriter<'a> {
     fn open(&mut self, idx: usize) {
         let start = self.out.len();
         self.out
-            .push_str(self.syms.func_name(self.nulls.apps[idx].0));
+            .push_str(self.syms.func_name(self.nulls.app(idx).0));
         self.out.push('(');
         self.stack.push((idx, 0, start));
     }
@@ -479,6 +515,90 @@ mod tests {
         assert_eq!(n2.term(id2), Some(t));
         assert_eq!(n2.term(id1), None);
         assert_eq!(n2.next_id(), 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// The factory against a `HashMap` model from applications to
+        /// ids: interning (slice and owned), the non-interning
+        /// `lookup_app`, `term` and ids offset by `starting_at`.
+        #[test]
+        fn factory_agrees_with_a_map_model(seed in 0u64..u64::MAX, ops in 0usize..300) {
+            let mut state = seed;
+            let mut below = |n: u64| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % n
+            };
+            let offset = [0, 1, 1000, u32::MAX - 400][below(4) as usize];
+            let mut nf = NullFactory::starting_at(offset);
+            let mut ids: std::collections::HashMap<(FuncId, Vec<Value>), NullId> =
+                std::collections::HashMap::new();
+            let mut apps: Vec<(FuncId, Vec<Value>)> = Vec::new();
+            for _ in 0..ops {
+                let f = FuncId(below(3) as u32);
+                let arity = below(4) as usize;
+                // Constants, this factory's nulls, and a null it never made.
+                let args: Vec<Value> = (0..arity)
+                    .map(|_| match below(3) {
+                        0 => Value::Const(ConstId(below(3) as u32)),
+                        1 if !apps.is_empty() => {
+                            Value::Null(NullId(offset + below(apps.len() as u64) as u32))
+                        }
+                        _ => Value::Null(NullId(u32::MAX - below(2) as u32)),
+                    })
+                    .collect();
+                let key = (f, args.clone());
+                match below(3) {
+                    0 => {
+                        let before = nf.len();
+                        proptest::prop_assert_eq!(nf.lookup_app(f, &args), ids.get(&key).copied());
+                        proptest::prop_assert_eq!(nf.len(), before);
+                    }
+                    op => {
+                        let next = NullId(offset + apps.len() as u32);
+                        let want = *ids.entry(key).or_insert(next);
+                        if want == next {
+                            apps.push((f, args.clone()));
+                        }
+                        let got = if op == 1 {
+                            nf.null_for_app_slice(f, &args)
+                        } else {
+                            nf.null_for_app(f, args)
+                        };
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                }
+                proptest::prop_assert_eq!(nf.len(), apps.len());
+                proptest::prop_assert_eq!(nf.next_id(), offset + apps.len() as u32);
+            }
+            // `term` rebuilds each application, `None` where it reaches a
+            // null the factory did not make.
+            fn model_term(
+                apps: &[(FuncId, Vec<Value>)],
+                offset: u32,
+                id: NullId,
+            ) -> Option<GroundTerm> {
+                let (f, args) = apps.get(id.0.checked_sub(offset)? as usize)?;
+                let args = (args.iter())
+                    .map(|&v| match v {
+                        Value::Const(c) => Some(GroundTerm::Const(c)),
+                        Value::Null(n) => model_term(apps, offset, n),
+                    })
+                    .collect::<Option<Vec<_>>>()?;
+                Some(GroundTerm::App(*f, args))
+            }
+            for i in 0..apps.len() as u32 + 2 {
+                let id = NullId(offset.wrapping_add(i));
+                proptest::prop_assert_eq!(nf.term(id), model_term(&apps, offset, id));
+            }
+            if offset > 0 {
+                proptest::prop_assert_eq!(nf.term(NullId(offset - 1)), None);
+            }
+        }
     }
 
     #[test]

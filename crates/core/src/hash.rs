@@ -5,6 +5,7 @@
 //! per-finalization cost dominates; Fx is the standard fix (rustc uses the
 //! same scheme) and keeps the workspace free of external dependencies.
 
+use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -76,6 +77,25 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with the fast [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+
+/// The 32-bit hash an [`IdTable`](crate::idtable::IdTable) files a tuple
+/// under: `head` (a relation or function symbol id), then each value as
+/// one word (`Const(c)` as `c`, `Null(n)` as `2^32 + n`), through
+/// [`FxHasher`], keeping the high 32 bits — the ones Fx mixes best. The
+/// fact store files facts under it, the chase's null factory Skolem
+/// applications.
+#[inline]
+pub fn tuple_hash(head: u32, values: &[Value]) -> u32 {
+    let mut h = FxHasher::default();
+    h.write_u32(head);
+    for v in values {
+        h.write_u64(match *v {
+            Value::Const(c) => u64::from(c.0),
+            Value::Null(n) => (1 << 32) | u64::from(n.0),
+        });
+    }
+    (h.finish() >> 32) as u32
+}
 
 #[cfg(test)]
 mod tests {

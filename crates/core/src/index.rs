@@ -4,7 +4,7 @@
 //!
 //! The index owns a columnar [`FactStore`] and adds posting lists keyed by
 //! stable [`FactId`]s: `(rel, pos, value) → SmallIdVec<FactId>`. Dedup and
-//! containment are answered by the store's O(1) hash buckets (no tuple
+//! containment are answered by the store's open-addressed id table (no tuple
 //! cloning, no second exact-match map); posting lists append on first
 //! insertion and are filtered through liveness bits at read time, so the
 //! index is **updatable in place** — the incremental core engine retracts
@@ -179,7 +179,13 @@ impl TupleIndex {
     /// original id (posting lists still hold it).
     pub fn insert(&mut self, rel: RelId, args: impl AsRef<[Value]>) -> bool {
         let args = args.as_ref();
-        match self.store.insert(rel, args) {
+        self.insert_hashed(rel, args, FactStore::tuple_hash(rel, args))
+    }
+
+    /// [`insert`](Self::insert) of a tuple whose
+    /// [`FactStore::tuple_hash`] the caller already holds.
+    pub fn insert_hashed(&mut self, rel: RelId, args: &[Value], hash: u32) -> bool {
+        match self.store.insert_hashed(rel, args, hash) {
             Inserted::Present(_) => false,
             Inserted::Revived(_) => true,
             Inserted::Fresh(id) => {
@@ -203,6 +209,19 @@ impl TupleIndex {
     /// Is the fact live in the index? O(1) expected.
     pub fn contains(&self, rel: RelId, args: &[Value]) -> bool {
         self.store.contains(rel, args)
+    }
+
+    /// [`contains`](Self::contains) for a tuple whose
+    /// [`FactStore::tuple_hash`] the caller already holds.
+    #[inline]
+    pub fn contains_hashed(&self, rel: RelId, args: &[Value], hash: u32) -> bool {
+        self.store.contains_hashed(rel, args, hash)
+    }
+
+    /// Makes room for `tuples` more fresh tuples in the store's id arena
+    /// and dedup table (see [`FactStore::reserve`]).
+    pub fn reserve(&mut self, tuples: usize) {
+        self.store.reserve(tuples);
     }
 
     /// Total number of live tuples. O(1).

@@ -12,7 +12,9 @@
 //!   ([`store`]; the pre-columnar B-tree layout survives in [`btree`] as a
 //!   test/bench baseline);
 //! - a shared, updatable `(rel, pos, value) → facts` index keyed by stable
-//!   ids ([`index`]) and fast hash containers ([`hash`]);
+//!   ids ([`index`]), fast hash containers ([`hash`]) and the one
+//!   open-addressed id table under symbols, fact dedup and null interning
+//!   ([`idtable`]);
 //! - the dependency classes of the paper: s-t tgds, nested tgds, (plain)
 //!   SO tgds and source egds ([`dep`]);
 //! - a text parser and pretty printers ([`parse`]);
@@ -46,6 +48,7 @@ pub mod btree;
 pub mod dep;
 pub mod error;
 pub mod hash;
+pub mod idtable;
 pub mod index;
 pub mod instance;
 pub mod mapping;

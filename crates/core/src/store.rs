@@ -3,8 +3,20 @@
 //!
 //! A [`FactStore`] keeps, per relation, one flat arity-strided
 //! `Vec<Value>` column: the tuple of row `r` occupies
-//! `data[r*arity .. (r+1)*arity]`. Facts are deduplicated on insert via an
-//! Fx hash bucket map in O(1) expected time, and each distinct fact gets a
+//! `data[r*arity .. (r+1)*arity]`. Columns sit in one vector in the order
+//! their relations arrived, and each id points straight at its
+//! `(column, row)`, so [`FactStore::tuple`] is two indexed loads. A short
+//! relation-sorted list of `(relation, column)` pairs finds a relation's
+//! column by binary search and gives iteration its order; a store holds
+//! nothing sized by the largest [`RelId`], so a small instance stays small.
+//!
+//! Facts are deduplicated on insert through the workspace's one
+//! open-addressed [`IdTable`]: every id is filed under its tuple's 32-bit
+//! [`FactStore::tuple_hash`], and a probe compares stored hashes before it
+//! looks at a tuple. A caller that already holds the hash (the delta chase
+//! computes it once per derived fact, for the containment test) passes it
+//! to [`FactStore::insert_hashed`] and [`FactStore::contains_hashed`]
+//! instead of hashing the tuple again. Each distinct fact gets a
 //! dense, **stable** [`FactId`] that survives retraction: removal is a
 //! tombstone (a cleared liveness bit), and re-inserting a retracted fact
 //! *revives* its original id rather than allocating a new one. Stable ids
@@ -23,7 +35,7 @@
 //! - **Tombstones**: retraction clears a liveness bit in O(1); columns and
 //!   posting lists keep the row in place and readers filter through
 //!   [`FactStore::is_live`].
-//! - **Revival**: the dedup map is append-only, so a retract/re-insert
+//! - **Revival**: the dedup table is append-only, so a retract/re-insert
 //!   cycle returns the original id ([`Inserted::Revived`]) and the store
 //!   never holds two rows for one fact.
 //! - **Determinism**: iteration is relation-sorted and row-ordered
@@ -34,12 +46,10 @@
 //! tombstones, revivals, compactions) — plain `u64` increments on paths
 //! that already touch the same cache lines, cheap enough to never gate.
 
-use crate::hash::{FxBuildHasher, FxHashMap};
+use crate::idtable::{IdTable, Vacant};
 use crate::symbol::RelId;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::hash::BuildHasher;
 
 /// Dense, stable id of a fact inside a [`FactStore`]. Ids are assigned in
 /// first-insertion order and survive retraction (tombstones) — only
@@ -69,9 +79,9 @@ pub struct StoreCounters {
     pub revivals: u64,
     /// Arena rebuilds that dropped tombstones and renumbered ids.
     pub compactions: u64,
-    /// Dedup hash-map capacity growths (rehash-and-move cycles). Zero when
-    /// the store was pre-sized large enough via
-    /// [`FactStore::with_capacity`].
+    /// Dedup table growths (re-filing cycles). Zero when the store was
+    /// pre-sized large enough via [`FactStore::with_capacity`] or
+    /// [`FactStore::reserve`].
     pub rehashes: u64,
     /// Slot-arena reallocations (the `FactId → slot` vector regrowing).
     /// Zero when the store was pre-sized large enough.
@@ -79,8 +89,8 @@ pub struct StoreCounters {
 }
 
 /// A small vector of [`FactId`]s that stores up to five ids inline before
-/// spilling to the heap — posting lists and dedup buckets are almost
-/// always tiny, and the inline form is exactly the size of an empty `Vec`.
+/// spilling to the heap — posting lists are almost always tiny, and the
+/// inline form is exactly the size of an empty `Vec`.
 #[derive(Clone, Debug)]
 pub enum SmallIdVec {
     /// Up to five ids stored in place.
@@ -150,6 +160,8 @@ impl SmallIdVec {
 /// its rows.
 #[derive(Clone, Debug)]
 struct Column {
+    /// The relation whose facts the column holds.
+    rel: RelId,
     /// Fixed tuple width of this relation.
     arity: usize,
     /// Row-major tuple cells; row `r` is `data[r*arity..(r+1)*arity]`.
@@ -161,8 +173,9 @@ struct Column {
 }
 
 impl Column {
-    fn new(arity: usize) -> Self {
+    fn new(rel: RelId, arity: usize) -> Self {
         Column {
+            rel,
             arity,
             data: Vec::new(),
             ids: Vec::new(),
@@ -232,14 +245,18 @@ impl Inserted {
 /// representation rules (id stability, tombstones, revival, determinism).
 #[derive(Clone, Debug, Default)]
 pub struct FactStore {
-    /// Per-relation columns, relation-sorted for deterministic iteration.
-    cols: BTreeMap<RelId, Column>,
-    /// `FactId → (relation, row)` back-pointers, dead ids included.
-    slots: Vec<(RelId, u32)>,
+    /// Per-relation columns, in the order their relations first arrived.
+    cols: Vec<Column>,
+    /// `(relation, index into cols)`, sorted by relation: finds a
+    /// relation's column and orders iteration.
+    by_rel: Vec<(RelId, u32)>,
+    /// `FactId → (index into cols, row)` back-pointers, dead ids included.
+    slots: Vec<(u32, u32)>,
     /// Liveness bits parallel to `slots`.
     live: Vec<bool>,
-    /// `hash(rel, tuple) → candidate ids` dedup buckets (append-only).
-    dedup: FxHashMap<u64, SmallIdVec>,
+    /// Every assigned id, filed under its tuple's
+    /// [`tuple_hash`](FactStore::tuple_hash) (append-only).
+    dedup: IdTable,
     /// Cached number of live facts — `len()` is O(1).
     live_count: usize,
     /// Always-on storage event counters.
@@ -268,27 +285,79 @@ impl FactStore {
         FactStore {
             slots: Vec::with_capacity(facts),
             live: Vec::with_capacity(facts),
-            dedup: FxHashMap::with_capacity_and_hasher(facts, FxBuildHasher::default()),
+            dedup: IdTable::with_capacity(facts),
             ..Self::default()
         }
     }
 
+    /// Makes room for `facts` more fresh rows without growing the id arena
+    /// or the dedup table (columns still grow by doubling). Growth events
+    /// count as regrows and rehashes like those of an insert.
+    pub fn reserve(&mut self, facts: usize) {
+        let slots_cap = self.slots.capacity();
+        self.slots.reserve(facts);
+        self.live.reserve(facts);
+        if self.slots.capacity() != slots_cap {
+            self.counters.regrows += 1;
+        }
+        if self.dedup.reserve(facts) {
+            self.counters.rehashes += 1;
+        }
+    }
+
+    /// The 32-bit hash the store files a fact under:
+    /// [`crate::hash::tuple_hash`] of the relation and the tuple.
     #[inline]
-    fn hash_tuple(rel: RelId, args: &[Value]) -> u64 {
-        FxBuildHasher::default().hash_one((rel, args))
+    pub fn tuple_hash(rel: RelId, args: &[Value]) -> u32 {
+        crate::hash::tuple_hash(rel.0, args)
+    }
+
+    /// The column of `rel`, if the relation ever held a fact.
+    #[inline]
+    fn col(&self, rel: RelId) -> Option<&Column> {
+        let at = self.by_rel.binary_search_by_key(&rel, |&(r, _)| r).ok()?;
+        Some(&self.cols[self.by_rel[at].1 as usize])
+    }
+
+    /// The index of `rel`'s column in `cols`, made empty at width `arity`
+    /// if the relation has none yet.
+    fn col_index(&mut self, rel: RelId, arity: usize) -> usize {
+        match self.by_rel.binary_search_by_key(&rel, |&(r, _)| r) {
+            Ok(at) => self.by_rel[at].1 as usize,
+            Err(at) => {
+                let c = self.cols.len();
+                self.cols.push(Column::new(rel, arity));
+                self.by_rel.insert(at, (rel, c as u32));
+                c
+            }
+        }
+    }
+
+    /// The id of a fact (live or dead) filed under `hash`, or where the
+    /// dedup probe ended.
+    #[inline]
+    fn find(&self, rel: RelId, args: &[Value], hash: u32) -> Result<FactId, Vacant> {
+        debug_assert_eq!(hash, Self::tuple_hash(rel, args), "a stale tuple hash");
+        self.dedup
+            .find(hash, |id| {
+                let (c, row) = self.slots[id as usize];
+                let col = &self.cols[c as usize];
+                col.rel == rel && col.row(row) == args
+            })
+            .map(FactId)
     }
 
     /// Inserts a fact; O(1) expected. Returns whether the row is fresh,
     /// revived, or was already live — with its stable id in every case.
     pub fn insert(&mut self, rel: RelId, args: &[Value]) -> Inserted {
-        let h = Self::hash_tuple(rel, args);
-        if let Some(bucket) = self.dedup.get(&h) {
-            let found = bucket
-                .as_slice()
-                .iter()
-                .copied()
-                .find(|&id| self.slots[id.index()].0 == rel && self.tuple(id) == args);
-            if let Some(id) = found {
+        self.insert_hashed(rel, args, Self::tuple_hash(rel, args))
+    }
+
+    /// [`insert`](Self::insert) of a fact whose
+    /// [`tuple_hash`](Self::tuple_hash) the caller already holds.
+    pub fn insert_hashed(&mut self, rel: RelId, args: &[Value], hash: u32) -> Inserted {
+        let at = match self.find(rel, args, hash) {
+            Ok(id) => {
                 if self.live[id.index()] {
                     self.counters.dedup_hits += 1;
                     return Inserted::Present(id);
@@ -296,18 +365,14 @@ impl FactStore {
                 self.live[id.index()] = true;
                 self.live_count += 1;
                 self.counters.revivals += 1;
-                self.cols
-                    .get_mut(&rel)
-                    .expect("column of an assigned id")
-                    .live += 1;
+                self.cols[self.slots[id.index()].0 as usize].live += 1;
                 return Inserted::Revived(id);
             }
-        }
+            Err(at) => at,
+        };
         let id = FactId(u32::try_from(self.slots.len()).expect("fact arena overflow"));
-        let col = self
-            .cols
-            .entry(rel)
-            .or_insert_with(|| Column::new(args.len()));
+        let c = self.col_index(rel, args.len());
+        let col = &mut self.cols[c];
         if col.arity != args.len() {
             // A column emptied by `clear` may take a new width.
             assert_eq!(col.rows(), 0, "relation arity changed between inserts");
@@ -317,16 +382,14 @@ impl FactStore {
         col.data.extend_from_slice(args);
         col.ids.push(id);
         col.live += 1;
-        // Capacity snapshots prove (or disprove) that pre-sizing worked:
-        // a changed capacity after the push is a rehash/regrow event.
-        let dedup_cap = self.dedup.capacity();
+        // A capacity change across the push is a regrow event: it proves
+        // (or disproves) that pre-sizing worked.
         let slots_cap = self.slots.capacity();
-        self.slots.push((rel, row));
+        self.slots.push((c as u32, row));
         self.live.push(true);
         self.live_count += 1;
         self.counters.inserts += 1;
-        self.dedup.entry(h).or_default().push(id);
-        if self.dedup.capacity() != dedup_cap {
+        if self.dedup.insert(at, hash, id.0) {
             self.counters.rehashes += 1;
         }
         if self.slots.capacity() != slots_cap {
@@ -337,25 +400,29 @@ impl FactStore {
 
     /// Looks up the id of a fact, live rows only.
     pub fn lookup(&self, rel: RelId, args: &[Value]) -> Option<FactId> {
-        self.lookup_row(rel, args)
-            .filter(|id| self.live[id.index()])
+        self.lookup_hashed(rel, args, Self::tuple_hash(rel, args))
     }
 
-    /// Looks up the id of a fact, tombstones included.
-    fn lookup_row(&self, rel: RelId, args: &[Value]) -> Option<FactId> {
-        let h = Self::hash_tuple(rel, args);
-        let bucket = self.dedup.get(&h)?;
-        bucket
-            .as_slice()
-            .iter()
-            .copied()
-            .find(|&id| self.slots[id.index()].0 == rel && self.tuple(id) == args)
+    /// [`lookup`](Self::lookup) of a fact whose
+    /// [`tuple_hash`](Self::tuple_hash) the caller already holds.
+    #[inline]
+    pub fn lookup_hashed(&self, rel: RelId, args: &[Value], hash: u32) -> Option<FactId> {
+        self.find(rel, args, hash)
+            .ok()
+            .filter(|id| self.live[id.index()])
     }
 
     /// Is the fact live in the store? O(1) expected.
     #[inline]
     pub fn contains(&self, rel: RelId, args: &[Value]) -> bool {
         self.lookup(rel, args).is_some()
+    }
+
+    /// [`contains`](Self::contains) for a fact whose
+    /// [`tuple_hash`](Self::tuple_hash) the caller already holds.
+    #[inline]
+    pub fn contains_hashed(&self, rel: RelId, args: &[Value], hash: u32) -> bool {
+        self.lookup_hashed(rel, args, hash).is_some()
     }
 
     /// Tombstones a live fact by id; returns `false` if it was already
@@ -366,11 +433,7 @@ impl FactStore {
         }
         self.live[id.index()] = false;
         self.live_count -= 1;
-        let (rel, _) = self.slots[id.index()];
-        self.cols
-            .get_mut(&rel)
-            .expect("column of an assigned id")
-            .live -= 1;
+        self.cols[self.slots[id.index()].0 as usize].live -= 1;
         self.counters.tombstones += 1;
         true
     }
@@ -396,12 +459,12 @@ impl FactStore {
 
     /// Number of live facts of `rel`.
     pub fn rel_len(&self, rel: RelId) -> usize {
-        self.cols.get(&rel).map_or(0, |c| c.live)
+        self.col(rel).map_or(0, |c| c.live)
     }
 
     /// The tuple width of `rel`, if the relation has ever held a fact.
     pub fn arity(&self, rel: RelId) -> Option<usize> {
-        self.cols.get(&rel).map(|c| c.arity)
+        self.col(rel).map(|c| c.arity)
     }
 
     /// Is the id live?
@@ -413,17 +476,14 @@ impl FactStore {
     /// The tuple stored under `id` (live or dead) as a borrowed view.
     #[inline]
     pub fn tuple(&self, id: FactId) -> &[Value] {
-        let (rel, row) = self.slots[id.index()];
-        self.cols
-            .get(&rel)
-            .expect("column of an assigned id")
-            .row(row)
+        let (c, row) = self.slots[id.index()];
+        self.cols[c as usize].row(row)
     }
 
     /// The relation of the fact stored under `id` (live or dead).
     #[inline]
     pub fn rel_of(&self, id: FactId) -> RelId {
-        self.slots[id.index()].0
+        self.cols[self.slots[id.index()].0 as usize].rel
     }
 
     /// Total rows ever allocated (live + tombstoned).
@@ -433,21 +493,18 @@ impl FactStore {
 
     /// The relations with at least one live fact, sorted.
     pub fn active_relations(&self) -> impl Iterator<Item = RelId> + '_ {
-        self.cols
-            .iter()
-            .filter(|&(_, c)| c.live > 0)
-            .map(|(&rel, _)| rel)
+        self.columns().filter(|c| c.live > 0).map(|c| c.rel)
     }
 
     /// All row ids of `rel` in insertion order, tombstones included —
     /// filter through [`FactStore::is_live`].
     pub fn rel_row_ids(&self, rel: RelId) -> &[FactId] {
-        self.cols.get(&rel).map_or(&[][..], |c| c.ids.as_slice())
+        self.col(rel).map_or(&[][..], |c| c.ids.as_slice())
     }
 
     /// Iterates the live facts of one relation in insertion order.
     pub fn iter_rel(&self, rel: RelId) -> impl Iterator<Item = (FactId, &[Value])> + '_ {
-        self.cols.get(&rel).into_iter().flat_map(move |col| {
+        self.col(rel).into_iter().flat_map(move |col| {
             col.ids
                 .iter()
                 .enumerate()
@@ -459,13 +516,18 @@ impl FactStore {
     /// Iterates all live facts, relation-sorted and insertion-ordered
     /// within each relation. Zero allocation.
     pub fn iter(&self) -> impl Iterator<Item = (FactId, RelId, &[Value])> + '_ {
-        self.cols.iter().flat_map(move |(&rel, col)| {
+        self.columns().flat_map(move |col| {
             col.ids
                 .iter()
                 .enumerate()
                 .filter(|&(_, id)| self.live[id.index()])
-                .map(move |(row, &id)| (id, rel, col.row(row as u32)))
+                .map(move |(row, &id)| (id, col.rel, col.row(row as u32)))
         })
+    }
+
+    /// The columns in relation order.
+    fn columns(&self) -> impl Iterator<Item = &Column> + '_ {
+        self.by_rel.iter().map(|&(_, c)| &self.cols[c as usize])
     }
 
     /// The live ids in fully sorted `(relation, tuple)` order — the
@@ -483,7 +545,7 @@ impl FactStore {
         let mut out = Vec::with_capacity(self.live_count);
         let mut rows: Vec<u32> = Vec::new();
         let mut keyed: Vec<(u128, u32)> = Vec::new();
-        for col in self.cols.values() {
+        for col in self.columns() {
             let live = (0..col.rows() as u32).filter(|&r| self.live[col.ids[r as usize].index()]);
             if col.arity <= PACKED_ARITY {
                 keyed.clear();
@@ -579,13 +641,13 @@ impl FactStore {
     }
 
     /// Removes every fact but keeps the allocations (columns, slot arena,
-    /// dedup buckets), so a store refilled to a similar size allocates
+    /// dedup table), so a store refilled to a similar size allocates
     /// nothing — the delta chase stages each round's fresh facts in one
     /// store it clears between rounds. Like [`FactStore::compact`] this
     /// invalidates every outstanding [`FactId`], resets the frontier
     /// watermark to 0 and bumps the epoch; the counters keep accumulating.
     pub fn clear(&mut self) {
-        for col in self.cols.values_mut() {
+        for col in &mut self.cols {
             col.data.clear();
             col.ids.clear();
             col.live = 0;
@@ -634,6 +696,7 @@ mod tests {
     use super::*;
     use crate::symbol::{ConstId, SymbolTable};
     use crate::value::NullId;
+    use std::collections::BTreeMap;
 
     fn setup() -> (SymbolTable, RelId, Value, Value, Value) {
         let mut syms = SymbolTable::new();
@@ -936,7 +999,7 @@ mod tests {
     /// `FactId → slot → row` hop on every comparison.
     fn sorted_ids_by_slot(s: &FactStore) -> Vec<FactId> {
         let mut out = Vec::with_capacity(s.len());
-        for col in s.cols.values() {
+        for col in s.columns() {
             let start = out.len();
             out.extend(col.ids.iter().copied().filter(|id| s.live[id.index()]));
             out[start..].sort_unstable_by(|&a, &b| {
@@ -1006,6 +1069,155 @@ mod tests {
             let got = s.sorted_ids();
             proptest::prop_assert_eq!(&got, &sorted_ids_by_slot(&s));
             proptest::prop_assert_eq!(got.len(), s.len());
+        }
+    }
+
+    /// A model of the store: per id its fact and liveness, ids in
+    /// assignment order.
+    #[derive(Default)]
+    struct Model {
+        facts: Vec<(RelId, Vec<Value>)>,
+        live: Vec<bool>,
+        ids: BTreeMap<(RelId, Vec<Value>), FactId>,
+    }
+
+    impl Model {
+        fn insert(&mut self, rel: RelId, args: &[Value]) -> Inserted {
+            let key = (rel, args.to_vec());
+            if let Some(&id) = self.ids.get(&key) {
+                if self.live[id.index()] {
+                    return Inserted::Present(id);
+                }
+                self.live[id.index()] = true;
+                return Inserted::Revived(id);
+            }
+            let id = FactId(self.facts.len() as u32);
+            self.ids.insert(key.clone(), id);
+            self.facts.push(key);
+            self.live.push(true);
+            Inserted::Fresh(id)
+        }
+
+        fn lookup(&self, rel: RelId, args: &[Value]) -> Option<FactId> {
+            let id = *self.ids.get(&(rel, args.to_vec()))?;
+            self.live[id.index()].then_some(id)
+        }
+
+        /// Live ids, relation-sorted, in id order within a relation.
+        fn iteration(&self) -> Vec<FactId> {
+            let mut ids: Vec<FactId> = (0..self.facts.len() as u32)
+                .map(FactId)
+                .filter(|id| self.live[id.index()])
+                .collect();
+            ids.sort_by_key(|id| (self.facts[id.index()].0, *id));
+            ids
+        }
+
+        /// Live ids in `(relation, tuple)` order.
+        fn sorted(&self) -> Vec<FactId> {
+            (self.ids.values().copied())
+                .filter(|id| self.live[id.index()])
+                .collect()
+        }
+
+        fn compact(&mut self) {
+            let order = self.iteration();
+            let old = std::mem::take(self);
+            for id in order {
+                let (rel, args) = &old.facts[id.index()];
+                self.insert(*rel, args);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// The store against a `BTreeMap` model over insert (hashed or
+        /// not), retract by value and by id, revival, lookup, `clear`,
+        /// `compact` and `sorted_ids`. Relations arrive out of id order,
+        /// so relation-sorted iteration is checked against arrival order.
+        #[test]
+        fn store_agrees_with_a_map_model(seed in 0u64..u64::MAX, ops in 0usize..400) {
+            let mut state = seed;
+            let mut below = |n: usize| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) % n as u64) as usize
+            };
+            // `(relation, arity)`, listed out of id order.
+            let rels = [(RelId(7), 2), (RelId(2), 1), (RelId(40), 3), (RelId(0), 0), (RelId(13), 2)];
+            let vals: Vec<Value> = (0..3)
+                .map(|i| Value::Const(ConstId(i)))
+                .chain((0..3).map(|i| Value::Null(NullId(i))))
+                .collect();
+            let mut s = FactStore::new();
+            let mut m = Model::default();
+            for _ in 0..ops {
+                let (rel, arity) = rels[below(rels.len())];
+                let args: Vec<Value> = (0..arity).map(|_| vals[below(vals.len())]).collect();
+                match below(100) {
+                    0..=39 => {
+                        let got = s.insert(rel, &args);
+                        proptest::prop_assert_eq!(got, m.insert(rel, &args));
+                    }
+                    40..=54 => {
+                        let hash = FactStore::tuple_hash(rel, &args);
+                        let got = s.insert_hashed(rel, &args, hash);
+                        proptest::prop_assert_eq!(got, m.insert(rel, &args));
+                    }
+                    55..=69 => {
+                        let want = m.lookup(rel, &args);
+                        if let Some(id) = want {
+                            m.live[id.index()] = false;
+                        }
+                        proptest::prop_assert_eq!(s.retract(rel, &args), want);
+                    }
+                    70..=79 if !m.facts.is_empty() => {
+                        let id = FactId(below(m.facts.len()) as u32);
+                        let was = std::mem::replace(&mut m.live[id.index()], false);
+                        proptest::prop_assert_eq!(s.retract_id(id), was);
+                    }
+                    80..=94 => {
+                        let hash = FactStore::tuple_hash(rel, &args);
+                        let want = m.lookup(rel, &args);
+                        proptest::prop_assert_eq!(s.lookup(rel, &args), want);
+                        proptest::prop_assert_eq!(s.contains_hashed(rel, &args, hash), want.is_some());
+                    }
+                    95..=97 => {
+                        s.compact();
+                        m.compact();
+                    }
+                    98 => {
+                        s.clear();
+                        m = Model::default();
+                    }
+                    _ => {}
+                }
+            }
+            let live = m.live.iter().filter(|&&l| l).count();
+            proptest::prop_assert_eq!(s.len(), live);
+            proptest::prop_assert_eq!(s.rows(), m.facts.len());
+            for (i, (rel, args)) in m.facts.iter().enumerate() {
+                let id = FactId(i as u32);
+                proptest::prop_assert_eq!(s.tuple(id), args.as_slice());
+                proptest::prop_assert_eq!(s.rel_of(id), *rel);
+                proptest::prop_assert_eq!(s.is_live(id), m.live[i]);
+            }
+            let iterated: Vec<FactId> = s.iter().map(|(id, _, _)| id).collect();
+            proptest::prop_assert_eq!(iterated, m.iteration());
+            proptest::prop_assert_eq!(s.sorted_ids(), m.sorted());
+            let mut active: Vec<RelId> = m.iteration().iter().map(|id| m.facts[id.index()].0).collect();
+            active.dedup();
+            proptest::prop_assert_eq!(s.active_relations().collect::<Vec<_>>(), active);
+            for &(rel, _) in &rels {
+                let n = m.iteration().iter().filter(|id| m.facts[id.index()].0 == rel).count();
+                proptest::prop_assert_eq!(s.rel_len(rel), n);
+                let ids: Vec<FactId> = s.iter_rel(rel).map(|(id, _)| id).collect();
+                proptest::prop_assert_eq!(ids.len(), n);
+            }
         }
     }
 

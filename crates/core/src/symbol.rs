@@ -2,9 +2,13 @@
 //! relation names, variables, constants, and (Skolem) function symbols.
 //!
 //! All hot data structures (facts, atoms, terms) carry `u32` newtype ids;
-//! the [`SymbolTable`] is only touched when parsing or printing.
+//! the [`SymbolTable`] is only touched when parsing or printing. Each
+//! namespace keeps its names back to back in one string and finds them
+//! through the workspace's one open-addressed [`IdTable`], the table the
+//! fact store's dedup and the chase's null interning use too.
 
 use crate::hash::FxHasher;
+use crate::idtable::{IdTable, Vacant};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -52,9 +56,9 @@ id_type!(
 /// One interning namespace: bidirectional `name <-> u32`.
 ///
 /// The names live back to back in one string. They are found through an
-/// open-addressing table of ids, probed linearly from the name's
-/// [`FxHasher`] hash: interning hashes a name once, and allocates only
-/// when the string or a table outgrows its capacity.
+/// [`IdTable`] of ids filed under each name's [`FxHasher`] hash: interning
+/// hashes a name once, and allocates only when the string or the table
+/// outgrows its capacity.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 struct Namespace {
     /// Every name, in id order, back to back.
@@ -62,19 +66,13 @@ struct Namespace {
     /// `id →` end of its name in `text` (it starts where the previous
     /// id's name ends).
     ends: Vec<usize>,
-    /// Open-addressing table: per occupied slot, the name's hash in the
-    /// high 32 bits and its id in the low 32 ([`EMPTY`] marks a free
-    /// slot). Its length is 0 or a power of two, and it is at most half
-    /// full.
-    slots: Vec<u64>,
+    /// The ids, filed under their names' hashes.
+    slots: IdTable,
     /// Per `fresh` prefix: the suffix its last fresh name took. Names are
     /// never removed, so every smaller suffix is still taken and the next
     /// search resumes there — `fresh` stays linear in the calls made.
     fresh_next: HashMap<String, usize>,
 }
-
-/// A free slot of [`Namespace::slots`] (no id is `u32::MAX`).
-const EMPTY: u64 = u64::MAX;
 
 /// The hash a namespace files a name under: its length, then its bytes
 /// eight at a time, through the workspace's Fx hasher. The high 32 bits
@@ -96,72 +94,32 @@ fn name_hash(name: &str) -> u32 {
 }
 
 impl Namespace {
-    /// The slot a hash starts probing from: the hash scaled to the table.
-    fn home(&self, hash: u32) -> usize {
-        ((u64::from(hash) * self.slots.len() as u64) >> 32) as usize
-    }
-
-    /// The id of `name`, or the free slot where it would go.
-    fn find(&self, name: &str, hash: u32) -> std::result::Result<u32, usize> {
-        if self.slots.is_empty() {
-            return Err(0);
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(hash);
-        loop {
-            let slot = self.slots[i];
-            if slot == EMPTY {
-                return Err(i);
-            }
-            if (slot >> 32) as u32 == hash && self.name(slot as u32) == name {
-                return Ok(slot as u32);
-            }
-            i = (i + 1) & mask;
-        }
+    /// The id of `name`, or where it would be filed.
+    fn find(&self, name: &str, hash: u32) -> std::result::Result<u32, Vacant> {
+        self.slots.find(hash, |id| self.name(id) == name)
     }
 
     fn intern(&mut self, name: &str) -> u32 {
         let hash = name_hash(name);
         match self.find(name, hash) {
             Ok(id) => id,
-            Err(slot) => {
+            Err(at) => {
                 self.text.push_str(name);
-                self.file(hash, slot)
+                self.file(hash, at)
             }
         }
     }
 
     /// Gives the next id to the name just appended to `text`, whose hash
-    /// is `hash` and whose table slot would be `slot`.
-    fn file(&mut self, hash: u32, slot: usize) -> u32 {
+    /// is `hash` and whose probe ended at `at`.
+    fn file(&mut self, hash: u32, at: Vacant) -> u32 {
         let id = u32::try_from(self.ends.len())
             .ok()
             .filter(|&id| id != u32::MAX)
             .expect("symbol namespace overflow");
         self.ends.push(self.text.len());
-        let slot = if self.ends.len() * 2 > self.slots.len() {
-            self.grow();
-            self.find(self.name(id), hash)
-                .expect_err("a new name is not filed yet")
-        } else {
-            slot
-        };
-        self.slots[slot] = (u64::from(hash) << 32) | u64::from(id);
+        self.slots.insert(at, hash, id);
         id
-    }
-
-    /// Doubles the table (16 slots at first) and refiles every id.
-    fn grow(&mut self) {
-        let len = (self.slots.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY; len]);
-        let mask = self.slots.len() - 1;
-        for slot in old.into_iter().filter(|&s| s != EMPTY) {
-            let mut i = self.home((slot >> 32) as u32);
-            while self.slots[i] != EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = slot;
-        }
     }
 
     fn fresh(&mut self, prefix: &str) -> u32 {
@@ -178,14 +136,14 @@ impl Namespace {
             let _ = write!(self.text, "{prefix}_{i}");
             let cand = &self.text[start..];
             let hash = name_hash(cand);
-            if let Err(slot) = self.find(cand, hash) {
+            if let Err(at) = self.find(cand, hash) {
                 match self.fresh_next.get_mut(prefix) {
                     Some(next) => *next = i,
                     None => {
                         self.fresh_next.insert(prefix.to_owned(), i);
                     }
                 }
-                return self.file(hash, slot);
+                return self.file(hash, at);
             }
             i += 1;
         }
@@ -206,32 +164,16 @@ impl Namespace {
     }
 
     /// Forgets every name with an id of `len` or more, newest first: each
-    /// leaves its table slot by backward-shift deletion, so the probe
-    /// sequences of the names that stay are as if it had never been
-    /// filed.
+    /// leaves the table by backward-shift removal, so the probe sequences
+    /// of the names that stay are as if it had never been filed.
     fn truncate(&mut self, len: usize) {
         if self.ends.len() <= len {
             return;
         }
-        let mask = self.slots.len() - 1;
         while self.ends.len() > len {
             let id = self.ends.len() - 1;
-            let mut hole = self.home(name_hash(self.name(id as u32)));
-            while self.slots[hole] as u32 != id as u32 {
-                hole = (hole + 1) & mask;
-            }
-            // Pull later entries of the probe run back into the hole,
-            // unless an entry's home slot lies after the hole.
-            let mut j = (hole + 1) & mask;
-            while self.slots[j] != EMPTY {
-                let home = self.home((self.slots[j] >> 32) as u32);
-                if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                    self.slots[hole] = self.slots[j];
-                    hole = j;
-                }
-                j = (j + 1) & mask;
-            }
-            self.slots[hole] = EMPTY;
+            self.slots
+                .remove(name_hash(self.name(id as u32)), id as u32);
             self.ends.pop();
             self.text.truncate(self.ends.last().copied().unwrap_or(0));
         }

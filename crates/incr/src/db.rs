@@ -688,7 +688,7 @@ impl IncrDb {
         // relation names the relation's first `fact:` line, which follows
         // the lines of every relation before it.
         let n = self.stmts.len();
-        let refusal = match art.analysis.graphs.fact_clashes.first() {
+        let refusal = match art.analysis.graphs.arity_clashes.first() {
             Some(&clash) if art.parse_errors.is_empty() && clash.stmt >= n => {
                 let before = memo.fact_rels[..clash.stmt - n].iter();
                 let stmt = n + before.map(|&(r, _)| store.rel_len(r)).sum::<usize>();

@@ -52,7 +52,8 @@
 //! `lint`/`analyze` accept `--stats` for a one-line timing/size summary on
 //! stderr, with the wall time of each analysis pass under `passes_ns`.
 //! I/O and usage failures exit with code 101, distinct from lint
-//! findings.
+//! findings; only a usage failure prints the usage text after its
+//! message.
 //!
 //! `incr` opens a program file as a **live incremental instance** and
 //! replays an edit script against it: one JSON object per line (`insert`,
@@ -101,18 +102,43 @@ fn main() -> ExitCode {
     for w in obs::take_warnings() {
         eprintln!("warning: {}", w.message);
     }
-    match out {
-        Ok(code) => code,
-        Err(msg) => {
+    let failure = match out {
+        Ok(code) => return code,
+        Err(failure) => failure,
+    };
+    match failure {
+        Failure::Usage(msg) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
-            // I/O and internal failures use a code far above the lint
-            // findings range (which is capped at 100), so scripts can tell
-            // "program has findings" from "tool could not run".
-            ExitCode::from(101)
         }
+        Failure::Run(msg) => eprintln!("error: {msg}"),
     }
+    // Usage, I/O and internal failures use a code far above the lint
+    // findings range (which is capped at 100), so scripts can tell
+    // "program has findings" from "tool could not run".
+    ExitCode::from(101)
+}
+
+/// Why a command failed. Only a usage error is followed by the usage
+/// text; a failure at run time (a program that does not parse, an
+/// unreadable file, a refused chase) prints its message alone.
+enum Failure {
+    /// The command line itself is wrong.
+    Usage(String),
+    /// The command ran and failed.
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Run(msg)
+    }
+}
+
+/// A usage error.
+fn usage(msg: impl Into<String>) -> Failure {
+    Failure::Usage(msg.into())
 }
 
 const USAGE: &str = "usage:
@@ -131,7 +157,7 @@ const USAGE: &str = "usage:
   ndl serve (--socket <path>|--port N) [--workers N] [--queue N] [--cache-bytes N] [--budget N] [--telemetry <f.jsonl>]
   ndl request (--socket <path>|--port N) <requests.jsonl>";
 
-type CliResult = std::result::Result<(), String>;
+type CliResult = std::result::Result<(), Failure>;
 
 fn err<E: std::fmt::Display>(e: E) -> String {
     e.to_string()
@@ -153,7 +179,9 @@ fn write_stdout(text: &str) -> CliResult {
         .write_all(text.as_bytes())
         .and_then(|()| stdout.flush())
     {
-        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write output: {e}")),
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            Err(Failure::Run(format!("cannot write output: {e}")))
+        }
         _ => Ok(()),
     }
 }
@@ -166,9 +194,9 @@ macro_rules! outln {
     };
 }
 
-fn run(args: &[String]) -> std::result::Result<ExitCode, String> {
+fn run(args: &[String]) -> std::result::Result<ExitCode, Failure> {
     let Some(cmd) = args.first() else {
-        return Err("missing subcommand".into());
+        return Err(usage("missing subcommand"));
     };
     let rest = &args[1..];
     let mut syms = SymbolTable::new();
@@ -187,7 +215,7 @@ fn run(args: &[String]) -> std::result::Result<ExitCode, String> {
         "certain" => done(cmd_certain(&mut syms, rest)),
         "serve" => done(cmd_serve(rest)),
         "request" => done(cmd_request(rest)),
-        other => Err(format!("unknown subcommand {other:?}")),
+        other => Err(usage(format!("unknown subcommand {other:?}"))),
     }
 }
 
@@ -201,7 +229,7 @@ fn delegate(result: std::result::Result<EvalOutput, String>) -> CliResult {
 
 /// `ndl lint <file> ...` — reads the file, delegates to the shared
 /// evaluator, exits with the (capped) finding count.
-fn cmd_lint(args: &[String]) -> std::result::Result<ExitCode, String> {
+fn cmd_lint(args: &[String]) -> std::result::Result<ExitCode, Failure> {
     let path = args
         .iter()
         .find(|a| {
@@ -210,7 +238,7 @@ fn cmd_lint(args: &[String]) -> std::result::Result<ExitCode, String> {
                 && flag_values(args, "--max-skolem-arity").first() != Some(&a.as_str())
                 && flag_values(args, "--max-findings").first() != Some(&a.as_str())
         })
-        .ok_or("missing program file")?;
+        .ok_or_else(|| usage("missing program file"))?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let out = eval::lint(path, &src, args)?;
     emit(&out)?;
@@ -223,7 +251,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     let path = args
         .iter()
         .find(|a| !a.starts_with("--"))
-        .ok_or("missing program file")?;
+        .ok_or_else(|| usage("missing program file"))?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let started = Instant::now();
     let art = eval::ProgramArtifacts::build(&src);
@@ -239,7 +267,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
 fn cmd_chase(args: &[String]) -> CliResult {
     if flag_values(args, "--tgd").is_empty() {
         let path = positional_arg(args, &["--trace", "--budget"])
-            .ok_or("chase needs a program file or --tgd/--fact flags")?;
+            .ok_or_else(|| usage("chase needs a program file or --tgd/--fact flags"))?;
         let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let art = eval::ProgramArtifacts::build(&src);
         let cfg = ChaseConfig::from_env();
@@ -255,12 +283,12 @@ fn cmd_chase(args: &[String]) -> CliResult {
 /// graph, delegates the rendering.
 fn cmd_incr(args: &[String]) -> CliResult {
     let path = positional_arg(args, &["--edits", "--budget"])
-        .ok_or("incr needs a program file and an --edits script")?;
+        .ok_or_else(|| usage("incr needs a program file and an --edits script"))?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let edits_values = flag_values(args, "--edits");
     let edits_path = edits_values
         .first()
-        .ok_or("incr needs --edits <script.jsonl>")?;
+        .ok_or_else(|| usage("incr needs --edits <script.jsonl>"))?;
     let edits = std::fs::read_to_string(edits_path)
         .map_err(|e| format!("cannot read {edits_path}: {e}"))?;
     delegate(eval::incr(path, &src, &edits, args))
@@ -270,7 +298,7 @@ fn cmd_parse(syms: &mut SymbolTable, args: &[String]) -> CliResult {
     let text = args
         .iter()
         .find(|a| !a.starts_with("--"))
-        .ok_or("missing dependency text")?;
+        .ok_or_else(|| usage("missing dependency text"))?;
     if has_flag(args, "--so") {
         let t = parse_so_tgd(syms, text).map_err(err)?;
         let mut schema = Schema::new();
@@ -309,7 +337,7 @@ fn cmd_skolemize(syms: &mut SymbolTable, args: &[String]) -> CliResult {
     let text = args
         .iter()
         .find(|a| !a.starts_with("--"))
-        .ok_or("missing nested tgd")?;
+        .ok_or_else(|| usage("missing nested tgd"))?;
     let t = parse_nested_tgd(syms, text).map_err(err)?;
     let mut schema = Schema::new();
     t.validate(&mut schema).map_err(err)?;
@@ -330,7 +358,7 @@ fn cmd_compose(syms: &mut SymbolTable, args: &[String]) -> CliResult {
         .collect::<std::result::Result<_, _>>()
         .map_err(err)?;
     if first.is_empty() || second.is_empty() {
-        return Err("--first and --second each need at least one s-t tgd".into());
+        return Err(usage("--first and --second each need at least one s-t tgd"));
     }
     let so = compose_glav(&first, &second, syms).map_err(err)?;
     outln!(
@@ -350,7 +378,7 @@ fn cmd_certain(syms: &mut SymbolTable, args: &[String]) -> CliResult {
     )?;
     let source = parse_facts(syms, &flag_values(args, "--fact"))?;
     let query_text = flag_values(args, "--query");
-    let query_text = query_text.first().ok_or("missing --query")?;
+    let query_text = query_text.first().ok_or_else(|| usage("missing --query"))?;
     let q = ConjunctiveQuery::parse(syms, query_text).map_err(err)?;
     let answers = certain_answers(&q, &source, &m, syms);
     outln!(
@@ -372,33 +400,33 @@ fn cmd_certain(syms: &mut SymbolTable, args: &[String]) -> CliResult {
 
 // ---------- the daemon and its client ----------
 
-fn parse_num<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+fn parse_num<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, Failure> {
     match flag_values(args, flag).first() {
         Some(v) => v
             .parse::<T>()
             .map(Some)
-            .map_err(|_| format!("bad {flag} {v:?}")),
+            .map_err(|_| usage(format!("bad {flag} {v:?}"))),
         None => {
             if has_flag(args, flag) {
-                return Err(format!("{flag} requires a value"));
+                return Err(usage(format!("{flag} requires a value")));
             }
             Ok(None)
         }
     }
 }
 
-fn parse_endpoint(args: &[String]) -> Result<server::Endpoint, String> {
+fn parse_endpoint(args: &[String]) -> Result<server::Endpoint, Failure> {
     let socket = flag_values(args, "--socket");
     let port: Option<u16> = parse_num(args, "--port")?;
     match (socket.first(), port) {
         (Some(path), None) => Ok(server::Endpoint::Unix(path.into())),
         (None, Some(p)) => Ok(server::Endpoint::Tcp(p)),
-        (Some(_), Some(_)) => Err("--socket and --port are mutually exclusive".into()),
+        (Some(_), Some(_)) => Err(usage("--socket and --port are mutually exclusive")),
         (None, None) => {
             if has_flag(args, "--socket") {
-                Err("--socket requires a path".into())
+                Err(usage("--socket requires a path"))
             } else {
-                Err("one of --socket <path> or --port N is required".into())
+                Err(usage("one of --socket <path> or --port N is required"))
             }
         }
     }
@@ -437,7 +465,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
 fn cmd_request(args: &[String]) -> CliResult {
     let endpoint = parse_endpoint(args)?;
     let file = positional_arg(args, &["--socket", "--port"])
-        .ok_or("request needs a JSONL file of requests")?;
+        .ok_or_else(|| usage("request needs a JSONL file of requests"))?;
     let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let mut client = match &endpoint {
         server::Endpoint::Unix(path) => Client::connect_unix(path),

@@ -486,3 +486,83 @@ fn chase_reports_fact_arity_clashes() {
     assert!(ok, "{out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A tgd refused for its arities is a chase error, worded like a fact's
+/// clash, where `ndl lint` reports NDL005 — not a chase that drops it.
+#[test]
+fn chase_reports_tgd_arity_clashes() {
+    let dir = std::env::temp_dir().join(format!("ndl_cli_tgd_arity_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, src, want) in [
+        (
+            "after_facts.ndl",
+            "fact: R(a,b)\nfact: S(a)\nS(x) -> R(x)\n",
+            "statement 3: this tgd uses R with arity 1, but an earlier statement uses R with \
+             arity 2",
+        ),
+        (
+            "two_tgds.ndl",
+            "S(x) -> R(x)\nT(x) -> R(x,x)\nfact: S(a)\n",
+            "statement 2: this tgd uses R with arity 2, but an earlier statement uses R with \
+             arity 1",
+        ),
+        (
+            "within.ndl",
+            "fact: S(a)\nS(x) & S(x,y) -> R(x)\n",
+            "statement 2: this tgd uses S with arity 1 and with arity 2",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, src).unwrap();
+        let path = path.to_str().unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_ndl"))
+            .args(["chase", path])
+            .output()
+            .expect("ndl runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(101), "{err}");
+        assert!(out.stdout.is_empty(), "{err}");
+        assert_eq!(err, format!("error: {path} {want}\n"));
+        let (code, lint) = ndl_code(&["lint", path]);
+        assert!((1..=100).contains(&code), "{lint}");
+        assert!(lint.contains("error[NDL005]"), "{lint}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The usage text follows usage errors only: a program that does not
+/// parse is reported alone, an unknown subcommand with the usage text.
+#[test]
+fn usage_follows_usage_errors_only() {
+    let dir = std::env::temp_dir().join(format!("ndl_cli_usage_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("broken.ndl");
+    std::fs::write(&path, "S(x) -> R(x\n").unwrap();
+    let path = path.to_str().unwrap();
+    for args in [&["chase", path][..], &["chase", "/no/such/file.ndl"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ndl"))
+            .args(args)
+            .output()
+            .expect("ndl runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(101), "{err}");
+        assert!(err.starts_with("error: "), "{err}");
+        assert!(!err.contains("usage:"), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{err}");
+    }
+    for args in [
+        &["nonsense"][..],
+        &[],
+        &["chase"],
+        &["serve", "--workers", "x"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ndl"))
+            .args(args)
+            .output()
+            .expect("ndl runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(101), "{err}");
+        assert!(err.contains("\nusage:\n"), "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -602,3 +602,83 @@ fn arity_clashes_are_errors_across_cli_daemon_and_incr() {
     shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A tgd refused for its arities is the same error from `ndl chase`, the
+/// daemon's `chase`, `ndl incr` and the daemon's incremental session —
+/// never a chase that leaves the tgd out.
+#[test]
+fn tgd_arity_clashes_are_errors_across_cli_daemon_and_incr() {
+    let dir = std::env::temp_dir().join(format!("ndl-parity-tgd-arity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (_sock, handle, mut client) = boot("tgd-arity", None);
+    for (name, src, want) in [
+        (
+            "after_facts.ndl",
+            "fact: R(a,b)\nfact: S(a)\nS(x) -> R(x)\n",
+            "statement 3: this tgd uses R with arity 1, but an earlier statement uses R with \
+             arity 2",
+        ),
+        (
+            "two_tgds.ndl",
+            "S(x) -> R(x)\nT(x) -> R(x,x)\nfact: S(a)\n",
+            "statement 2: this tgd uses R with arity 2, but an earlier statement uses R with \
+             arity 1",
+        ),
+        (
+            "within.ndl",
+            "fact: S(a)\nS(x) & S(x,y) -> R(x)\n",
+            "statement 2: this tgd uses S with arity 1 and with arity 2",
+        ),
+    ] {
+        let f = dir.join(name);
+        std::fs::write(&f, src).expect("write program");
+        let f = f.to_str().expect("utf-8 path");
+        let want = format!("{f} {want}");
+        let (stdout, cli_err, code) = cli(&["chase", f], &[]);
+        assert_eq!((stdout.as_str(), code), ("", 101), "{cli_err}");
+        assert_eq!(cli_err, format!("error: {want}\n"));
+        let resp = client
+            .call(&file_request("chase", f, &[]))
+            .expect("daemon response");
+        assert!(!resp.ok);
+        assert_eq!(resp.exit, 101);
+        assert_eq!(resp.error.as_deref(), Some(want.as_str()));
+    }
+
+    // The incremental session renders its statements before its facts,
+    // so there a tgd clashes with an earlier tgd.
+    let f = dir.join("two_tgds.ndl");
+    let f = f.to_str().expect("utf-8 path").to_string();
+    let script = "{\"op\":\"query\",\"q\":\"chase\"}\n";
+    let script_path = dir.join("session.edits.jsonl");
+    std::fs::write(&script_path, script).expect("write edit script");
+    let (cli_stdout, cli_err, code) = cli(
+        &["incr", &f, "--edits", script_path.to_str().expect("utf-8")],
+        &[],
+    );
+    assert_eq!(code, 0, "{cli_err}");
+    let want = format!(
+        "== chase\nerror: {f} statement 2: this tgd uses R with arity 2, but an earlier \
+         statement uses R with arity 1\n"
+    );
+    assert_eq!(cli_stdout, want);
+    let session = |op: &str, program: Option<String>| Request {
+        op: op.into(),
+        tenant: "dave".into(),
+        path: f.clone(),
+        program,
+        ..Request::default()
+    };
+    let program = std::fs::read_to_string(&f).expect("program file");
+    let resp = client
+        .call(&session("incr-open", Some(program)))
+        .expect("response");
+    assert!(resp.ok, "{:?}", resp.error);
+    let resp = client
+        .call(&session("incr-edit", Some(script.to_string())))
+        .expect("response");
+    assert!(resp.ok, "{:?}", resp.error);
+    assert_eq!(resp.output, cli_stdout);
+    shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
