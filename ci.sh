@@ -17,7 +17,7 @@ cargo test -q --offline
 
 echo "==> crate tests: cargo test --workspace --release"
 # The root package's tests above leave out every crate's own tests —
-# engine parity (crates/chase/tests/{delta,parallel}.rs), incr parity
+# engine parity (crates/chase/tests/delta.rs), incr parity
 # (crates/incr/tests/cli_parity.rs), the daemon cache properties
 # (crates/serve/tests/cache_props.rs) and the unit tests.
 cargo test -q --offline --workspace --release
@@ -76,17 +76,11 @@ for f in examples/programs/*.ndl; do
     | diff -u "examples/programs/golden/$name.dataflow.json" -
 done
 
-echo "==> chase engine parity: naive / delta / delta-parallel are bit-identical"
+echo "==> chase engine parity: naive (the oracle) and delta are bit-identical"
 for name in running pipeline; do
   seq_out="$(./target/release/ndl chase --no-delta "examples/programs/$name.ndl")"
   diff <(echo "$seq_out") \
        <(./target/release/ndl chase --delta "examples/programs/$name.ndl")
-  diff <(echo "$seq_out") \
-       <(NDL_CHASE_THREADS=3 NDL_CHASE_SEQUENTIAL_CUTOFF=1 NDL_CHASE_SHARDS=4 \
-         ./target/release/ndl chase --delta --parallel "examples/programs/$name.ndl")
-  diff <(echo "$seq_out") \
-       <(NDL_CHASE_THREADS=3 NDL_CHASE_SEQUENTIAL_CUTOFF=1 \
-         ./target/release/ndl chase --no-delta --parallel "examples/programs/$name.ndl")
 done
 
 echo "==> dataflow cert parity: pruned (certified) and unpruned chases are bit-identical"
@@ -94,9 +88,7 @@ for name in running pipeline; do
   f="examples/programs/$name.ndl"
   uncert_out="$(./target/release/ndl chase --no-cert "$f")"
   diff <(echo "$uncert_out") <(./target/release/ndl chase "$f")
-  diff <(echo "$uncert_out") \
-       <(NDL_CHASE_THREADS=3 NDL_CHASE_SEQUENTIAL_CUTOFF=1 NDL_CHASE_SHARDS=4 \
-         ./target/release/ndl chase --parallel "$f")
+  diff <(echo "$uncert_out") <(./target/release/ndl chase --no-delta "$f")
 done
 # The dead-code fixture is where the certificate actually prunes
 # (two dead statements): certified and uncertified runs must agree.
@@ -170,12 +162,6 @@ cargo bench --no-run --offline
 
 echo "==> bench_chase builds (record regeneration stays opt-in)"
 cargo build --release --offline -p ndl-bench --bin bench_chase
-
-echo "==> bench_schedule builds (record regeneration stays opt-in)"
-cargo build --release --offline -p ndl-bench --bin bench_schedule
-
-echo "==> bench_store builds (record regeneration stays opt-in)"
-cargo build --release --offline -p ndl-bench --bin bench_store
 
 echo "==> bench_delta builds (record regeneration stays opt-in)"
 cargo build --release --offline -p ndl-bench --bin bench_delta

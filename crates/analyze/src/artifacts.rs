@@ -14,7 +14,7 @@ use crate::{ChaseAnalysis, ClashKind};
 use ndl_core::prelude::*;
 
 /// The parse, the full [`ChaseAnalysis`] (position/Skolem graphs,
-/// termination, parallel schedule, dataflow certificate), the Skolemized
+/// termination, schedule report, dataflow certificate), the Skolemized
 /// tgd list, the source instance and egds of one program text.
 ///
 /// Immutable once built: the daemon shares one `Arc<ProgramArtifacts>`

@@ -17,9 +17,9 @@ use crate::footprint::{collect_funcs, collect_vars, ProgramFootprints};
 use crate::graph::{clause_body_positions, Csr, ProgramGraphs, NONE};
 use crate::interference::InterferenceAnalysis;
 use crate::program::Statement;
-use crate::schedule::ScheduleReport;
+use crate::schedule::{ParallelSchedule, ScheduleReport};
 use crate::termination::{Termination, TerminationClass};
-use ndl_chase::{ChasePlan, DataflowCert, ParallelSchedule};
+use ndl_chase::{ChasePlan, DataflowCert};
 use ndl_core::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -176,8 +176,8 @@ pub struct ChaseAnalysis {
     /// the [`DataflowCert`] of [`Self::tgd_plan`].
     pub dataflow: DataflowAnalysis,
     /// The contiguous conflict-free stratification of the firing order,
-    /// in **statement-index** space ([`Self::tgd_plan`] remaps it to tgd
-    /// positions for the fixpoint engine).
+    /// in **statement-index** space: the `ndl analyze --schedule` report
+    /// and the NDL034 lint.
     pub schedule: ParallelSchedule,
     /// Wall time of each pass of [`Self::analyze`].
     pub passes_ns: PassTimings,
@@ -293,7 +293,6 @@ impl ChaseAnalysis {
             guaranteed_terminating: guaranteed,
             step_budget: if guaranteed { None } else { budget },
             diagnosis: self.termination.diagnosis(),
-            schedule: None,
             cert: None,
         }
     }
@@ -347,14 +346,6 @@ impl ChaseAnalysis {
         let at = |&s: &usize| Some(pos[s]).filter(|&i| i != NONE);
         let order = self.firing_order.iter().filter_map(at).collect();
         let mut plan = self.plan_with_order(order, budget);
-        plan.schedule = Some(ParallelSchedule {
-            stages: self
-                .schedule
-                .stages
-                .iter()
-                .map(|stage| stage.iter().filter_map(at).collect())
-                .collect(),
-        });
         plan.cert = Some(DataflowCert {
             dead: self.dataflow.dead.iter().filter_map(at).collect(),
             ground: self.dataflow.ground.clone(),

@@ -12,13 +12,10 @@
 //! vectors), which keeps the passes byte-for-byte agreed on what a
 //! statement touches.
 //!
-//! Footprints deliberately mirror `ndl_chase::parallel::StmtFootprint`:
-//! reads are body relations, writes are head relations, and the Skolem
+//! Reads are body relations, writes are head relations, and the Skolem
 //! set contains the functions *occurring* in clause heads and equality
 //! gates (a declared-but-unused function invents nothing and so cannot
-//! conflict). The chase engine re-derives footprints itself when checking
-//! a schedule certificate, so the two computations must agree — the
-//! round-trip is pinned by tests in `crates/chase/tests/`.
+//! conflict).
 //!
 //! Beyond tgds, the pass also folds in the passive statements: ground
 //! facts count as writers of their relation and egd bodies as readers.

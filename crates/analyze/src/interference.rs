@@ -16,9 +16,10 @@
 //! The round-snapshot discipline of the fixpoint engine (matches run
 //! against the *previous* round's index, insertions commit at round end)
 //! already neutralizes R–W and W–W conflicts *across* rounds; the conflict
-//! graph is about what may fire **in parallel within a round** while
+//! graph is about what could fire **in parallel within a round** while
 //! staying bit-identical to the sequential engine. [`crate::schedule`]
-//! stratifies this graph into conflict-free stages.
+//! stratifies this graph into conflict-free stages (a report: the chase
+//! itself runs sequentially).
 //!
 //! Footprint computation lives in [`crate::footprint`] (shared with the
 //! dataflow pass); the types [`Footprint`] and [`ConflictKind`] are

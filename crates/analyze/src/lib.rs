@@ -35,8 +35,8 @@
 //!   `ndl analyze --dataflow` / `--dot=dataflow` and the
 //!   [`ndl_chase::DataflowCert`] the chase engines verify and exploit;
 //! - [`schedule`] — contiguous conflict-free stratification of the firing
-//!   order into a `ParallelSchedule` (the certificate checked and executed
-//!   by `ndl-chase`'s stage-parallel engine) and the JSON
+//!   order into a [`ParallelSchedule`] (how much of a round could match
+//!   concurrently, behind the NDL034 lint) and the JSON
 //!   [`ScheduleReport`] of `ndl analyze --schedule`.
 //!
 //! ## Quick example
@@ -80,7 +80,7 @@ pub use graph::{ArityClash, ClashKind, PositionGraph, ProgramGraphs, SkolemGraph
 pub use interference::{ConflictEdge, ConflictKind, Footprint, InterferenceAnalysis};
 pub use program::{parse_program, Statement, StmtAst};
 pub use rules::{lint_source, lint_source_timed, LintOptions};
-pub use schedule::{build_schedule, ConflictReport, ScheduleReport};
+pub use schedule::{build_schedule, ConflictReport, ParallelSchedule, ScheduleReport};
 pub use termination::{Termination, TerminationClass};
 
 /// Serializes diagnostics to pretty-printed JSON (an array of objects).

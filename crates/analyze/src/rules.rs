@@ -45,7 +45,7 @@
 //! [`LintOptions::max_subsumption_tgds`]. NDL031–NDL034 come from the
 //! interference analysis ([`crate::interference`], [`crate::schedule`]):
 //! whole-program relation roles and the statement conflict graph behind
-//! `ndl analyze --schedule` and `ndl chase --parallel`.
+//! `ndl analyze --schedule`.
 //!
 //! NDL040–NDL045 come from the dataflow pass ([`crate::dataflow`]):
 //! reachability from the fact-populated relations, statement liveness,

@@ -1,34 +1,57 @@
 //! Parallel schedule construction: stratifies the statement conflict
-//! graph of [`crate::interference`] into a
-//! [`ndl_chase::plan::ParallelSchedule`] of conflict-free stages, and
-//! renders the serializable [`ScheduleReport`] behind
-//! `ndl analyze --schedule [--json]`.
+//! graph of [`crate::interference`] into a [`ParallelSchedule`] of
+//! conflict-free stages, and renders the serializable [`ScheduleReport`]
+//! behind `ndl analyze --schedule [--json]` and the NDL034 lint.
 //!
+//! The schedule is a report of how much of a round could match
+//! concurrently, not an input to the chase: the chase runs sequentially.
 //! The stratification is **contiguous**: stages partition the firing
 //! order into runs of consecutive statements, never reordering across a
-//! stage boundary. Flattening the stages therefore reproduces the firing
-//! order exactly, which is what lets the parallel engine resolve fired
-//! bindings in the same sequence as the sequential engine and stay
-//! bit-identical (same NullIds, same rounds, same derived counts). A
-//! non-contiguous packing could build wider stages, but any reordering
-//! would change null-interning order and break the certificate.
+//! stage boundary, so flattening the stages reproduces the firing order
+//! exactly. A non-contiguous packing could build wider stages, but
+//! resolving a stage's matches in any other order would change
+//! null-interning order.
 //!
-//! The greedy rule mirrors `ndl_chase::parallel::derive_schedule`: walk
-//! the firing order, extend the current stage while the next statement is
-//! conflict-free against *every* statement already in it, otherwise start
-//! a new stage. Self-interfering statements (NDL033) always form
-//! singleton stages — within a round their own insertions are deferred to
-//! the round commit, but the engine refuses to co-schedule them as a
-//! defense-in-depth invariant, so the analyzer must not produce such
-//! stages either. The chase verifies all of this again at run time
-//! (`ndl_chase::parallel::verify_schedule`): the schedule is a
-//! *certificate* to be checked, not a trusted input.
+//! The greedy rule: walk the firing order, extend the current stage while
+//! the next statement is conflict-free against *every* statement already
+//! in it, otherwise start a new stage. Self-interfering statements
+//! (NDL033) always form singleton stages. `tests/analysis_parity.rs`
+//! checks the stages against a pairwise reference construction.
 
 use crate::graph::Csr;
 use crate::interference::{ConflictKind, InterferenceAnalysis};
-use ndl_chase::plan::ParallelSchedule;
 use ndl_core::prelude::*;
 use serde::Serialize;
+
+/// A stratification of a firing order into conflict-free stages: each
+/// stage is a run of statement indices whose read/write relation sets and
+/// Skolem-function footprints are pairwise disjoint, so its statements
+/// could match concurrently. The concatenation of the stages is the
+/// firing order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ParallelSchedule {
+    /// Stages in execution order; each stage lists statement indices in
+    /// firing order. Every stage is non-empty.
+    pub stages: Vec<Vec<usize>>,
+}
+
+impl ParallelSchedule {
+    /// Widest stage (maximum statements matchable concurrently); 0 for an
+    /// empty schedule.
+    pub fn width(&self) -> usize {
+        self.stages.iter().map(Vec::len).max().unwrap_or(0)
+    }
+
+    /// Total statements across all stages.
+    pub fn len(&self) -> usize {
+        self.stages.iter().map(Vec::len).sum()
+    }
+
+    /// True when the schedule has no stages.
+    pub fn is_empty(&self) -> bool {
+        self.stages.is_empty()
+    }
+}
 
 /// Builds the contiguous greedy schedule over the scheduled statements of
 /// `inter`, taken in `firing_order` (statement indices; non-scheduled
@@ -238,20 +261,36 @@ mod tests {
         let (_, inter, order) = analyze("fact: S(a)\nS(x) -> R(x)\nT(x) -> U(x)\n");
         let sched = build_schedule(&inter, &order);
         assert_eq!(sched.stages, vec![vec![1, 2]]);
-        assert_eq!(sched.flattened(), vec![1, 2]);
     }
 
     #[test]
     fn schedule_flattens_to_firing_order() {
         let (_, inter, order) = analyze("S(x) -> R(x)\nR(x) -> T(x)\nT(x) -> U(x)\nS(x) -> W(x)\n");
         let sched = build_schedule(&inter, &order);
-        let flat = sched.flattened();
+        let flat = sched.stages.concat();
         let expect: Vec<usize> = order
             .iter()
             .copied()
             .filter(|s| inter.scheduled.contains(s))
             .collect();
         assert_eq!(flat, expect);
+    }
+
+    #[test]
+    fn wide_independent_program_schedules_in_one_stage() {
+        // Eight pairwise-independent statements among their facts: the
+        // analyzer's schedule is one stage of width 8.
+        let mut src = String::new();
+        for i in 0..8 {
+            src.push_str(&format!("S{i}(x) -> exists y T{i}(x,y)\n"));
+            src.push_str(&format!("fact: S{i}(a{i})\n"));
+            src.push_str(&format!("fact: S{i}(b{i})\n"));
+        }
+        let mut syms = SymbolTable::new();
+        let (analysis, _) = crate::ChaseAnalysis::analyze_source(&mut syms, &src);
+        assert_eq!(analysis.schedule.width(), 8, "{:?}", analysis.schedule);
+        assert_eq!(analysis.schedule.stages.len(), 1);
+        assert_eq!(analysis.schedule.len(), 8);
     }
 
     #[test]

@@ -490,6 +490,9 @@ fn check(src: &str) {
 
     let order = oracle_firing_order(&a);
     assert_eq!(&a.firing_order, &order);
+    // The stages partition the scheduled statements of the firing order
+    // into contiguous runs, with no conflicting pair in a stage and no
+    // self-interfering statement beside another.
     assert_eq!(&a.schedule.stages, &oracle_stages(&a, &edges, &order));
 
     let (occurring, (nodes, skolem_edges)) = oracle_skolem(&a);

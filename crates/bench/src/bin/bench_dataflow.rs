@@ -1,10 +1,10 @@
 //! Measures certified dead-code elimination in the chase and the
 //! ground-relation fast path in the hom engines. **Output identity is
-//! asserted before any timing**: on every workload the certified run of
-//! all four engines must be bit-identical (`NullId`s included, same round
-//! and derived counts) to the uncertified sequential baseline, and the
-//! hinted hom entry points must return exactly what the unhinted ones
-//! do, or the run fails. The results land in `BENCH_dataflow.json`
+//! asserted before any timing**: on every workload the certified and
+//! uncertified runs of the naive and delta engines must be bit-identical
+//! (`NullId`s included, same round and derived counts) to the uncertified
+//! naive run, and the hinted hom entry points must return exactly what the
+//! unhinted ones do, or the run fails. The results land in `BENCH_dataflow.json`
 //! (committed under `experiments/`; see `docs/performance.md`).
 //!
 //! The gate: on every workload marked `gate_1p5x`, the certified delta
@@ -36,8 +36,7 @@
 use ndl_analyze::{parse_program, ChaseAnalysis};
 use ndl_bench::ExperimentRecord;
 use ndl_chase::{
-    chase_fixpoint, chase_fixpoint_delta, chase_fixpoint_delta_parallel, chase_fixpoint_parallel,
-    ChasePlan, FixpointChase, FixpointError, NullFactory,
+    chase_fixpoint, chase_fixpoint_delta, ChasePlan, FixpointChase, FixpointError, NullFactory,
 };
 use ndl_core::prelude::*;
 use ndl_gen::{disjoint_pairs, successor};
@@ -142,8 +141,8 @@ fn analyze(syms: &mut SymbolTable, text: &str, source: &Instance) -> (Vec<SoTgd>
     (tgds, plan)
 }
 
-/// Asserts all four engines, certified and uncertified, agree bit for bit
-/// with the uncertified sequential baseline; returns the baseline.
+/// Asserts both engines, certified and uncertified, agree bit for bit
+/// with the uncertified naive run; returns that run.
 fn assert_identity(
     name: &str,
     source: &Instance,
@@ -151,11 +150,9 @@ fn assert_identity(
     certified: &ChasePlan,
     uncertified: &ChasePlan,
 ) -> FixpointChase {
-    let engines: [(&str, Engine); 4] = [
+    let engines: [(&str, Engine); 2] = [
         ("fixpoint", chase_fixpoint),
-        ("parallel", chase_fixpoint_parallel),
         ("delta", chase_fixpoint_delta),
-        ("delta-parallel", chase_fixpoint_delta_parallel),
     ];
     let mut base_nulls = NullFactory::new();
     let base =

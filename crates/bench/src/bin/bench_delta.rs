@@ -1,9 +1,8 @@
-//! Measures the semi-naive delta chase (sequential and sharded-parallel)
-//! against the naive rescan engine on closure and pipeline workloads in
-//! the 10⁵–10⁶ fact range. **Output identity is asserted before any
-//! timing**: all three engines must produce the same instance, bit for
-//! bit (`NullId`s included), the same round count and the same derived
-//! count, or the run fails. The results land in `BENCH_delta.json`
+//! Measures the semi-naive delta chase against the naive rescan engine on
+//! closure and pipeline workloads in the 10⁵–10⁶ fact range. **Output
+//! identity is asserted before any timing**: both engines must produce the
+//! same instance, bit for bit (`NullId`s included), the same round count
+//! and the same derived count, or the run fails. The results land in `BENCH_delta.json`
 //! (committed under `experiments/`; see `docs/performance.md`).
 //!
 //! The gate: on every workload marked `gate_5x`, the sequential delta
@@ -39,9 +38,7 @@
 //! the heap allocations of the chase phases and the render (a counting
 //! global allocator is installed).
 //!
-//! Speedups are honest about hardware: `threads_available` is recorded
-//! in every row, and on a 1-CPU host the sharded-parallel column is
-//! expected to trail the sequential delta engine slightly.
+//! `threads_available` records the host's CPU count in every row.
 //!
 //! Pass an output directory as the first argument to write elsewhere
 //! (e.g. `bench_delta target/experiments` for a throwaway run). With
@@ -54,12 +51,12 @@ use ndl_analyze::{parse_program, ChaseAnalysis, ProgramArtifacts};
 use ndl_bench::alloc::{allocations, CountingAlloc};
 use ndl_bench::{clio_program, ExperimentRecord};
 use ndl_chase::{
-    chase_fixpoint, chase_fixpoint_delta, chase_fixpoint_delta_parallel_with,
-    chase_fixpoint_delta_with, ChaseConfig, ChasePlan, NullFactory,
+    chase_fixpoint, chase_fixpoint_delta, chase_fixpoint_delta_with, ChaseConfig, ChasePlan,
+    NullFactory,
 };
 use ndl_core::prelude::*;
 use ndl_gen::{disjoint_pairs, successor};
-use ndl_obs::{ChaseObserver, NoopObserver, StmtRound};
+use ndl_obs::{ChaseObserver, StmtRound};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -130,7 +127,7 @@ fn pipeline_workload(syms: &mut SymbolTable, depth: usize, seeds: usize, reps: u
 }
 
 /// Runs the analyzer over `text` and installs the grouped SO tgds and the
-/// plan (schedule attached, no step budget — every workload here is
+/// plan (no step budget — every workload here is
 /// guaranteed terminating) into `w`.
 fn analyze_into(syms: &mut SymbolTable, text: &str, w: &mut Workload) {
     let (stmts, errs) = parse_program(syms, text);
@@ -319,17 +316,15 @@ fn main() -> ExitCode {
         .enumerate()
         .find(|&(i, a)| !a.starts_with("--") && (i == 0 || args[i - 1] != "--parent"))
         .map_or_else(|| "experiments".into(), |(_, a)| a.clone());
-    let cfg = ChaseConfig::from_env();
     let threads_available = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let mut record = ExperimentRecord::new(
         "BENCH_delta",
-        "semi-naive delta chase (sequential and sharded-parallel) vs the naive rescan \
-         engine on 10^5-10^6 fact closure and pipeline workloads",
-        "output identity (instance, NullIds, rounds, derived) is asserted for all three \
-         engines before any timing; the gate requires sequential delta >= 5x naive on \
-         gated workloads; threads_available records the hardware the parallel column ran on",
+        "semi-naive delta chase vs the naive rescan engine on 10^5-10^6 fact closure and \
+         pipeline workloads",
+        "output identity (instance, NullIds, rounds, derived) is asserted for both engines \
+         before any timing; the gate requires delta >= 5x naive on gated workloads",
     );
 
     // The Clio rows run first, so that a parent build's `--clio` run
@@ -346,15 +341,8 @@ fn main() -> ExitCode {
         ]
     };
 
-    println!(
-        "semi-naive delta chase, {} worker thread(s), {} shard(s), {} CPU(s) (mean ms per run)\n",
-        cfg.threads,
-        cfg.shards.map_or("auto".to_string(), |s| s.to_string()),
-        threads_available
-    );
-    println!(
-        "  workload            facts  derived  rounds   naive ms   delta ms  dpar ms  speedup"
-    );
+    println!("semi-naive delta chase, {threads_available} CPU(s) (mean ms per run)\n");
+    println!("  workload            facts  derived  rounds   naive ms   delta ms  speedup");
     let mut all_pass = true;
     for w in &workloads {
         // Output identity first: an engine that changes one NullId or
@@ -365,24 +353,10 @@ fn main() -> ExitCode {
         let mut n_delta = NullFactory::new();
         let delta = chase_fixpoint_delta(&w.source, &w.tgds, &w.plan, &mut n_delta)
             .expect("workload terminates");
-        let mut n_dpar = NullFactory::new();
-        let dpar = chase_fixpoint_delta_parallel_with(
-            &w.source,
-            &w.tgds,
-            &w.plan,
-            &mut n_dpar,
-            &cfg,
-            &mut NoopObserver,
-        )
-        .expect("workload terminates");
         let identical = naive.instance == delta.instance
-            && naive.instance == dpar.instance
             && naive.rounds == delta.rounds
-            && naive.rounds == dpar.rounds
             && naive.derived == delta.derived
-            && naive.derived == dpar.derived
-            && n_naive.len() == n_delta.len()
-            && n_naive.len() == n_dpar.len();
+            && n_naive.len() == n_delta.len();
         assert!(identical, "{}: delta output diverged from naive", w.name);
 
         let naive_secs = time(w.reps, || {
@@ -399,32 +373,17 @@ fn main() -> ExitCode {
                 .instance
                 .len()
         });
-        let dpar_secs = time(w.reps, || {
-            let mut nulls = NullFactory::new();
-            chase_fixpoint_delta_parallel_with(
-                &w.source,
-                &w.tgds,
-                &w.plan,
-                &mut nulls,
-                &cfg,
-                &mut NoopObserver,
-            )
-            .expect("workload terminates")
-            .instance
-            .len()
-        });
         let speedup = naive_secs / delta_secs;
         let gate_ok = !w.gate_5x || speedup >= 5.0;
         all_pass &= gate_ok;
         println!(
-            "  {:<18} {:>7}  {:>7}  {:>6}  {:>9.1}  {:>9.1}  {:>7.1}  {:>6.1}x{}",
+            "  {:<18} {:>7}  {:>7}  {:>6}  {:>9.1}  {:>9.1}  {:>6.1}x{}",
             w.name,
             naive.instance.len(),
             naive.derived,
             naive.rounds,
             naive_secs * 1e3,
             delta_secs * 1e3,
-            dpar_secs * 1e3,
             speedup,
             if gate_ok { "" } else { "  << below 5x gate" }
         );
@@ -436,19 +395,9 @@ fn main() -> ExitCode {
             ("identical", identical.to_string()),
             ("naive_ms", format!("{:.3}", naive_secs * 1e3)),
             ("delta_ms", format!("{:.3}", delta_secs * 1e3)),
-            ("delta_parallel_ms", format!("{:.3}", dpar_secs * 1e3)),
             ("speedup_delta", format!("{speedup:.2}")),
-            (
-                "speedup_delta_parallel",
-                format!("{:.2}", naive_secs / dpar_secs),
-            ),
             ("gate_5x", w.gate_5x.to_string()),
             ("gate_ok", gate_ok.to_string()),
-            ("workers", cfg.threads.to_string()),
-            (
-                "shards",
-                cfg.shards.map_or("auto".to_string(), |s| s.to_string()),
-            ),
             ("threads_available", threads_available.to_string()),
         ]);
     }

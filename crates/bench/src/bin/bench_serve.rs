@@ -4,7 +4,7 @@
 //! backpressure is exercised, not just configured); a fleet of client
 //! threads then replays thousands of concurrent requests mixed across
 //! every served op — lint, analyze (plain/JSON/schedule/dataflow), chase
-//! (file, inline, budget-clamped, per-request parallel config), implies,
+//! (file, inline, budget-clamped, per-request engine config), implies,
 //! equiv and classify — under four tenants.
 //!
 //! The oracle for each request template is the real `ndl` binary (found
@@ -136,24 +136,18 @@ fn templates() -> Vec<Template> {
             clamped: true,
         },
         // Per-request engine config (the PR 9 config fix, server-side):
-        // this request runs sharded-parallel while its neighbors run
-        // the defaults, in the same process.
+        // this request runs the naive engine while its neighbors run the
+        // delta default, in the same process.
         Template {
-            name: "chase/running.parallel-cfg",
+            name: "chase/running.naive-cfg",
             op: "chase",
             file: Some(path("running")),
-            request_args: svec(&["--parallel", "--stats", "--no-timings"]),
-            oracle_args: svec(&["--parallel", "--stats", "--no-timings"]),
-            oracle_env: vec![
-                ("NDL_CHASE_THREADS", "3"),
-                ("NDL_CHASE_SHARDS", "2"),
-                ("NDL_CHASE_SEQUENTIAL_CUTOFF", "1"),
-            ],
+            request_args: svec(&["--stats", "--no-timings"]),
+            oracle_args: svec(&["--stats", "--no-timings"]),
+            oracle_env: vec![("NDL_CHASE_DELTA", "0")],
             config: Some(RequestConfig {
-                threads: Some(3),
-                shards: Some(2),
-                sequential_cutoff: Some(1),
-                delta: None,
+                delta: Some(false),
+                retired: Vec::new(),
             }),
             clamped: false,
         },

@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod baseline;
 pub mod record;
 
 pub use record::ExperimentRecord;

@@ -1,8 +1,7 @@
 //! Dataflow certificates: dead statements and null-free relations,
 //! claimed by the static analyzer and **re-verified** by every engine.
 //!
-//! Like the parallel schedule of [`crate::plan::ParallelSchedule`], a
-//! [`DataflowCert`] is a certificate, not a trusted input. Before the
+//! A [`DataflowCert`] is a certificate, not a trusted input. Before the
 //! first round, each fixpoint engine recomputes the two claims against
 //! the *actual* source instance and tgd list it was handed:
 //!

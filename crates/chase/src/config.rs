@@ -1,77 +1,63 @@
-//! Parallel-chase tuning knobs: worker-thread cap and the sequential
-//! cutoff below which stage-parallel matching is never worth its setup
-//! cost.
+//! Chase configuration: which fixpoint engine front ends default to.
 //!
-//! Mirrors the `NDL_HOM_THREADS` pattern of `ndl-hom`. Configuration is an
-//! explicit **value threaded through the engine entry points** — there is
-//! deliberately no process-wide cached global. A long-lived process (the
-//! `ndl-serve` daemon) must be able to apply a different configuration to
-//! every request; a `OnceLock` resolved at first use would freeze whatever
-//! the first request happened to see for the lifetime of the process (the
-//! process-lifetime hazard fixed in PR 9). Front ends resolve the
-//! environment exactly once, at their own boundary, via
-//! [`ChaseConfig::from_env`]:
+//! Configuration is an explicit **value threaded through the front ends**
+//! — there is deliberately no process-wide cached global. A long-lived
+//! process (the `ndl-serve` daemon) must be able to apply a different
+//! configuration to every request; a `OnceLock` resolved at first use
+//! would freeze whatever the first request happened to see for the
+//! lifetime of the process.
+//! Front ends resolve the environment exactly once, at their own boundary,
+//! via [`ChaseConfig::from_env`]:
 //!
-//! - `NDL_CHASE_THREADS` — maximum worker threads for the per-stage match
-//!   phase of [`crate::parallel::chase_fixpoint_parallel`] (`1` forces the
-//!   sequential path; unset defaults to
-//!   [`std::thread::available_parallelism`]);
-//! - `NDL_CHASE_SEQUENTIAL_CUTOFF` — minimum number of facts in the
-//!   instance before threads are spawned (default
-//!   [`ChaseConfig::DEFAULT_SEQUENTIAL_CUTOFF`]);
 //! - `NDL_CHASE_DELTA` — whether front ends default to the semi-naive
 //!   delta engine ([`crate::delta::chase_fixpoint_delta`]); `0`/`false`/
-//!   `off` selects the naive rescan engine (default on);
-//! - `NDL_CHASE_SHARDS` — how many contiguous root-candidate chunks the
-//!   delta-parallel engine splits a statement's match phase into (unset
-//!   defaults to the thread count).
+//!   `off` selects the naive rescan engine
+//!   ([`crate::fixpoint::chase_fixpoint`], the oracle) (default on).
 //!
-//! Programmatic override: construct a [`ChaseConfig`] and pass it to the
-//! `*_with` engine entry points ([`crate::parallel::chase_fixpoint_parallel_with`],
-//! [`crate::delta::chase_fixpoint_delta_parallel_with`]). The plain
-//! (observer-free) wrappers use [`ChaseConfig::default`] — library callers
+//! The tuning settings of the removed parallel engines
+//! (`NDL_CHASE_THREADS`, `NDL_CHASE_SHARDS`, `NDL_CHASE_SEQUENTIAL_CUTOFF`)
+//! are still accepted, ignored, and reported once through
+//! [`warn_retired`]; the output does not depend on them. Library callers
 //! never consult the environment implicitly. See `docs/performance.md`.
 
-/// Tuning knobs of the parallel chase engine.
+/// Which fixpoint engine the front ends run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaseConfig {
-    /// Maximum worker threads for a stage's match phase (1 = sequential).
-    pub threads: usize,
-    /// Minimum instance fact count before spawning worker threads.
-    pub sequential_cutoff: usize,
     /// Do front ends default to the semi-naive delta engine? Engines are
     /// selected by function, so this gates defaults (the `ndl chase` CLI),
     /// not library calls.
     pub delta: bool,
-    /// Contiguous root-candidate chunks per statement in the
-    /// delta-parallel engine (`None` = one per worker thread).
-    pub shards: Option<usize>,
 }
 
 impl Default for ChaseConfig {
     fn default() -> Self {
-        ChaseConfig {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            sequential_cutoff: Self::DEFAULT_SEQUENTIAL_CUTOFF,
-            delta: true,
-            shards: None,
-        }
+        ChaseConfig { delta: true }
     }
 }
 
-impl ChaseConfig {
-    /// Default sequential cutoff: below this many facts, thread spawn and
-    /// join overhead (~10µs each) exceeds the matching work saved.
-    pub const DEFAULT_SEQUENTIAL_CUTOFF: usize = 512;
+/// Environment variables of the removed parallel engines: accepted,
+/// ignored, and reported by [`warn_retired`].
+const RETIRED_ENV: [&str; 3] = [
+    "NDL_CHASE_THREADS",
+    "NDL_CHASE_SHARDS",
+    "NDL_CHASE_SEQUENTIAL_CUTOFF",
+];
 
-    /// The defaults with any `NDL_CHASE_THREADS` /
-    /// `NDL_CHASE_SEQUENTIAL_CUTOFF` environment overrides applied.
-    /// Unparsable or zero values fall back to the defaults **and report a
-    /// one-time warning** through [`ndl_obs::warn_once`] — a typo'd
-    /// override must not be silently ignored (front ends surface the
-    /// warning, e.g. the `ndl` CLI on stderr).
+/// Reports, once per `key` (per process, or per daemon request under a
+/// warning scope), that the parallel-engine setting `shown` is ignored.
+pub fn warn_retired(key: &str, shown: &str) {
+    ndl_obs::warn_once(
+        key,
+        format!("ignoring {shown}: the parallel chase engines were removed, so it has no effect"),
+    );
+}
+
+impl ChaseConfig {
+    /// The defaults with an `NDL_CHASE_DELTA` environment override
+    /// applied. An unparsable value falls back to the default **and
+    /// reports a one-time warning** through [`ndl_obs::env`](mod@ndl_obs::env); a set
+    /// parallel-engine variable is reported by [`warn_retired`]. Front
+    /// ends surface the warnings (the `ndl` CLI on stderr).
     pub fn from_env() -> Self {
         Self::from_env_with(&|key| std::env::var(key).ok())
     }
@@ -81,158 +67,56 @@ impl ChaseConfig {
     /// multi-threaded test harness).
     pub fn from_env_with(get: &dyn Fn(&str) -> Option<String>) -> Self {
         let mut cfg = ChaseConfig::default();
-        if let Some(t) = parse_override("NDL_CHASE_THREADS", get) {
-            cfg.threads = t;
-        }
-        if let Some(c) = parse_override("NDL_CHASE_SEQUENTIAL_CUTOFF", get) {
-            cfg.sequential_cutoff = c;
-        }
-        if let Some(d) = parse_bool_override("NDL_CHASE_DELTA", get) {
+        if let Some(d) = ndl_obs::env::boolean("NDL_CHASE_DELTA", get) {
             cfg.delta = d;
         }
-        if let Some(s) = parse_override("NDL_CHASE_SHARDS", get) {
-            cfg.shards = Some(s);
+        for key in RETIRED_ENV {
+            if let Some(raw) = get(key) {
+                warn_retired(key, &format!("{key}={raw:?}"));
+            }
         }
         cfg
-    }
-
-    /// How many workers to use for a stage of `work_items` statements over
-    /// an instance of `target_facts` facts: 1 below the cutoff, otherwise
-    /// capped by the thread budget and the work available.
-    pub fn effective_threads(&self, work_items: usize, target_facts: usize) -> usize {
-        if target_facts < self.sequential_cutoff || work_items <= 1 {
-            1
-        } else {
-            self.threads.min(work_items).max(1)
-        }
-    }
-
-    /// How many contiguous root-candidate chunks the delta-parallel engine
-    /// splits a statement with `root_candidates` into: 1 below the
-    /// sequential cutoff (sharding tiny scans is pure overhead), otherwise
-    /// the configured shard count (default: the thread count), never more
-    /// than the candidates available.
-    pub fn effective_shards(&self, root_candidates: usize) -> usize {
-        if root_candidates < self.sequential_cutoff {
-            1
-        } else {
-            self.shards
-                .unwrap_or(self.threads)
-                .min(root_candidates)
-                .max(1)
-        }
-    }
-}
-
-fn parse_override(key: &str, get: &dyn Fn(&str) -> Option<String>) -> Option<usize> {
-    let raw = get(key)?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            ndl_obs::warn_once(
-                key,
-                format!("ignoring {key}={raw:?}: expected a positive integer, using the default"),
-            );
-            None
-        }
-    }
-}
-
-fn parse_bool_override(key: &str, get: &dyn Fn(&str) -> Option<String>) -> Option<bool> {
-    let raw = get(key)?;
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => {
-            ndl_obs::warn_once(
-                key,
-                format!("ignoring {key}={raw:?}: expected a boolean (0/1), using the default"),
-            );
-            None
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndl_obs::with_warning_scope;
 
     #[test]
-    fn default_has_positive_threads() {
-        let cfg = ChaseConfig::default();
-        assert!(cfg.threads >= 1);
-        assert_eq!(
-            cfg.sequential_cutoff,
-            ChaseConfig::DEFAULT_SEQUENTIAL_CUTOFF
-        );
-    }
-
-    #[test]
-    fn effective_threads_respects_cutoff_and_cap() {
-        let cfg = ChaseConfig {
-            threads: 4,
-            sequential_cutoff: 100,
-            ..ChaseConfig::default()
-        };
-        assert_eq!(cfg.effective_threads(8, 99), 1);
-        assert_eq!(cfg.effective_threads(8, 1000), 4);
-        assert_eq!(cfg.effective_threads(2, 1000), 2);
-        assert_eq!(cfg.effective_threads(0, 1000), 1);
-        assert_eq!(cfg.effective_threads(1, 1000), 1);
-    }
-
-    #[test]
-    fn effective_shards_respects_cutoff_and_candidates() {
-        let cfg = ChaseConfig {
-            threads: 4,
-            sequential_cutoff: 100,
-            delta: true,
-            shards: None,
-        };
-        // Below the cutoff sharding is pure overhead.
-        assert_eq!(cfg.effective_shards(99), 1);
-        // Unset shard count follows the thread budget.
-        assert_eq!(cfg.effective_shards(1000), 4);
-        // An explicit shard count wins, capped by the candidates.
-        let explicit = ChaseConfig {
-            shards: Some(8),
-            ..cfg
-        };
-        assert_eq!(explicit.effective_shards(1000), 8);
-        assert_eq!(
-            explicit.effective_shards(explicit.sequential_cutoff + 2),
-            8.min(explicit.sequential_cutoff + 2)
-        );
-    }
-
-    #[test]
-    fn env_overrides_apply_and_bad_values_warn() {
-        let good = ChaseConfig::from_env_with(&|key| match key {
-            "NDL_CHASE_THREADS" => Some("3".to_string()),
-            "NDL_CHASE_SEQUENTIAL_CUTOFF" => Some(" 64 ".to_string()),
-            "NDL_CHASE_DELTA" => Some("off".to_string()),
-            "NDL_CHASE_SHARDS" => Some("6".to_string()),
-            _ => None,
-        });
-        assert_eq!(good.threads, 3);
-        assert_eq!(good.sequential_cutoff, 64);
-        assert!(!good.delta);
-        assert_eq!(good.shards, Some(6));
-
-        // Unparsable and zero values fall back to the defaults — and are
-        // reported, not swallowed.
-        let bad = ChaseConfig::from_env_with(&|key| match key {
-            "NDL_CHASE_THREADS" => Some("many".to_string()),
-            "NDL_CHASE_SEQUENTIAL_CUTOFF" => Some("0".to_string()),
-            "NDL_CHASE_DELTA" => Some("maybe".to_string()),
-            "NDL_CHASE_SHARDS" => Some("0".to_string()),
-            _ => None,
+    fn delta_override_applies_and_bad_values_warn() {
+        let off =
+            ChaseConfig::from_env_with(&|key| (key == "NDL_CHASE_DELTA").then(|| "off".into()));
+        assert!(!off.delta);
+        let (bad, warned) = with_warning_scope(|| {
+            ChaseConfig::from_env_with(&|key| (key == "NDL_CHASE_DELTA").then(|| "maybe".into()))
         });
         assert_eq!(bad, ChaseConfig::default());
-        let warned: Vec<String> = ndl_obs::warnings().into_iter().map(|w| w.key).collect();
-        assert!(warned.iter().any(|k| k == "NDL_CHASE_THREADS"));
-        assert!(warned.iter().any(|k| k == "NDL_CHASE_SEQUENTIAL_CUTOFF"));
-        assert!(warned.iter().any(|k| k == "NDL_CHASE_DELTA"));
-        assert!(warned.iter().any(|k| k == "NDL_CHASE_SHARDS"));
+        assert_eq!(warned.len(), 1);
+        assert_eq!(
+            warned[0].message,
+            "ignoring NDL_CHASE_DELTA=\"maybe\": expected a boolean (0/1), using the default"
+        );
+    }
+
+    #[test]
+    fn retired_settings_are_ignored_with_one_warning_each() {
+        let (cfg, warned) = with_warning_scope(|| {
+            ChaseConfig::from_env_with(&|key| match key {
+                "NDL_CHASE_THREADS" => Some("3".to_string()),
+                "NDL_CHASE_SHARDS" => Some("many".to_string()),
+                "NDL_CHASE_SEQUENTIAL_CUTOFF" => Some("1".to_string()),
+                _ => None,
+            })
+        });
+        assert_eq!(cfg, ChaseConfig::default());
+        let keys: Vec<&str> = warned.iter().map(|w| w.key.as_str()).collect();
+        assert_eq!(keys, RETIRED_ENV);
+        assert_eq!(
+            warned[0].message,
+            "ignoring NDL_CHASE_THREADS=\"3\": the parallel chase engines were removed, \
+             so it has no effect"
+        );
     }
 }

@@ -31,22 +31,9 @@
 //! the naive engine's; only the *statistics* differ (`triggers_examined`
 //! drops to the delta matches, and [`StmtRound::touched`] counts the
 //! candidate tuples the pruned join actually iterated).
-//!
-//! [`chase_fixpoint_delta_parallel`] additionally shards each statement's
-//! match phase: `Matcher::delta_root` plans the root candidate list once,
-//! the engine cuts it into contiguous chunks
-//! ([`ChaseConfig::effective_shards`], `NDL_CHASE_SHARDS`), scoped worker
-//! threads enumerate the chunks concurrently (read-only, like
-//! [`crate::parallel`]'s match phase), and chunk results are concatenated
-//! in chunk order — reproducing the sequential enumeration exactly —
-//! before resolution replays sequentially in plan order. The plan's stage
-//! schedule is still verified as a certificate, and statements of a stage
-//! are still matched against the same round-start index.
 
-use crate::config::ChaseConfig;
 use crate::fixpoint::{probe_term, resolve_value, FixpointChase, FixpointError, FixpointProgress};
 use crate::null::NullFactory;
-use crate::parallel::{derive_schedule, verify_schedule};
 use crate::plan::ChasePlan;
 use crate::trigger::{probe_set, Binding, Matcher};
 use ndl_core::prelude::*;
@@ -319,528 +306,6 @@ impl Staging {
     }
 }
 
-/// One contiguous chunk of one clause's root-candidate list: the unit of
-/// work the sharded match phase hands to a worker.
-struct ShardTask<'i> {
-    /// Position of the owning statement within its stage.
-    pos: usize,
-    /// Clause index within the statement.
-    clause: usize,
-    /// Chunk order within the clause (concatenation key).
-    chunk: usize,
-    /// The root atom index planned by [`Matcher::delta_root`].
-    root: usize,
-    /// The chunk of the planner's candidate slice.
-    ids: &'i [TupleId],
-}
-
-/// Fired bindings of one clause, packed: row `r` holds the values of the
-/// body's variables in `VarId` order, `vals[r * width .. (r + 1) * width]`
-/// for the clause's variable count `width` (0 for an empty body, whose
-/// rows are counted but hold nothing).
-#[derive(Default)]
-struct FiredRows {
-    rows: usize,
-    vals: Vec<Value>,
-}
-
-impl FiredRows {
-    fn append(&mut self, other: FiredRows) {
-        self.rows += other.rows;
-        self.vals.extend(other.vals);
-    }
-}
-
-/// What one worker learned from one chunk.
-struct ChunkOut {
-    examined: u64,
-    fired: u64,
-    touched: u64,
-    elapsed_ns: u64,
-    /// The fired bindings.
-    fired_rows: FiredRows,
-}
-
-/// Everything the sharded match phase learned about one statement in one
-/// round, chunk results already concatenated back into sequential order.
-struct DeltaStmtMatched {
-    examined: u64,
-    fired: u64,
-    elapsed_ns: u64,
-    /// Per clause: fired bindings, in sequential delta order.
-    clauses: Vec<FiredRows>,
-    /// Candidate tuples iterated, by shard index (chunk `c` of every
-    /// clause adds to entry `c`) — the shard-balance statistic. Length 1
-    /// means the statement was not actually sharded.
-    shard_touched: Vec<u64>,
-}
-
-impl DeltaStmtMatched {
-    fn new(clauses: usize) -> DeltaStmtMatched {
-        DeltaStmtMatched {
-            examined: 0,
-            fired: 0,
-            elapsed_ns: 0,
-            clauses: (0..clauses).map(|_| FiredRows::default()).collect(),
-            shard_touched: Vec::new(),
-        }
-    }
-
-    fn touched(&self) -> u64 {
-        self.shard_touched.iter().sum()
-    }
-
-    fn add_shard_touched(&mut self, chunk: usize, touched: u64) {
-        if self.shard_touched.len() <= chunk {
-            self.shard_touched.resize(chunk + 1, 0);
-        }
-        self.shard_touched[chunk] += touched;
-    }
-}
-
-/// Enumerates one chunk: the delta matches of `clause` whose root atom
-/// binds a tuple of `ids`, gated through non-interning probes, fired
-/// bindings captured for the replay.
-fn run_chunk(
-    matcher: &Matcher<'_>,
-    clause: &SoClause,
-    root: usize,
-    ids: &[TupleId],
-    nulls: &NullFactory,
-    timed: bool,
-) -> ChunkOut {
-    let t = timed.then(Instant::now);
-    let mut out = ChunkOut {
-        examined: 0,
-        fired: 0,
-        touched: 0,
-        elapsed_ns: 0,
-        fired_rows: FiredRows::default(),
-    };
-    let _ = matcher.run_delta_root(
-        &clause.body,
-        &Binding::new(),
-        root,
-        ids,
-        &mut out.touched,
-        &mut |binding| {
-            out.examined += 1;
-            let eq_ok = clause
-                .equalities
-                .iter()
-                .all(|(l, r)| probe_term(l, binding, nulls) == probe_term(r, binding, nulls));
-            if eq_ok {
-                out.fired += 1;
-                out.fired_rows.rows += 1;
-                out.fired_rows.vals.extend(binding.values());
-            }
-            ControlFlow::Continue(())
-        },
-    );
-    if let Some(t) = t {
-        out.elapsed_ns = t.elapsed().as_nanos() as u64;
-    }
-    out
-}
-
-/// The sharded delta match phase for one stage: plans every clause's root
-/// candidates, cuts them into contiguous chunks, enumerates the chunks
-/// across `workers` scoped threads (inline when 1), and concatenates
-/// chunk results in chunk order — so every statement's fired-binding
-/// stream equals the sequential delta enumeration. Returns the matched
-/// statements in stage order plus the worker count used.
-fn match_stage_delta(
-    index: &TupleIndex,
-    tgds: &[SoTgd],
-    stage: &[usize],
-    nulls: &NullFactory,
-    cfg: &ChaseConfig,
-    committed: usize,
-    timed: bool,
-) -> (Vec<DeltaStmtMatched>, usize) {
-    let mut out: Vec<DeltaStmtMatched> = stage
-        .iter()
-        .map(|&si| DeltaStmtMatched::new(tgds[si].clauses.len()))
-        .collect();
-    let planner = Matcher::over(index);
-    let mut tasks: Vec<ShardTask<'_>> = Vec::new();
-    for (pos, &si) in stage.iter().enumerate() {
-        for (ci, clause) in tgds[si].clauses.iter().enumerate() {
-            if clause.body.is_empty() {
-                // The empty conjunction is a delta match only in round
-                // one (watermark 0); it touches no tuple and needs no
-                // worker.
-                if index.frontier_start() == 0 {
-                    let m = &mut out[pos];
-                    m.examined += 1;
-                    let empty = Binding::new();
-                    let eq_ok = clause
-                        .equalities
-                        .iter()
-                        .all(|(l, r)| probe_term(l, &empty, nulls) == probe_term(r, &empty, nulls));
-                    if eq_ok {
-                        m.fired += 1;
-                        m.clauses[ci].rows += 1;
-                    }
-                }
-                continue;
-            }
-            let Some((root, ids)) = planner.delta_root(&clause.body, &Binding::new()) else {
-                continue; // provably no delta matches for this clause
-            };
-            let shards = cfg.effective_shards(ids.len());
-            let base = ids.len() / shards;
-            let rem = ids.len() % shards;
-            let mut start = 0;
-            for chunk in 0..shards {
-                let len = base + usize::from(chunk < rem);
-                tasks.push(ShardTask {
-                    pos,
-                    clause: ci,
-                    chunk,
-                    root,
-                    ids: &ids[start..start + len],
-                });
-                start += len;
-            }
-        }
-    }
-
-    let workers = cfg.effective_threads(tasks.len(), committed);
-    let chunk_outs: Vec<ChunkOut> = if workers <= 1 {
-        tasks
-            .iter()
-            .map(|t| {
-                run_chunk(
-                    &planner,
-                    &tgds[stage[t.pos]].clauses[t.clause],
-                    t.root,
-                    t.ids,
-                    nulls,
-                    timed,
-                )
-            })
-            .collect()
-    } else {
-        let mut slots: Vec<Option<ChunkOut>> = (0..tasks.len()).map(|_| None).collect();
-        let tasks = &tasks;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let matcher = Matcher::over(index);
-                        let mut mine = Vec::new();
-                        let mut i = w;
-                        while i < tasks.len() {
-                            let t = &tasks[i];
-                            mine.push((
-                                i,
-                                run_chunk(
-                                    &matcher,
-                                    &tgds[stage[t.pos]].clauses[t.clause],
-                                    t.root,
-                                    t.ids,
-                                    nulls,
-                                    timed,
-                                ),
-                            ));
-                            i += workers;
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, c) in h.join().expect("shard worker panicked") {
-                    slots[i] = Some(c);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|c| c.expect("every chunk is enumerated by exactly one worker"))
-            .collect()
-    };
-
-    // Tasks were generated in (statement, clause, chunk) order, so a
-    // simple in-order append concatenates each clause's chunks back into
-    // the sequential delta enumeration.
-    for (t, c) in tasks.iter().zip(chunk_outs) {
-        let m = &mut out[t.pos];
-        m.examined += c.examined;
-        m.fired += c.fired;
-        m.elapsed_ns += c.elapsed_ns;
-        m.add_shard_touched(t.chunk, c.touched);
-        m.clauses[t.clause].append(c.fired_rows);
-    }
-    (out, workers)
-}
-
-/// [`chase_fixpoint_delta_parallel_with`] under [`ChaseConfig::default`]
-/// and the no-op observer. Library convenience: never consults the
-/// environment — front ends that want `NDL_CHASE_*` overrides resolve
-/// [`ChaseConfig::from_env`] at their own boundary and call the `_with`
-/// entry point.
-///
-/// # Panics
-/// Panics if `source` is not ground (nulls created *during* the chase are
-/// fine — they are resolved through `nulls`).
-pub fn chase_fixpoint_delta_parallel(
-    source: &Instance,
-    tgds: &[SoTgd],
-    plan: &ChasePlan,
-    nulls: &mut NullFactory,
-) -> std::result::Result<FixpointChase, FixpointError> {
-    chase_fixpoint_delta_parallel_with(
-        source,
-        tgds,
-        plan,
-        nulls,
-        &ChaseConfig::default(),
-        &mut NoopObserver,
-    )
-}
-
-/// The sharded, stage-parallel semi-naive chase: delta matching as in
-/// [`chase_fixpoint_delta_with`], with each statement's root-candidate
-/// scan cut into contiguous chunks enumerated on scoped worker threads,
-/// and resolution replayed sequentially in plan order — bit-identical to
-/// [`crate::fixpoint::chase_fixpoint`] (see the module docs).
-///
-/// Uses [`ChasePlan::schedule`] when present, else derives one with
-/// [`derive_schedule`]; either way the schedule is verified against the
-/// program first ([`FixpointError::InvalidSchedule`]). Emits
-/// [`ChaseObserver::round_delta`] per round,
-/// [`ChaseObserver::statement_shards`] for statements whose match phase
-/// actually split, and [`ChaseObserver::stage_end`] per stage.
-///
-/// As with [`crate::parallel`], statistics on a budget-cutoff round can
-/// exceed the sequential engine's (the match phase enumerates every delta
-/// trigger before resolution replays them); progress, derived counts,
-/// rounds and interned nulls are identical even on cutoff.
-///
-/// `cfg` is the explicit per-call tuning configuration (thread cap, shard
-/// count, sequential cutoff) — engines never read a process-wide global,
-/// so two calls in the same process with different configurations both
-/// take effect (required by long-lived hosts like `ndl-serve`).
-pub fn chase_fixpoint_delta_parallel_with<O: ChaseObserver>(
-    source: &Instance,
-    tgds: &[SoTgd],
-    plan: &ChasePlan,
-    nulls: &mut NullFactory,
-    cfg: &ChaseConfig,
-    obs: &mut O,
-) -> std::result::Result<FixpointChase, FixpointError> {
-    assert!(source.is_ground(), "source instance must be ground");
-    obs.chase_start(tgds.len(), source.len());
-    if !plan.guaranteed_terminating && plan.step_budget.is_none() {
-        obs.chase_end(0, 0, "refused");
-        return Err(FixpointError::NonTerminating {
-            diagnosis: plan.diagnosis.clone(),
-        });
-    }
-    let order = plan.firing_order(tgds.len());
-    let schedule = match &plan.schedule {
-        Some(s) => s.clone(),
-        None => derive_schedule(tgds, &order),
-    };
-    if let Err(e) = verify_schedule(tgds, &order, &schedule) {
-        obs.chase_end(0, 0, "refused");
-        return Err(e);
-    }
-    // Dataflow certificate: checked after the schedule and against the
-    // *original* stages; verified-dead statements are then filtered out.
-    // A stage emptied by the filter is skipped outright (no `stage_end`),
-    // but surviving stages keep their original indices.
-    let mut dead = BTreeSet::new();
-    if let Some(cert) = &plan.cert {
-        if let Err(e) = crate::cert::verify_dataflow_cert(source, tgds, cert) {
-            obs.chase_end(0, 0, "refused");
-            return Err(e);
-        }
-        obs.dataflow_cert(cert.dead.len(), cert.ground.len());
-        dead = cert.dead.clone();
-    }
-    let live_stages: Vec<Vec<usize>> = schedule
-        .stages
-        .iter()
-        .map(|stage| {
-            stage
-                .iter()
-                .copied()
-                .filter(|si| !dead.contains(si))
-                .collect()
-        })
-        .collect();
-
-    let live = (0..tgds.len()).filter(|si| !dead.contains(si));
-    let mut index = TupleIndex::from_instance_probing(source, live_probes(tgds, live));
-    let mut committed = source.len();
-
-    // As in the sequential delta engine: the frontier is only meaningful
-    // while ids stay stable, so pin the compaction epoch for the run.
-    let epoch = index.epoch();
-    let mut rounds = 0usize;
-    let mut derived = 0usize;
-    let mut fresh = Staging::with_capacity(source.len());
-    let mut head_buf: Vec<Value> = Vec::new();
-    let mut binding = Binding::new();
-    loop {
-        rounds += 1;
-        index.store().assert_epoch(epoch);
-        obs.round_start(rounds);
-        obs.round_delta(
-            rounds,
-            (index.store().rows() - index.frontier_start() as usize) as u64,
-        );
-        let round_t = O::ENABLED.then(Instant::now);
-        fresh.clear();
-        for (stage_idx, stage) in live_stages.iter().enumerate() {
-            if !dead.is_empty() {
-                for &si in &schedule.stages[stage_idx] {
-                    if dead.contains(&si) {
-                        obs.statement_skipped(rounds, si);
-                    }
-                }
-            }
-            if stage.is_empty() {
-                continue;
-            }
-            let stage_t = O::ENABLED.then(Instant::now);
-            // Phase 1 — concurrent, read-only: the sharded delta match.
-            let (matched, workers) =
-                match_stage_delta(&index, tgds, stage, nulls, cfg, committed, O::ENABLED);
-            // Phase 2 — sequential resolution replay, in firing order
-            // (chunk concatenation already restored the sequential delta
-            // order within each clause).
-            let mut stage_writes: Vec<BTreeSet<RelId>> = Vec::new();
-            for (pos, &si) in stage.iter().enumerate() {
-                let m = &matched[pos];
-                if m.shard_touched.len() > 1 {
-                    obs.statement_shards(rounds, si, &m.shard_touched);
-                }
-                let mut sr = StmtRound {
-                    round: rounds,
-                    stmt: si,
-                    examined: m.examined,
-                    fired: m.fired,
-                    touched: m.touched(),
-                    ..StmtRound::default()
-                };
-                let stmt_t = O::ENABLED.then(Instant::now);
-                let nulls_before = nulls.len();
-                let mut written: BTreeSet<RelId> = BTreeSet::new();
-                let mut budget_hit = false;
-                'stmt: for (ci, clause) in tgds[si].clauses.iter().enumerate() {
-                    let mut vars: Vec<VarId> = clause
-                        .body
-                        .iter()
-                        .flat_map(|a| a.args.iter().copied())
-                        .collect();
-                    vars.sort_unstable();
-                    vars.dedup();
-                    let fired = &m.clauses[ci];
-                    binding.clear();
-                    for r in 0..fired.rows {
-                        // Every row binds the same variables, so each
-                        // overwrites the previous one's slots.
-                        let vals = &fired.vals[r * vars.len()..(r + 1) * vars.len()];
-                        binding.extend(vars.iter().copied().zip(vals.iter().copied()));
-                        for ta in &clause.head {
-                            head_buf.clear();
-                            for t in &ta.args {
-                                head_buf.push(resolve_value(t, &binding, nulls));
-                            }
-                            if fresh.stage(&index, ta.rel, &head_buf) {
-                                sr.derived += 1;
-                                if cfg!(debug_assertions) {
-                                    written.insert(ta.rel);
-                                }
-                                if let Some(budget) = plan.step_budget {
-                                    if derived + fresh.len() > budget {
-                                        budget_hit = true;
-                                        break 'stmt;
-                                    }
-                                }
-                            } else {
-                                sr.dedup_hits += 1;
-                            }
-                        }
-                    }
-                }
-                sr.nulls_interned = (nulls.len() - nulls_before) as u64;
-                if let Some(t) = stmt_t {
-                    sr.elapsed_ns = m.elapsed_ns + t.elapsed().as_nanos() as u64;
-                }
-                obs.statement(&sr);
-                if budget_hit {
-                    let cut = derived + fresh.len();
-                    obs.round_end(
-                        rounds,
-                        fresh.len() as u64,
-                        round_t.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                    );
-                    obs.store(&index.store().counters());
-                    obs.chase_end(rounds, cut as u64, "budget-exhausted");
-                    let budget = plan.step_budget.expect("budget hit implies a budget");
-                    return Err(FixpointError::BudgetExhausted {
-                        budget,
-                        diagnosis: plan.diagnosis.clone(),
-                        progress: FixpointProgress {
-                            rounds,
-                            derived: cut,
-                        },
-                    });
-                }
-                stage_writes.push(written);
-            }
-            if cfg!(debug_assertions) && stage.len() > 1 {
-                for i in 0..stage_writes.len() {
-                    for j in i + 1..stage_writes.len() {
-                        debug_assert!(
-                            stage_writes[i].is_disjoint(&stage_writes[j]),
-                            "schedule certificate violated at runtime: statements {} and {} \
-                             of stage {stage_idx} both derived into relation(s) {:?}",
-                            stage[i],
-                            stage[j],
-                            stage_writes[i]
-                                .intersection(&stage_writes[j])
-                                .collect::<Vec<_>>(),
-                        );
-                    }
-                }
-            }
-            obs.stage_end(
-                rounds,
-                stage_idx,
-                stage.len(),
-                workers,
-                stage_t.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            );
-        }
-
-        index.mark_frontier();
-        let added = fresh.commit(&mut index);
-        derived += added as usize;
-        committed += added as usize;
-        obs.round_end(
-            rounds,
-            added,
-            round_t.map_or(0, |t| t.elapsed().as_nanos() as u64),
-        );
-        if added == 0 {
-            break;
-        }
-    }
-    obs.store(&index.store().counters());
-    obs.chase_end(rounds, derived as u64, "fixpoint");
-    Ok(FixpointChase {
-        instance: index.into_instance(),
-        rounds,
-        derived,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1004,38 +469,11 @@ mod tests {
     }
 
     #[test]
-    fn delta_parallel_is_bit_identical_and_shards() {
-        // Enough root candidates to shard (cutoff 1 forced via a local
-        // config is not possible — the global config may already be set —
-        // so rely on the default: with few facts the engine runs
-        // single-shard, which must still be bit-identical).
-        let mut syms = SymbolTable::new();
-        let tgds = vec![
-            parse_so_tgd(&mut syms, "exists f . S(x) -> T(x,f(x))").unwrap(),
-            parse_so_tgd(&mut syms, "T(x,y) -> U(y)").unwrap(),
-            parse_so_tgd(&mut syms, "E(x,y) & E(y,z) -> E(x,z)").unwrap(),
-        ];
-        let s = syms.rel("S");
-        let (_, mut source) = tc_source(&mut syms, 6);
-        let v = consts(&mut syms, &["a", "b"]);
-        for &c in &v {
-            source.insert(Fact::new(s, vec![c]));
-        }
-        let plan = ChasePlan::trusting(3);
-        let mut n1 = NullFactory::new();
-        let mut n2 = NullFactory::new();
-        let naive = chase_fixpoint(&source, &tgds, &plan, &mut n1);
-        let par = chase_fixpoint_delta_parallel(&source, &tgds, &plan, &mut n2);
-        assert_same(&naive, &par);
-        assert_eq!(n1.len(), n2.len());
-    }
-
-    #[test]
-    fn certified_dead_skipping_is_bit_identical_across_all_engines() {
+    fn certified_dead_skipping_is_bit_identical_across_engines() {
         // S is populated; Z is not and nothing writes it, so Z->W is
         // provably dead. The certified plan must produce exactly the
-        // uncertified output on all four engines — and the stats must
-        // show the skips.
+        // uncertified output on both engines — and the stats must show the
+        // skips.
         let mut syms = SymbolTable::new();
         let tgds = vec![
             parse_so_tgd(&mut syms, "exists f . S(x) -> T(x,f(x))").unwrap(),
@@ -1062,12 +500,7 @@ mod tests {
             &ChasePlan,
             &mut NullFactory,
         ) -> std::result::Result<FixpointChase, FixpointError>;
-        let engines: [Engine; 4] = [
-            chase_fixpoint,
-            crate::parallel::chase_fixpoint_parallel,
-            chase_fixpoint_delta,
-            chase_fixpoint_delta_parallel,
-        ];
+        let engines: [Engine; 2] = [chase_fixpoint, chase_fixpoint_delta];
         for run in engines {
             let mut n = NullFactory::new();
             let out = run(&source, &tgds, &certified, &mut n);
@@ -1085,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn invalid_cert_is_rejected_by_all_engines() {
+    fn invalid_cert_is_rejected_by_both_engines() {
         let mut syms = SymbolTable::new();
         let tgds = vec![parse_so_tgd(&mut syms, "exists f . S(x) -> T(x,f(x))").unwrap()];
         let s = syms.rel("S");
@@ -1110,10 +543,7 @@ mod tests {
             let mut n = NullFactory::new();
             for err in [
                 chase_fixpoint(&source, &tgds, &plan, &mut n).unwrap_err(),
-                crate::parallel::chase_fixpoint_parallel(&source, &tgds, &plan, &mut n)
-                    .unwrap_err(),
                 chase_fixpoint_delta(&source, &tgds, &plan, &mut n).unwrap_err(),
-                chase_fixpoint_delta_parallel(&source, &tgds, &plan, &mut n).unwrap_err(),
             ] {
                 assert!(matches!(err, FixpointError::InvalidCert { .. }), "{err}");
             }
@@ -1124,7 +554,7 @@ mod tests {
     #[test]
     fn empty_body_statement_fires_once_under_delta() {
         // A bodiless clause (a fact-producing statement) matches exactly
-        // once, in round one — the delta engines must not re-fire or drop
+        // once, in round one — the delta engine must not re-fire or drop
         // it.
         let mut syms = SymbolTable::new();
         // The parser requires a body, so the bodiless statement
@@ -1144,11 +574,9 @@ mod tests {
         let plan = ChasePlan::trusting(2);
         let mut n1 = NullFactory::new();
         let mut n2 = NullFactory::new();
-        let mut n3 = NullFactory::new();
         let naive = chase_fixpoint(&source, &tgds, &plan, &mut n1);
         let delta = chase_fixpoint_delta(&source, &tgds, &plan, &mut n2);
-        let par = chase_fixpoint_delta_parallel(&source, &tgds, &plan, &mut n3);
         assert_same(&naive, &delta);
-        assert_same(&naive, &par);
+        assert_eq!(n1.len(), n2.len());
     }
 }

@@ -61,16 +61,6 @@ pub enum FixpointError {
         /// How far the chase got before the cutoff.
         progress: FixpointProgress,
     },
-    /// The parallel engine rejected the plan's stage schedule: it failed
-    /// certificate verification against footprints recomputed from the
-    /// program itself (stages must partition the firing order contiguously
-    /// and be free of write–write, read–write and shared-Skolem-function
-    /// conflicts).
-    InvalidSchedule {
-        /// Which certificate check failed, e.g. the conflicting statement
-        /// pair and the relation or function they share.
-        reason: String,
-    },
     /// The engine rejected the plan's dataflow certificate: a statement
     /// claimed dead can fire from the populated relations, or a relation
     /// claimed ground can receive a null (both recomputed from the actual
@@ -106,9 +96,6 @@ impl fmt::Display for FixpointError {
                     write!(f, " ({d})")?;
                 }
                 Ok(())
-            }
-            FixpointError::InvalidSchedule { reason } => {
-                write!(f, "invalid parallel schedule: {reason}")
             }
             FixpointError::InvalidCert { reason } => {
                 write!(f, "invalid dataflow certificate: {reason}")

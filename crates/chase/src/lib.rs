@@ -13,19 +13,15 @@
 //!   (Definition 5.4);
 //! - [`fixpoint`] — the oblivious **fixpoint** chase for recursive SO-tgd
 //!   programs, driven by a [`plan::ChasePlan`] (firing order, termination
-//!   verdict, step budget) from the static analyzer;
-//! - [`delta`] — the **semi-naive** fixpoint chase: each round matches
-//!   only triggers reaching the previous round's delta frontier
-//!   (`TupleIndex::mark_frontier`), with an optional sharded-parallel
-//!   match phase — both bit-identical to [`fixpoint`];
-//! - [`parallel`] — the stage-parallel fixpoint chase: fires the
-//!   conflict-free statements of a [`plan::ParallelSchedule`] stage across
-//!   scoped worker threads ([`config::ChaseConfig`], `NDL_CHASE_THREADS`)
-//!   while staying bit-identical to [`fixpoint`] — the schedule is a
-//!   verified certificate, not a trusted input;
+//!   verdict, step budget) from the static analyzer — the reference
+//!   oracle (`ndl chase --no-delta`);
+//! - [`delta`] — the **semi-naive** fixpoint chase, the one fast path:
+//!   each round matches only triggers reaching the previous round's delta
+//!   frontier (`TupleIndex::mark_frontier`), bit-identical to
+//!   [`fixpoint`] ([`config::ChaseConfig`] picks the front ends' default);
 //! - [`cert`] — dataflow certificates ([`DataflowCert`]): dead statements
 //!   and null-free relations claimed by the analyzer, re-verified by
-//!   every fixpoint engine against its actual inputs before dead
+//!   both fixpoint engines against their actual inputs before dead
 //!   statements are skipped;
 //! - [`trigger`] — the shared conjunctive-query matching primitive;
 //! - [`null`] — labeled nulls in bijection with ground Skolem terms.
@@ -42,7 +38,6 @@ pub mod egd;
 pub mod fixpoint;
 pub mod nested;
 pub mod null;
-pub mod parallel;
 pub mod plan;
 pub mod so;
 pub mod st;
@@ -50,10 +45,7 @@ pub mod trigger;
 
 pub use cert::{dataflow_facts, verify_dataflow_cert, DataflowCert, DataflowFacts};
 pub use config::ChaseConfig;
-pub use delta::{
-    chase_fixpoint_delta, chase_fixpoint_delta_parallel, chase_fixpoint_delta_parallel_with,
-    chase_fixpoint_delta_with,
-};
+pub use delta::{chase_fixpoint_delta, chase_fixpoint_delta_with};
 pub use egd::{chase_egds, satisfies_egds, EgdChase, EgdConflict, RigidPolicy};
 pub use fixpoint::{
     chase_fixpoint, chase_fixpoint_with, FixpointChase, FixpointError, FixpointProgress,
@@ -63,11 +55,7 @@ pub use nested::{
     Triggering,
 };
 pub use null::{FactWriter, NullFactory};
-pub use parallel::{
-    chase_fixpoint_parallel, chase_fixpoint_parallel_with, derive_schedule, statement_footprints,
-    verify_schedule, StmtFootprint,
-};
-pub use plan::{ChasePlan, ParallelSchedule};
+pub use plan::ChasePlan;
 pub use so::{chase_so, chase_so_set, ground_term};
 pub use st::{chase_st, chase_st_with_forest};
 pub use trigger::{all_matches, has_match, Binding, Matcher};

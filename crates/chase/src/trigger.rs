@@ -299,7 +299,7 @@ impl<'a> Matcher<'a> {
     ///
     /// `touched` accumulates candidate tuples iterated: the delta engine's
     /// work measure (an empty frontier costs `O(atoms·log)` here, not a
-    /// rescan) and the shard-balance statistic of the parallel engine.
+    /// rescan).
     pub fn try_for_each_delta_match(
         &self,
         atoms: &[Atom],
@@ -329,12 +329,7 @@ impl<'a> Matcher<'a> {
     /// the candidate slice the root loop iterates. `None` means the delta
     /// enumeration is provably empty: some atom has no candidates, or no
     /// atom can bind a frontier tuple — the empty-delta fast path.
-    ///
-    /// The parallel engine shards the returned slice into contiguous
-    /// chunks ([`Matcher::run_delta_root`] accepts any sub-slice);
-    /// concatenating the chunks' match streams in chunk order reproduces
-    /// the sequential enumeration exactly.
-    pub(crate) fn delta_root<'s>(
+    fn delta_root<'s>(
         &'s self,
         atoms: &[Atom],
         partial: &Binding,
@@ -373,11 +368,9 @@ impl<'a> Matcher<'a> {
         Some((best, best_ids))
     }
 
-    /// Runs the semi-naive join over one contiguous chunk of the root
-    /// candidates planned by [`Matcher::delta_root`]. `ids` may be any
-    /// contiguous sub-slice of the planner's candidate slice; `root` must
-    /// be the planner's atom index.
-    pub(crate) fn run_delta_root(
+    /// Runs the semi-naive join over the root candidates `ids` of atom
+    /// `root`, as planned by [`Matcher::delta_root`].
+    fn run_delta_root(
         &self,
         atoms: &[Atom],
         partial: &Binding,

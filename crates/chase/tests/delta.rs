@@ -1,22 +1,17 @@
-//! Bit-identity of the semi-naive delta chase — sequential and
-//! sharded-parallel — against the naive sequential engine, end to end
-//! through the analyzer: same instance (same `NullId`s, not just
-//! isomorphic), same round count, same derived count, same error behavior
-//! — over the committed example programs and seeded random programs from
-//! `ndl-gen`.
+//! Bit-identity of the semi-naive delta chase against the naive engine,
+//! the reference oracle, end to end through the analyzer: same instance
+//! (same `NullId`s, not just isomorphic), same round count, same derived
+//! count, same error behavior — over the committed example programs and
+//! seeded random programs from `ndl-gen`.
 //!
-//! The container running CI may expose a single CPU, and the engine's
-//! sequential cutoff would keep every small test instance on one thread
-//! and one shard — so the tests pass an aggressive explicit
-//! [`ChaseConfig`] (3 workers, 4 shards, cutoff 1) to force the
-//! scoped-thread sharded match path. Configuration is a per-call value,
-//! not a process global (see `per_call_configs_both_take_effect` for the
+//! Which engine front ends run is a per-call [`ChaseConfig`] value, not a
+//! process global (see `per_call_configs_both_take_effect` for the
 //! regression pinning that).
 
 use ndl_analyze::ChaseAnalysis;
 use ndl_chase::{
-    chase_fixpoint, chase_fixpoint_delta_parallel_with, chase_fixpoint_delta_with, ChaseConfig,
-    ChasePlan, FixpointChase, FixpointError, NullFactory,
+    chase_fixpoint, chase_fixpoint_delta_with, chase_fixpoint_with, ChaseConfig, ChasePlan,
+    FixpointChase, FixpointError, NullFactory,
 };
 use ndl_core::prelude::*;
 use ndl_gen::{
@@ -27,21 +22,10 @@ use ndl_obs::{ChaseObserver, ChaseStats, NoopObserver, StmtRound};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 
-/// Forces worker threads and multi-way sharding even for tiny instances
-/// on 1-CPU machines.
-fn force_sharded_config() -> ChaseConfig {
-    ChaseConfig {
-        threads: 3,
-        sequential_cutoff: 1,
-        shards: Some(4),
-        ..ChaseConfig::default()
-    }
-}
-
 type ChaseOutcome = std::result::Result<FixpointChase, FixpointError>;
 
 /// A parsed program: its source facts, its SO tgds and the analyzer's
-/// plan (firing order, schedule, dataflow certificate) under `budget`.
+/// plan (firing order, dataflow certificate) under `budget`.
 fn prepare(src: &str, budget: Option<usize>) -> (Instance, Vec<SoTgd>, ChasePlan) {
     let mut syms = SymbolTable::new();
     let (stmts, _) = ndl_analyze::parse_program(&mut syms, src);
@@ -56,79 +40,53 @@ fn prepare(src: &str, budget: Option<usize>) -> (Instance, Vec<SoTgd>, ChasePlan
     (source, tgds, analysis.tgd_plan(budget))
 }
 
-/// Chases `src` with the naive, delta, and delta-parallel engines under
-/// the same budget, the delta engines reporting to `obs`; returns the
-/// three outcomes plus their null counts.
-fn chase_three_observed<O: ChaseObserver>(
+/// Chases `src` with the naive and delta engines under the same budget,
+/// the delta engine reporting to `obs`; returns both outcomes plus their
+/// null counts.
+fn chase_both_observed<O: ChaseObserver>(
     src: &str,
     budget: Option<usize>,
-    obs: [&mut O; 2],
-) -> ([ChaseOutcome; 3], [usize; 3]) {
-    let cfg = force_sharded_config();
+    obs: &mut O,
+) -> ([ChaseOutcome; 2], [usize; 2]) {
     let (source, tgds, plan) = prepare(src, budget);
-    let [seq_obs, par_obs] = obs;
-    let mut nulls = [NullFactory::new(), NullFactory::new(), NullFactory::new()];
+    let mut nulls = [NullFactory::new(), NullFactory::new()];
     let naive = chase_fixpoint(&source, &tgds, &plan, &mut nulls[0]);
-    let delta = chase_fixpoint_delta_with(&source, &tgds, &plan, &mut nulls[1], seq_obs);
-    let par =
-        chase_fixpoint_delta_parallel_with(&source, &tgds, &plan, &mut nulls[2], &cfg, par_obs);
-    (
-        [naive, delta, par],
-        [nulls[0].len(), nulls[1].len(), nulls[2].len()],
-    )
+    let delta = chase_fixpoint_delta_with(&source, &tgds, &plan, &mut nulls[1], obs);
+    ([naive, delta], [nulls[0].len(), nulls[1].len()])
 }
 
-/// [`chase_three_observed`] under the no-op observer.
-fn chase_three(src: &str, budget: Option<usize>) -> ([ChaseOutcome; 3], [usize; 3]) {
-    chase_three_observed(src, budget, [&mut NoopObserver, &mut NoopObserver])
-}
-
-/// Asserts all three outcomes are bit-identical (instance equality
-/// compares `NullId`s directly — interning order must match, not just
-/// structure).
+/// Asserts both outcomes are bit-identical (instance equality compares
+/// `NullId`s directly — interning order must match, not just structure).
 fn assert_identical(src: &str, budget: Option<usize>) {
-    assert_outcomes_identical(src, chase_three(src, budget));
+    assert_outcomes_identical(src, chase_both_observed(src, budget, &mut NoopObserver));
 }
 
-fn assert_outcomes_identical(src: &str, outcomes: ([ChaseOutcome; 3], [usize; 3])) {
-    let ([naive, delta, par], nulls) = outcomes;
-    for (name, other, n) in [
-        ("delta", &delta, nulls[1]),
-        ("delta-parallel", &par, nulls[2]),
-    ] {
-        match (&naive, other) {
-            (Ok(s), Ok(p)) => {
-                assert_eq!(
-                    s.instance, p.instance,
-                    "{name} instance differs for:\n{src}"
-                );
-                assert_eq!(s.rounds, p.rounds, "{name} rounds differ for:\n{src}");
-                assert_eq!(s.derived, p.derived, "{name} derived differs for:\n{src}");
-                assert_eq!(nulls[0], n, "{name} null count differs for:\n{src}");
-            }
-            (
-                Err(FixpointError::BudgetExhausted {
-                    budget: b1,
-                    progress: p1,
-                    ..
-                }),
-                Err(FixpointError::BudgetExhausted {
-                    budget: b2,
-                    progress: p2,
-                    ..
-                }),
-            ) => {
-                assert_eq!(b1, b2, "{name} budget differs for:\n{src}");
-                assert_eq!(p1, p2, "{name} cutoff progress differs for:\n{src}");
-            }
-            (
-                Err(FixpointError::NonTerminating { .. }),
-                Err(FixpointError::NonTerminating { .. }),
-            ) => {}
-            (s, p) => {
-                panic!("engines disagree on outcome for:\n{src}\nnaive: {s:?}\n{name}: {p:?}")
-            }
+fn assert_outcomes_identical(src: &str, outcomes: ([ChaseOutcome; 2], [usize; 2])) {
+    let ([naive, delta], nulls) = outcomes;
+    match (naive, delta) {
+        (Ok(s), Ok(p)) => {
+            assert_eq!(s.instance, p.instance, "instances differ for:\n{src}");
+            assert_eq!(s.rounds, p.rounds, "rounds differ for:\n{src}");
+            assert_eq!(s.derived, p.derived, "derived counts differ for:\n{src}");
+            assert_eq!(nulls[0], nulls[1], "null counts differ for:\n{src}");
         }
+        (
+            Err(FixpointError::BudgetExhausted {
+                budget: b1,
+                progress: p1,
+                ..
+            }),
+            Err(FixpointError::BudgetExhausted {
+                budget: b2,
+                progress: p2,
+                ..
+            }),
+        ) => {
+            assert_eq!(b1, b2, "budgets differ for:\n{src}");
+            assert_eq!(p1, p2, "cutoff progress differs for:\n{src}");
+        }
+        (Err(FixpointError::NonTerminating { .. }), Err(FixpointError::NonTerminating { .. })) => {}
+        (s, p) => panic!("engines disagree on outcome for:\n{src}\nnaive: {s:?}\ndelta: {p:?}"),
     }
 }
 
@@ -150,7 +108,7 @@ fn example_programs_are_bit_identical() {
 #[test]
 fn recursive_example_refusal_and_budget_parity() {
     let src = example("recursive.ndl");
-    // Without a budget all engines refuse; with one, all cut off at the
+    // Without a budget both engines refuse; with one, both cut off at the
     // same round with the same progress.
     assert_identical(&src, None);
     assert_identical(&src, Some(5));
@@ -270,50 +228,43 @@ fn per_call_configs_both_take_effect() {
     // Regression for the process-lifetime config hazard: `ChaseConfig`
     // used to be cached in a process-wide `OnceLock` on first use, so a
     // long-lived server could never apply per-request settings — the
-    // second request silently ran under the first request's shard count.
-    // Configuration is now an explicit per-call value; two chases in one
-    // process with different shard settings must each observe their own.
-    let mut syms = SymbolTable::new();
-    let tgd = parse_so_tgd(&mut syms, "E(x,y) & E(y,z) -> E(x,z)").unwrap();
-    let e = syms.rel("E");
-    let vals: Vec<Value> = (0..=8)
-        .map(|i| Value::Const(syms.constant(&format!("v{i}"))))
-        .collect();
-    let source = Instance::from_facts((0..8).map(|i| Fact::new(e, vec![vals[i], vals[i + 1]])));
-    let plan = ChasePlan::trusting(1);
-    let mut observed = Vec::new();
-    for shards in [2usize, 3usize] {
-        let cfg = ChaseConfig {
-            threads: 3,
-            sequential_cutoff: 1,
-            shards: Some(shards),
-            ..ChaseConfig::default()
-        };
+    // second request silently ran under the first request's engine.
+    // Configuration is now an explicit per-call value; two resolutions in
+    // one process with different `NDL_CHASE_DELTA` settings must each
+    // select their own engine, and the engines must agree.
+    let src = example("running.ndl");
+    let (source, tgds, plan) = prepare(&src, None);
+    let mut runs = Vec::new();
+    for value in ["0", "1"] {
+        let cfg =
+            ChaseConfig::from_env_with(&|key| (key == "NDL_CHASE_DELTA").then(|| value.into()));
         let mut nulls = NullFactory::new();
         let mut stats = ChaseStats::new();
-        let out = chase_fixpoint_delta_parallel_with(
-            &source,
-            std::slice::from_ref(&tgd),
-            &plan,
-            &mut nulls,
-            &cfg,
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(out.instance.rel_len(e), 8 * 9 / 2); // TC of an 8-chain
-        observed.push(stats.statements[0].max_shards);
+        let out = if cfg.delta {
+            chase_fixpoint_delta_with(&source, &tgds, &plan, &mut nulls, &mut stats)
+        } else {
+            chase_fixpoint_with(&source, &tgds, &plan, &mut nulls, &mut stats)
+        };
+        runs.push((
+            cfg.delta,
+            out.unwrap().instance,
+            stats.round_delta.is_empty(),
+        ));
     }
+    // Only the delta engine reports frontiers.
+    let engines: Vec<(bool, bool)> = runs.iter().map(|r| (r.0, r.2)).collect();
     assert_eq!(
-        observed,
-        vec![2, 3],
-        "per-call shard settings were not both applied — a cached \
-         process-wide config is masking the second request's settings"
+        engines,
+        vec![(false, true), (true, false)],
+        "per-call engine settings were not both applied — a cached \
+         process-wide config is masking the second call's settings"
     );
+    assert_eq!(runs[0].1, runs[1].1);
 }
 
-/// Every event a delta engine reports, timings left out, one line each:
-/// the per-statement aggregates (`examined`, `touched` and the rest), the
-/// shard split, and each round's frontier and commit sizes.
+/// Every event the delta engine reports, timings left out, one line each:
+/// the per-statement aggregates (`examined`, `touched` and the rest) and
+/// each round's frontier and commit sizes.
 #[derive(Default)]
 struct RoundLog(String);
 
@@ -335,10 +286,6 @@ impl ChaseObserver for RoundLog {
             sr.nulls_interned,
             sr.touched
         );
-    }
-
-    fn statement_shards(&mut self, round: usize, stmt: usize, touched: &[u64]) {
-        let _ = writeln!(self.0, "r{round} s{stmt} shards={touched:?}");
     }
 
     fn statement_skipped(&mut self, round: usize, stmt: usize) {
@@ -462,32 +409,28 @@ fn probe_corpus() -> Vec<(String, String, Option<usize>)> {
     out
 }
 
-/// Per-statement work of both delta engines over [`probe_corpus`],
-/// recorded before the chase indexed only probe-set positions: one line
-/// per program and engine with the round count, the `examined` and
-/// `touched` totals, and a digest of every per-statement, shard and round
-/// event (see [`RoundLog`]).
+/// Per-statement work of the delta engine over [`probe_corpus`], recorded
+/// before the chase indexed only probe-set positions: one line per program
+/// with the round count, the `examined` and `touched` totals, and a digest
+/// of every per-statement and round event (see [`RoundLog`]).
 const PROBE_GOLDEN: &str = include_str!("golden/delta_rounds.txt");
 
 #[test]
 fn probe_set_index_keeps_outputs_and_work_of_the_full_index() {
     let mut got = String::new();
     for (name, src, budget) in probe_corpus() {
-        let mut logs = [RoundLog::default(), RoundLog::default()];
-        let [seq, par] = &mut logs;
-        let outcomes = chase_three_observed(&src, budget, [seq, par]);
+        let mut log = RoundLog::default();
+        let outcomes = chase_both_observed(&src, budget, &mut log);
         assert_outcomes_identical(&src, outcomes);
-        for (engine, log) in ["delta", "delta-parallel"].iter().zip(&logs) {
-            let log = &log.0;
-            let _ = writeln!(
-                got,
-                "{name} {engine} rounds={} examined={} touched={} digest={:016x}",
-                log.lines().filter(|l| l.contains("frontier=")).count(),
-                log_sum(log, "examined"),
-                log_sum(log, "touched"),
-                fnv1a(log),
-            );
-        }
+        let log = &log.0;
+        let _ = writeln!(
+            got,
+            "{name} delta rounds={} examined={} touched={} digest={:016x}",
+            log.lines().filter(|l| l.contains("frontier=")).count(),
+            log_sum(log, "examined"),
+            log_sum(log, "touched"),
+            fnv1a(log),
+        );
     }
     for (want, have) in PROBE_GOLDEN.lines().zip(got.lines()) {
         assert_eq!(have, want, "per-statement delta work changed");
@@ -499,8 +442,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Random generated programs (tgds, SO tgds, facts, recursion,
-    /// comments) chase bit-identically under a budget across all three
-    /// engines: identical instances/rounds/derived on success, identical
+    /// comments) chase bit-identically under a budget on both engines:
+    /// identical instances/rounds/derived on success, identical
     /// progress on a cutoff, identical refusal otherwise.
     #[test]
     fn random_programs_are_bit_identical(seed in 0u64..500, statements in 2usize..10, recursion in 0usize..2) {
@@ -515,8 +458,8 @@ proptest! {
         assert_identical(&src, Some(300));
     }
 
-    /// Refusal parity without a budget: either every engine runs to the
-    /// same fixpoint or every engine refuses the unguaranteed program.
+    /// Refusal parity without a budget: either both engines run to the
+    /// same fixpoint or both refuse the unguaranteed program.
     #[test]
     fn random_programs_agree_without_budget(seed in 0u64..200) {
         let src = random_program(&ProgramGenOptions {

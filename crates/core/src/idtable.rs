@@ -23,8 +23,6 @@
 //! slot array), and [`IdTable::reserve`] or [`IdTable::with_capacity`]
 //! make it none.
 
-use serde::{Deserialize, Serialize};
-
 /// A free slot (no id is `u32::MAX`).
 const EMPTY: u64 = u64::MAX;
 
@@ -207,24 +205,6 @@ impl IdTable {
     }
 }
 
-/// A table serializes as its slot array.
-impl Serialize for IdTable {
-    fn to_value(&self) -> serde::Value {
-        self.slots.to_value()
-    }
-}
-
-impl Deserialize for IdTable {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let slots = Vec::<u64>::from_value(v)?;
-        if !(slots.is_empty() || slots.len().is_power_of_two()) {
-            return Err(serde::Error::msg("id table length is not a power of two"));
-        }
-        let len = slots.iter().filter(|&&s| s != EMPTY).count();
-        Ok(IdTable { slots, len })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,21 +304,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.slots.len(), slots);
         assert!(t.find(3, |_| true).is_err());
-    }
-
-    #[test]
-    fn serializes_as_its_slot_array() {
-        let mut t = Keyed::default();
-        for key in 0..20 {
-            t.intern(key, key.wrapping_mul(0x9e37_79b9));
-        }
-        let v = t.table.to_value();
-        assert_eq!(v, t.table.slots.to_value());
-        let back = IdTable::from_value(&v).unwrap();
-        assert_eq!(back.len(), 20);
-        assert_eq!(back.slots.len(), t.table.slots.len());
-        let odd = serde::Value::Array(vec![0u64.to_value(); 3]);
-        assert!(IdTable::from_value(&odd).is_err());
     }
 
     /// splitmix64 over `state`: the draws depend only on the seed.

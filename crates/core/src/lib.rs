@@ -9,8 +9,7 @@
 //!   terms ([`symbol`], [`value`], [`term`]);
 //! - schemas, atoms, facts and instances ([`schema`], [`atom`], [`instance`])
 //!   backed by an arena-backed columnar fact store with stable ids
-//!   ([`store`]; the pre-columnar B-tree layout survives in [`btree`] as a
-//!   test/bench baseline);
+//!   ([`store`]);
 //! - a shared, updatable `(rel, pos, value) → facts` index keyed by stable
 //!   ids ([`index`]), fast hash containers ([`hash`]) and the one
 //!   open-addressed id table under symbols, fact dedup and null interning
@@ -44,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod atom;
-pub mod btree;
 pub mod dep;
 pub mod error;
 pub mod hash;

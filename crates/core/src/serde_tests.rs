@@ -66,11 +66,73 @@ fn mapping_roundtrip() {
 
 #[test]
 fn symbol_table_roundtrip_preserves_names() {
+    // Enough constants that ids and hashes no longer fit one JSON number
+    // together: the table must come back from its names.
     let mut syms = SymbolTable::new();
     let r = syms.rel("Emp");
-    let c = syms.constant("alice");
-    let back: SymbolTable = roundtrip(&syms);
+    let consts: Vec<ConstId> = (0..3000).map(|i| syms.constant(&format!("c{i}"))).collect();
+    let fresh = syms.fresh_const("c1");
+    let mut back: SymbolTable = roundtrip(&syms);
     assert_eq!(back.rel_name(r), "Emp");
-    assert_eq!(back.const_name(c), "alice");
     assert_eq!(back.find_rel("Emp"), Some(r));
+    for (i, &c) in consts.iter().enumerate() {
+        let name = format!("c{i}");
+        assert_eq!(back.const_name(c), name);
+        assert_eq!(back.find_const(&name), Some(c));
+    }
+    assert_eq!(back.const_name(fresh), syms.const_name(fresh));
+    // Interning continues where the original left off.
+    assert_eq!(back.fresh_const("c1"), syms.fresh_const("c1"));
+    assert_eq!(back.constant("new"), syms.constant("new"));
+    assert_eq!(back.constant("c7"), consts[7]);
+}
+
+#[test]
+fn malformed_symbol_tables_are_rejected_not_loaded() {
+    // A table whose constants are "a", "é", "b", serialized, then its
+    // constant namespace's text and name ends tampered with.
+    let mut syms = SymbolTable::new();
+    for name in ["a", "é", "b"] {
+        syms.constant(name);
+    }
+    let json = serde_json::to_string(&syms).expect("serializes");
+    let tampered = |text: &str, ends: &[f64]| {
+        let mut v: serde::Value = serde_json::from_str(&json).expect("parses");
+        let serde::Value::Object(table) = &mut v else {
+            panic!("a table is an object")
+        };
+        let (_, serde::Value::Object(consts)) = table
+            .iter_mut()
+            .find(|(k, _)| k == "consts")
+            .expect("a constant namespace")
+        else {
+            panic!("a namespace is an object")
+        };
+        for (k, slot) in consts.iter_mut() {
+            match k.as_str() {
+                "text" => *slot = serde::Value::String(text.to_string()),
+                "ends" => {
+                    *slot =
+                        serde::Value::Array(ends.iter().map(|&e| serde::Value::Number(e)).collect())
+                }
+                _ => {}
+            }
+        }
+        serde_json::to_string(&v).expect("serializes")
+    };
+    // "a" is byte 0..1, "é" 1..3, "b" 3..4.
+    let ok: SymbolTable = serde_json::from_str(&tampered("aéb", &[1.0, 3.0, 4.0])).unwrap();
+    assert_eq!(ok.find_const("é"), Some(ConstId(1)));
+    for (what, text, ends) in [
+        ("decreasing", "aéb", &[3.0, 1.0, 4.0][..]),
+        ("past the text", "aéb", &[1.0, 3.0, 5.0]),
+        ("inside a character", "aéb", &[1.0, 2.0, 4.0]),
+        ("text left over", "aéb", &[1.0, 3.0]),
+        ("duplicate name", "aab", &[1.0, 2.0, 3.0]),
+    ] {
+        assert!(
+            serde_json::from_str::<SymbolTable>(&tampered(text, ends)).is_err(),
+            "{what}: {text:?} {ends:?} loaded"
+        );
+    }
 }

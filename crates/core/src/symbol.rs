@@ -58,8 +58,9 @@ id_type!(
 /// The names live back to back in one string. They are found through an
 /// [`IdTable`] of ids filed under each name's [`FxHasher`] hash: interning
 /// hashes a name once, and allocates only when the string or the table
-/// outgrows its capacity.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+/// outgrows its capacity. A namespace serializes as its names
+/// ([`NamespaceNames`]); loading one checks them and rebuilds the table.
+#[derive(Debug, Default, Clone)]
 struct Namespace {
     /// Every name, in id order, back to back.
     text: String,
@@ -72,6 +73,67 @@ struct Namespace {
     /// never removed, so every smaller suffix is still taken and the next
     /// search resumes there — `fresh` stays linear in the calls made.
     fresh_next: HashMap<String, usize>,
+}
+
+/// What a [`Namespace`] serializes as: its names and `fresh` resume
+/// points, without the id table (which is rebuilt from the names).
+#[derive(Serialize, Deserialize)]
+struct NamespaceNames {
+    text: String,
+    ends: Vec<usize>,
+    fresh_next: HashMap<String, usize>,
+}
+
+impl Serialize for Namespace {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("text".to_string(), self.text.to_value()),
+            ("ends".to_string(), self.ends.to_value()),
+            ("fresh_next".to_string(), self.fresh_next.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Namespace {
+    /// Rebuilds the namespace from its names, rejecting ends that are not
+    /// non-decreasing, run past the text, split a character or leave text
+    /// over, and names that occur twice.
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let names = NamespaceNames::from_value(v)?;
+        let mut ns = Namespace {
+            text: names.text,
+            ends: Vec::with_capacity(names.ends.len()),
+            slots: IdTable::with_capacity(names.ends.len()),
+            fresh_next: names.fresh_next,
+        };
+        let mut start = 0;
+        for end in names.ends {
+            if end < start || end > ns.text.len() || !ns.text.is_char_boundary(end) {
+                return Err(serde::Error::msg(format!(
+                    "symbol namespace: name end {end} is out of order, past the text \
+                     or inside a character"
+                )));
+            }
+            let name = &ns.text[start..end];
+            let hash = name_hash(name);
+            let at = ns.find(name, hash).err().ok_or_else(|| {
+                serde::Error::msg(format!("symbol namespace: name {name:?} occurs twice"))
+            })?;
+            let id = u32::try_from(ns.ends.len())
+                .ok()
+                .filter(|&id| id != u32::MAX)
+                .ok_or_else(|| serde::Error::msg("symbol namespace overflow"))?;
+            ns.ends.push(end);
+            ns.slots.insert(at, hash, id);
+            start = end;
+        }
+        if start != ns.text.len() {
+            return Err(serde::Error::msg(
+                "symbol namespace: text runs past the last name",
+            ));
+        }
+        Ok(ns)
+    }
 }
 
 /// The hash a namespace files a name under: its length, then its bytes

@@ -1,7 +1,6 @@
 //! Observational equivalence of the columnar [`Instance`] (arena-backed
-//! [`FactStore`]) and the pre-refactor [`BTreeInstance`]
-//! (`BTreeMap<RelId, BTreeSet<Vec<Value>>>`), driven by seeded random
-//! operation sequences.
+//! [`FactStore`]) and a plain `BTreeSet<Fact>` model of a set of facts,
+//! driven by seeded random operation sequences.
 //!
 //! The columnar store is free to differ in representation (stable ids,
 //! tombstones, revival) but must be indistinguishable through the
@@ -9,9 +8,27 @@
 //! sorted fact enumeration, same `Display`, and no dependence on
 //! insertion order.
 
-use ndl_core::btree::BTreeInstance;
 use ndl_core::prelude::*;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// The model: the set of facts, in `(rel, args)` order.
+type Model = BTreeSet<Fact>;
+
+/// The model's rendering: its facts in order, comma-separated.
+fn model_display(model: &Model, syms: &SymbolTable) -> String {
+    let facts: Vec<String> = model.iter().map(|f| f.display(syms).to_string()).collect();
+    facts.join(", ")
+}
+
+/// The model's tuples of `rel`, in order.
+fn model_tuples(model: &Model, rel: RelId) -> Vec<Vec<Value>> {
+    model
+        .iter()
+        .filter(|f| f.rel == rel)
+        .map(|f| f.args.clone())
+        .collect()
+}
 
 /// A tiny deterministic generator (splitmix64) so the test depends only
 /// on the seed proptest picks, not on a rand crate.
@@ -50,28 +67,28 @@ fn random_fact(g: &mut Gen, rels: &[(RelId, usize)], vals: &[Value]) -> Fact {
     Fact::new(rel, args)
 }
 
-/// Both representations rendered through their deterministic sorted
-/// iteration, for exact comparison.
-fn observed(new: &Instance, old: &BTreeInstance, syms: &SymbolTable) -> (Vec<Fact>, Vec<Fact>) {
+/// The instance and the model listed through their deterministic sorted
+/// iteration, for exact comparison; their renderings must agree too.
+fn observed(new: &Instance, model: &Model, syms: &SymbolTable) -> (Vec<Fact>, Vec<Fact>) {
     let new_facts: Vec<Fact> = new.facts().map(|f| f.to_fact()).collect();
-    let old_facts: Vec<Fact> = old.facts().collect();
-    assert_eq!(new.display(syms), old.display(syms));
-    (new_facts, old_facts)
+    let model_facts: Vec<Fact> = model.iter().cloned().collect();
+    assert_eq!(new.display(syms), model_display(model, syms));
+    (new_facts, model_facts)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random insert/remove/contains sequences observe identically on the
-    /// columnar store and the B-tree baseline — including re-insertion
-    /// after removal (tombstone revival on the columnar side).
+    /// columnar store and the model — including re-insertion after
+    /// removal (tombstone revival on the columnar side).
     #[test]
     fn op_sequences_are_observationally_equivalent(seed in 0u64..100_000, ops in 1usize..120) {
         let mut syms = SymbolTable::new();
         let (rels, vals) = universe(&mut syms);
         let mut g = Gen(seed);
         let mut new = Instance::new();
-        let mut old = BTreeInstance::new();
+        let mut old = Model::new();
         for _ in 0..ops {
             let f = random_fact(&mut g, &rels, &vals);
             match g.below(4) {
@@ -84,10 +101,7 @@ proptest! {
                 }
                 _ => {
                     prop_assert_eq!(new.contains(&f), old.contains(&f));
-                    prop_assert_eq!(
-                        new.contains_tuple(f.rel, &f.args),
-                        old.contains_tuple(f.rel, &f.args)
-                    );
+                    prop_assert_eq!(new.contains_tuple(f.rel, &f.args), old.contains(&f));
                 }
             }
             prop_assert_eq!(new.len(), old.len());
@@ -95,13 +109,15 @@ proptest! {
         }
         let (new_facts, old_facts) = observed(&new, &old, &syms);
         prop_assert_eq!(new_facts, old_facts);
-        prop_assert_eq!(new.adom(), old.adom());
-        prop_assert_eq!(new.nulls(), old.nulls());
+        let adom: BTreeSet<Value> = old.iter().flat_map(|f| f.args.iter().copied()).collect();
+        prop_assert_eq!(new.adom(), adom);
+        let nulls: BTreeSet<NullId> = old.iter().flat_map(Fact::nulls).collect();
+        prop_assert_eq!(new.nulls(), nulls);
         for &(rel, _) in &rels {
-            prop_assert_eq!(new.rel_len(rel), old.rel_len(rel));
             let new_tuples: Vec<Vec<Value>> =
                 new.tuples(rel).map(<[Value]>::to_vec).collect();
-            let old_tuples: Vec<Vec<Value>> = old.tuples(rel).cloned().collect();
+            let old_tuples = model_tuples(&old, rel);
+            prop_assert_eq!(new.rel_len(rel), old_tuples.len());
             prop_assert_eq!(new_tuples, old_tuples);
         }
     }
@@ -128,12 +144,12 @@ proptest! {
         prop_assert_eq!(a_order, b_order);
         prop_assert_eq!(a.display(&syms), b.display(&syms));
         // Dedup: size equals the number of distinct facts drawn.
-        let distinct: std::collections::BTreeSet<&Fact> = facts.iter().collect();
+        let distinct: BTreeSet<&Fact> = facts.iter().collect();
         prop_assert_eq!(a.len(), distinct.len());
     }
 
     /// Removal composes with the equivalence: deleting a random subset
-    /// from both representations leaves them observing identically, and
+    /// from the instance and the model leaves them observing identically, and
     /// re-inserting a removed fact restores it (revived tombstones behave
     /// like fresh facts).
     #[test]
@@ -143,7 +159,7 @@ proptest! {
         let mut g = Gen(seed);
         let facts: Vec<Fact> = (0..n).map(|_| random_fact(&mut g, &rels, &vals)).collect();
         let mut new = Instance::from_facts(facts.iter().cloned());
-        let mut old = BTreeInstance::from_facts(facts.iter().cloned());
+        let mut old: Model = facts.iter().cloned().collect();
         let removed: Vec<Fact> = facts
             .iter()
             .filter(|_| g.below(2) == 0)

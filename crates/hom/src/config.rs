@@ -47,9 +47,9 @@ impl HomConfig {
     /// The defaults with any `NDL_HOM_THREADS` / `NDL_HOM_SEQUENTIAL_CUTOFF`
     /// environment overrides applied. Unparsable or zero values fall back
     /// to the defaults **and report a one-time warning** through
-    /// [`ndl_obs::warn_once`] — a typo'd override must not be silently
-    /// ignored (front ends surface the warning, e.g. the `ndl` CLI on
-    /// stderr).
+    /// [`ndl_obs::env`](mod@ndl_obs::env) — a typo'd override must not be
+    /// silently ignored (front ends surface the warning, e.g. the `ndl`
+    /// CLI on stderr).
     pub fn from_env() -> Self {
         Self::from_env_with(&|key| std::env::var(key).ok())
     }
@@ -59,10 +59,10 @@ impl HomConfig {
     /// multi-threaded test harness).
     pub fn from_env_with(get: &dyn Fn(&str) -> Option<String>) -> Self {
         let mut cfg = HomConfig::default();
-        if let Some(t) = parse_override("NDL_HOM_THREADS", get) {
+        if let Some(t) = ndl_obs::env::positive("NDL_HOM_THREADS", get) {
             cfg.threads = t;
         }
-        if let Some(c) = parse_override("NDL_HOM_SEQUENTIAL_CUTOFF", get) {
+        if let Some(c) = ndl_obs::env::positive("NDL_HOM_SEQUENTIAL_CUTOFF", get) {
             cfg.sequential_cutoff = c;
         }
         cfg
@@ -76,20 +76,6 @@ impl HomConfig {
             1
         } else {
             self.threads.min(work_items).max(1)
-        }
-    }
-}
-
-fn parse_override(key: &str, get: &dyn Fn(&str) -> Option<String>) -> Option<usize> {
-    let raw = get(key)?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            ndl_obs::warn_once(
-                key,
-                format!("ignoring {key}={raw:?}: expected a positive integer, using the default"),
-            );
-            None
         }
     }
 }

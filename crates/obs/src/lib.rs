@@ -22,7 +22,8 @@
 //! - the [`warn`] registry — one-time configuration warnings (e.g. an
 //!   ignored `NDL_HOM_THREADS` override) from code with no observer handle,
 //!   plus per-request capture scopes ([`with_warning_scope`]) for the
-//!   multi-tenant daemon;
+//!   multi-tenant daemon; [`env`](mod@env) is the one parse-and-warn rule the
+//!   configuration types read their environment overrides with;
 //! - [`IncrObserver`] — red/green/recompute/cutoff events from the
 //!   incremental query graph (`ndl-incr`), counted by [`IncrStats`].
 //!
@@ -32,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+pub mod env;
 pub mod incr;
 pub mod observer;
 pub mod stats;
@@ -40,6 +42,6 @@ pub mod warn;
 
 pub use incr::{IncrObserver, IncrStats};
 pub use observer::{ChaseObserver, HomObserver, NoopObserver, StmtRound};
-pub use stats::{ChaseStats, HomStats, StageStats, Stats, StmtStats};
+pub use stats::{ChaseStats, HomStats, Stats, StmtStats};
 pub use trace::JsonlTracer;
 pub use warn::{take_warnings, warn_once, warnings, with_warning_scope, Warning};

@@ -77,32 +77,9 @@ pub trait ChaseObserver {
         let _ = (round, frontier);
     }
 
-    /// The sharded delta engine finished one statement's match phase:
-    /// `touched[s]` is the number of candidate tuples shard `s` iterated.
-    /// One entry per shard — the spread across entries is the shard
-    /// balance. Unsharded engines never emit this event.
-    fn statement_shards(&mut self, round: usize, stmt: usize, touched: &[u64]) {
-        let _ = (round, stmt, touched);
-    }
-
     /// One statement finished its pass in the current round.
     fn statement(&mut self, sr: &StmtRound) {
         let _ = sr;
-    }
-
-    /// One schedule stage of the parallel chase finished its pass in the
-    /// current round: `statements` statements were matched across
-    /// `workers` threads in `elapsed_ns`. Stages are 0-based within a
-    /// round; the sequential engine never emits this event.
-    fn stage_end(
-        &mut self,
-        round: usize,
-        stage: usize,
-        statements: usize,
-        workers: usize,
-        elapsed_ns: u64,
-    ) {
-        let _ = (round, stage, statements, workers, elapsed_ns);
     }
 
     /// A round ended, committing `fresh` new facts in `elapsed_ns`.
@@ -205,21 +182,6 @@ impl<O: ChaseObserver> ChaseObserver for &mut O {
         (**self).statement(sr);
     }
 
-    fn statement_shards(&mut self, round: usize, stmt: usize, touched: &[u64]) {
-        (**self).statement_shards(round, stmt, touched);
-    }
-
-    fn stage_end(
-        &mut self,
-        round: usize,
-        stage: usize,
-        statements: usize,
-        workers: usize,
-        elapsed_ns: u64,
-    ) {
-        (**self).stage_end(round, stage, statements, workers, elapsed_ns);
-    }
-
     fn round_end(&mut self, round: usize, fresh: u64, elapsed_ns: u64) {
         (**self).round_end(round, fresh, elapsed_ns);
     }
@@ -294,25 +256,6 @@ impl<A: ChaseObserver, B: ChaseObserver> ChaseObserver for (A, B) {
     fn statement(&mut self, sr: &StmtRound) {
         self.0.statement(sr);
         self.1.statement(sr);
-    }
-
-    fn statement_shards(&mut self, round: usize, stmt: usize, touched: &[u64]) {
-        self.0.statement_shards(round, stmt, touched);
-        self.1.statement_shards(round, stmt, touched);
-    }
-
-    fn stage_end(
-        &mut self,
-        round: usize,
-        stage: usize,
-        statements: usize,
-        workers: usize,
-        elapsed_ns: u64,
-    ) {
-        self.0
-            .stage_end(round, stage, statements, workers, elapsed_ns);
-        self.1
-            .stage_end(round, stage, statements, workers, elapsed_ns);
     }
 
     fn round_end(&mut self, round: usize, fresh: u64, elapsed_ns: u64) {

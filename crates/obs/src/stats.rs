@@ -24,30 +24,12 @@ pub struct StmtStats {
     /// Candidate tuples iterated by the semi-naive join (0 under the
     /// naive engines).
     pub touched: u64,
-    /// Largest shard count any match phase of this statement was split
-    /// into (0 when never sharded).
+    /// Always 0: the chase no longer splits a statement's match phase
+    /// into shards. The key stays so the `--stats` schema does not move.
     pub max_shards: usize,
-    /// Candidate tuples iterated by the busiest single shard across the
-    /// run — compare against `touched / max_shards` for shard balance.
+    /// Always 0, like [`Self::max_shards`].
     pub shard_touched_max: u64,
     /// Wall time matching and firing, in nanoseconds (0 when untimed).
-    pub elapsed_ns: u64,
-}
-
-/// Whole-run totals for one parallel-chase schedule stage (summed over all
-/// rounds). The sequential engine emits no stage events, so `stages` stays
-/// empty for it.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct StageStats {
-    /// Stage index within the schedule (0-based).
-    pub stage: usize,
-    /// Statements matched in this stage.
-    pub statements: usize,
-    /// Rounds in which the stage ran.
-    pub rounds: usize,
-    /// Maximum worker threads dispatched for the stage in any round.
-    pub max_workers: usize,
-    /// Wall time across all rounds, in nanoseconds (0 when untimed).
     pub elapsed_ns: u64,
 }
 
@@ -94,9 +76,9 @@ pub struct ChaseStats {
     pub round_delta: Vec<u64>,
     /// Per-statement totals, indexed by statement.
     pub statements: Vec<StmtStats>,
-    /// Per-stage totals of the parallel engine, indexed by stage (empty
-    /// for a sequential chase).
-    pub stages: Vec<StageStats>,
+    /// Always empty: no engine runs a stage schedule any more. The key
+    /// stays so the `--stats` schema does not move.
+    pub stages: Vec<u64>,
 }
 
 impl ChaseStats {
@@ -112,9 +94,6 @@ impl ChaseStats {
         self.elapsed_ns = 0;
         self.store = StoreCounters::default();
         for s in &mut self.statements {
-            s.elapsed_ns = 0;
-        }
-        for s in &mut self.stages {
             s.elapsed_ns = 0;
         }
     }
@@ -168,35 +147,6 @@ impl ChaseObserver for ChaseStats {
 
     fn round_delta(&mut self, _round: usize, frontier: u64) {
         self.round_delta.push(frontier);
-    }
-
-    fn statement_shards(&mut self, _round: usize, stmt: usize, touched: &[u64]) {
-        let s = self.stmt_mut(stmt);
-        s.max_shards = s.max_shards.max(touched.len());
-        s.shard_touched_max = s
-            .shard_touched_max
-            .max(touched.iter().copied().max().unwrap_or(0));
-    }
-
-    fn stage_end(
-        &mut self,
-        _round: usize,
-        stage: usize,
-        statements: usize,
-        workers: usize,
-        elapsed_ns: u64,
-    ) {
-        if self.stages.len() <= stage {
-            self.stages.resize_with(stage + 1, StageStats::default);
-            for (i, s) in self.stages.iter_mut().enumerate() {
-                s.stage = i;
-            }
-        }
-        let s = &mut self.stages[stage];
-        s.statements = statements;
-        s.rounds += 1;
-        s.max_workers = s.max_workers.max(workers);
-        s.elapsed_ns += elapsed_ns;
     }
 
     fn round_end(&mut self, _round: usize, fresh: u64, elapsed_ns: u64) {
@@ -371,22 +321,6 @@ impl ChaseObserver for Stats {
         self.chase.statement(sr);
     }
 
-    fn statement_shards(&mut self, round: usize, stmt: usize, touched: &[u64]) {
-        self.chase.statement_shards(round, stmt, touched);
-    }
-
-    fn stage_end(
-        &mut self,
-        round: usize,
-        stage: usize,
-        statements: usize,
-        workers: usize,
-        elapsed_ns: u64,
-    ) {
-        self.chase
-            .stage_end(round, stage, statements, workers, elapsed_ns);
-    }
-
     fn round_end(&mut self, round: usize, fresh: u64, elapsed_ns: u64) {
         self.chase.round_end(round, fresh, elapsed_ns);
     }
@@ -458,7 +392,6 @@ mod tests {
             elapsed_ns: 7,
         });
         st.round_delta(1, 3);
-        st.statement_shards(1, 0, &[8, 4]);
         st.round_end(1, 3, 20);
         st.store(&StoreCounters {
             inserts: 6,
@@ -475,9 +408,6 @@ mod tests {
         assert_eq!(st.round_fresh, vec![3]);
         assert_eq!(st.round_delta, vec![3]);
         assert_eq!(st.statements[0].touched, 12);
-        assert_eq!(st.statements[0].max_shards, 2);
-        assert_eq!(st.statements[0].shard_touched_max, 8);
-        assert_eq!(st.statements[1].max_shards, 0);
         assert_eq!(st.elapsed_ns, 20);
         assert_eq!(st.outcome, "fixpoint");
         assert_eq!(st.store.inserts, 6);
@@ -493,6 +423,10 @@ mod tests {
         let json = redacted.to_json();
         assert!(json.contains("\"triggers_examined\": 8"));
         assert!(json.contains("\"outcome\": \"fixpoint\""));
+        // The retired shard and stage keys keep their place in the schema.
+        assert!(json.contains("\"max_shards\": 0,"));
+        assert!(json.contains("\"shard_touched_max\": 0,"));
+        assert!(json.contains("\"stages\": []"));
     }
 
     #[test]
@@ -509,24 +443,6 @@ mod tests {
         let json = st.to_json();
         assert!(json.contains("\"dead_statements\": 2"));
         assert!(json.contains("\"skipped_firings\": 3"));
-    }
-
-    #[test]
-    fn stage_stats_aggregate_across_rounds() {
-        let mut st = ChaseStats::new();
-        st.stage_end(1, 0, 2, 2, 10);
-        st.stage_end(1, 1, 1, 1, 5);
-        st.stage_end(2, 0, 2, 3, 7);
-        assert_eq!(st.stages.len(), 2);
-        assert_eq!(st.stages[0].stage, 0);
-        assert_eq!(st.stages[0].statements, 2);
-        assert_eq!(st.stages[0].rounds, 2);
-        assert_eq!(st.stages[0].max_workers, 3);
-        assert_eq!(st.stages[0].elapsed_ns, 17);
-        assert_eq!(st.stages[1].rounds, 1);
-        st.redact_timings();
-        assert!(st.stages.iter().all(|s| s.elapsed_ns == 0));
-        assert!(st.to_json().contains("\"stages\""));
     }
 
     #[test]

@@ -107,28 +107,6 @@ impl<W: Write> ChaseObserver for JsonlTracer<W> {
         ));
     }
 
-    fn statement_shards(&mut self, round: usize, stmt: usize, touched: &[u64]) {
-        let counts: Vec<String> = touched.iter().map(u64::to_string).collect();
-        self.emit(&format!(
-            "{{\"event\":\"statement_shards\",\"round\":{round},\"stmt\":{stmt},\"shards\":{},\"touched\":[{}]}}",
-            touched.len(),
-            counts.join(",")
-        ));
-    }
-
-    fn stage_end(
-        &mut self,
-        round: usize,
-        stage: usize,
-        statements: usize,
-        workers: usize,
-        elapsed_ns: u64,
-    ) {
-        self.emit(&format!(
-            "{{\"event\":\"stage_end\",\"round\":{round},\"stage\":{stage},\"statements\":{statements},\"workers\":{workers},\"elapsed_ns\":{elapsed_ns}}}"
-        ));
-    }
-
     fn round_end(&mut self, round: usize, fresh: u64, elapsed_ns: u64) {
         self.emit(&format!(
             "{{\"event\":\"round_end\",\"round\":{round},\"fresh\":{fresh},\"elapsed_ns\":{elapsed_ns}}}"
@@ -141,7 +119,7 @@ impl<W: Write> ChaseObserver for JsonlTracer<W> {
             "{{\"event\":\"chase_end\",\"rounds\":{rounds},\"derived\":{derived},\"outcome\":\"{outcome}\"}}"
         ));
         // Every outcome path — fixpoint, refusal, budget exhaustion,
-        // schedule/cert rejection — ends with this event, so flushing here
+        // cert rejection — ends with this event, so flushing here
         // guarantees a buffered sink holds the complete trace even when
         // the engine returned early with an error and the host (a daemon
         // that keeps the sink open) never drops the tracer.
@@ -179,14 +157,13 @@ mod tests {
             touched: 9,
             elapsed_ns: 0,
         });
-        t.statement_shards(1, 0, &[5, 4]);
         t.round_end(1, 2, 0);
         t.chase_end(2, 2, "fixpoint");
-        assert_eq!(t.events(), 9);
+        assert_eq!(t.events(), 8);
         assert_eq!(t.io_errors(), 0);
         let text = String::from_utf8(t.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 9);
+        assert_eq!(lines.len(), 8);
         // Every line parses as a JSON object with an "event" key.
         for line in &lines {
             let v: serde::Value = serde_json::from_str(line).unwrap();
@@ -198,8 +175,7 @@ mod tests {
         assert!(lines[4].contains("\"frontier\":3"));
         assert!(lines[5].contains("\"examined\":4"));
         assert!(lines[5].contains("\"touched\":9"));
-        assert!(lines[6].contains("\"touched\":[5,4]"));
-        assert!(lines[8].contains("\"outcome\":\"fixpoint\""));
+        assert!(lines[7].contains("\"outcome\":\"fixpoint\""));
     }
 
     #[test]

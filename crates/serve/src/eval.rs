@@ -16,9 +16,10 @@
 
 use ndl_analyze as analyze;
 use ndl_analyze::{lint_source_timed, LintOptions, Severity};
+use ndl_chase::config::warn_retired;
 use ndl_chase::{
-    chase_fixpoint_delta_parallel_with, chase_fixpoint_delta_with, chase_fixpoint_parallel_with,
-    chase_fixpoint_with, chase_mapping, satisfies_egds, ChaseConfig, FixpointError, NullFactory,
+    chase_fixpoint_delta_with, chase_fixpoint_with, chase_mapping, satisfies_egds, ChaseConfig,
+    FixpointError, NullFactory,
 };
 use ndl_core::prelude::*;
 use ndl_hom::{core_with_f_block_size, f_block_size};
@@ -373,15 +374,16 @@ pub fn clamp_budget(budget: Option<usize>, ceiling: Option<usize>) -> (Option<us
 // ---------- chase (program file) ----------
 
 /// `ndl chase <file> ...` over prebuilt artifacts: the planned fixpoint
-/// chase with engine selection (`--delta`/`--no-delta` × `--parallel`),
-/// budget handling, stats and JSONL tracing.
+/// chase with engine selection (`--delta`/`--no-delta`), budget handling,
+/// stats and JSONL tracing. The retired `--parallel` flag is accepted,
+/// ignored and reported by one warning.
 ///
-/// `cfg` is the explicit engine configuration — the CLI resolves it from
-/// the environment at its boundary, the daemon from the request (the
-/// whole point of the PR 9 config fix: two in-process requests with
-/// different settings both take effect). `budget_ceiling` is the daemon's
-/// per-tenant step-budget cap: a requested budget is clamped down to it,
-/// and an absent budget becomes the ceiling so no tenant runs unbounded.
+/// `cfg` is the explicit engine configuration (the `delta` default) — the
+/// CLI resolves it from the environment at its boundary, the daemon from
+/// the request, so two in-process requests with different settings both
+/// take effect. `budget_ceiling` is the daemon's per-tenant step-budget
+/// cap: a requested budget is clamped down to it, and an absent budget
+/// becomes the ceiling so no tenant runs unbounded.
 /// Both are output-neutral for programs with a termination guarantee
 /// (the plan drops the budget entirely — see `ChaseAnalysis::plan`).
 pub fn chase_program(
@@ -420,7 +422,9 @@ pub fn chase_program(
         }
         None => None,
     };
-    let parallel = has_flag(args, "--parallel");
+    if has_flag(args, "--parallel") {
+        warn_retired("--parallel", "--parallel");
+    }
     let delta = if has_flag(args, "--no-delta") {
         if has_flag(args, "--delta") {
             return Err("--delta and --no-delta are mutually exclusive".into());
@@ -433,15 +437,10 @@ pub fn chase_program(
     let tgds = &art.tgds;
     macro_rules! run_engine {
         ($obs:expr) => {
-            match (delta, parallel) {
-                (true, true) => {
-                    chase_fixpoint_delta_parallel_with(source, tgds, &plan, &mut nulls, cfg, $obs)
-                }
-                (true, false) => chase_fixpoint_delta_with(source, tgds, &plan, &mut nulls, $obs),
-                (false, true) => {
-                    chase_fixpoint_parallel_with(source, tgds, &plan, &mut nulls, cfg, $obs)
-                }
-                (false, false) => chase_fixpoint_with(source, tgds, &plan, &mut nulls, $obs),
+            if delta {
+                chase_fixpoint_delta_with(source, tgds, &plan, &mut nulls, $obs)
+            } else {
+                chase_fixpoint_with(source, tgds, &plan, &mut nulls, $obs)
             }
         };
     }
@@ -508,10 +507,9 @@ pub fn chase_program(
         Err(e @ FixpointError::NonTerminating { .. }) => {
             Err(format!("{e}; re-run with --budget N to chase it anyway"))
         }
-        // The analyzer's schedule or dataflow certificate failed the
-        // engine's re-verification — an internal inconsistency, reported
-        // as a tool failure.
-        Err(e @ FixpointError::InvalidSchedule { .. }) => Err(e.to_string()),
+        // The analyzer's dataflow certificate failed the engine's
+        // re-verification — an internal inconsistency, reported as a tool
+        // failure.
         Err(e @ FixpointError::InvalidCert { .. }) => Err(e.to_string()),
     }
 }

@@ -1,8 +1,8 @@
 //! # ndl-serve — the long-running mapping daemon
 //!
 //! A persistent, multi-tenant server exposing the `ndl` toolchain — lint,
-//! analyze (including `--dataflow` and `--schedule`), the four chase
-//! engines, core computation, IMPLIES and GLAV-equivalence — over a
+//! analyze (including `--dataflow` and `--schedule`), the naive and
+//! delta fixpoint chase, core computation, IMPLIES and GLAV-equivalence — over a
 //! framed-JSON protocol on a Unix or TCP socket. Std-only: no async
 //! runtime, no new dependencies.
 //!
@@ -13,7 +13,7 @@
 //! [`ndl_core::store::FactStore`] silently invalidates `FactId`s held
 //! across requests, and an unflushed trace sink loses the telemetry of
 //! every run that ends early. Config is therefore an explicit per-request
-//! value, store compaction bumps an epoch the delta engines assert, and
+//! value, store compaction bumps an epoch the delta engine asserts, and
 //! every outcome path flushes its sinks.
 //!
 //! ## Layout

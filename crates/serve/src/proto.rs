@@ -83,20 +83,22 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// Per-request engine configuration overrides, applied on top of the
 /// daemon's base [`ndl_chase::ChaseConfig`]. This is the protocol-level
 /// face of the PR 9 config fix: settings are per request, never frozen
-/// into a process-wide global, so two tenants with different thread or
-/// shard counts in one daemon both get what they asked for.
+/// into a process-wide global, so two tenants with different settings in
+/// one daemon both get what they asked for.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RequestConfig {
-    /// Worker threads for the parallel engines.
-    pub threads: Option<usize>,
-    /// Shard count for the sharded delta engine.
-    pub shards: Option<usize>,
-    /// Work-item threshold below which parallel stages run sequentially.
-    pub sequential_cutoff: Option<usize>,
     /// Default engine family (`true` = semi-naive delta), overridden by
     /// explicit `--delta`/`--no-delta` args exactly as on the CLI.
     pub delta: Option<bool>,
+    /// The fields of the removed parallel engines the request named
+    /// (`threads`, `shards`, `sequential_cutoff`, whatever their values),
+    /// in that order: accepted so older clients keep working, ignored, and
+    /// reported by one warning in the response's stderr.
+    pub retired: Vec<String>,
 }
+
+/// Request config fields of the removed parallel engines.
+const RETIRED_CONFIG: [&str; 3] = ["threads", "shards", "sequential_cutoff"];
 
 /// One request. Field-for-field this mirrors a CLI invocation: `op` is
 /// the subcommand, `args` the CLI-style flag tail (parsed by the same
@@ -125,16 +127,6 @@ pub struct Request {
 
 fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn usize_field(obj: &[(String, Value)], key: &str) -> Result<Option<usize>, String> {
-    match get(obj, key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Number(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as usize)),
-        Some(v) => Err(format!(
-            "field {key:?} must be a non-negative integer, got {v:?}"
-        )),
-    }
 }
 
 impl Request {
@@ -191,14 +183,16 @@ impl Request {
         let config = match get(obj, "config") {
             None | Some(Value::Null) => None,
             Some(Value::Object(c)) => Some(RequestConfig {
-                threads: usize_field(c, "threads")?,
-                shards: usize_field(c, "shards")?,
-                sequential_cutoff: usize_field(c, "sequential_cutoff")?,
                 delta: match get(c, "delta") {
                     None | Some(Value::Null) => None,
                     Some(Value::Bool(b)) => Some(*b),
                     Some(v) => return Err(format!("config \"delta\" must be a bool, got {v:?}")),
                 },
+                retired: RETIRED_CONFIG
+                    .iter()
+                    .filter(|k| get(c, k).is_some())
+                    .map(|k| k.to_string())
+                    .collect(),
             }),
             Some(v) => return Err(format!("field \"config\" must be an object, got {v:?}")),
         };
@@ -234,16 +228,8 @@ impl Request {
             ));
         }
         if let Some(c) = &self.config {
-            let mut cfg = Vec::new();
-            if let Some(t) = c.threads {
-                cfg.push(("threads".to_string(), Value::Number(t as f64)));
-            }
-            if let Some(s) = c.shards {
-                cfg.push(("shards".to_string(), Value::Number(s as f64)));
-            }
-            if let Some(s) = c.sequential_cutoff {
-                cfg.push(("sequential_cutoff".to_string(), Value::Number(s as f64)));
-            }
+            let mut cfg: Vec<(String, Value)> =
+                c.retired.iter().map(|k| (k.clone(), Value::Null)).collect();
             if let Some(d) = c.delta {
                 cfg.push(("delta".to_string(), Value::Bool(d)));
             }
@@ -388,14 +374,19 @@ mod tests {
             program: Some("fact: E(a,b)\n".into()),
             args: vec!["--stats".into(), "--no-timings".into()],
             config: Some(RequestConfig {
-                threads: Some(3),
-                shards: Some(2),
-                sequential_cutoff: Some(1),
                 delta: Some(true),
+                retired: vec!["threads".into(), "sequential_cutoff".into()],
             }),
         };
         let parsed = Request::parse(req.to_json().as_bytes()).unwrap();
         assert_eq!(parsed, req);
+
+        // The removed engines' fields are accepted whatever their values,
+        // and recorded by name.
+        let old = br#"{"op":"chase","config":{"shards":4,"threads":"x","delta":false}}"#;
+        let cfg = Request::parse(old).unwrap().config.unwrap();
+        assert_eq!(cfg.delta, Some(false));
+        assert_eq!(cfg.retired, ["threads", "shards"]);
 
         // Minimal request: everything defaulted.
         let parsed = Request::parse(b"{\"op\":\"ping\"}").unwrap();

@@ -33,6 +33,7 @@
 use crate::cache::ServeCache;
 use crate::eval::{self, EvalOutput};
 use crate::proto::{write_frame, Request, Response};
+use ndl_chase::config::warn_retired;
 use ndl_chase::ChaseConfig;
 use ndl_incr::{parse_edit_script, IncrDb, IncrOptions, QueryKey};
 use serde_json::Value;
@@ -233,17 +234,18 @@ struct ServerState {
     dropped_responses: AtomicU64,
 }
 
+/// The request's engine configuration. Retired parallel-engine fields are
+/// reported by one warning, which the per-request warning scope puts in
+/// this response's stderr.
 fn effective_config(base: &ChaseConfig, req: &Request) -> ChaseConfig {
     let mut cfg = *base;
     if let Some(c) = &req.config {
-        if let Some(t) = c.threads {
-            cfg.threads = t;
-        }
-        if let Some(s) = c.shards {
-            cfg.shards = Some(s);
-        }
-        if let Some(s) = c.sequential_cutoff {
-            cfg.sequential_cutoff = s;
+        if !c.retired.is_empty() {
+            let fields: Vec<String> = c.retired.iter().map(|k| format!("{k:?}")).collect();
+            warn_retired(
+                "request config",
+                &format!("request config {}", fields.join(", ")),
+            );
         }
         if let Some(d) = c.delta {
             cfg.delta = d;

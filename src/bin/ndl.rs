@@ -5,7 +5,7 @@
 //! ndl lint     <file> [--json] [--stats] [--max-depth N] [--max-skolem-arity N] [--max-findings N]
 //! ndl analyze  <file> [--json|--dot[=positions|conflicts|dataflow]|--schedule [--json]|--dataflow [--json]] [--stats]
 //! ndl skolemize "<nested tgd>"
-//! ndl chase    <file> [--delta|--no-delta] [--parallel] [--no-cert] [--stats] [--no-timings] [--trace <out.jsonl>] [--budget N]
+//! ndl chase    <file> [--delta|--no-delta] [--no-cert] [--stats] [--no-timings] [--trace <out.jsonl>] [--budget N]
 //! ndl chase    --tgd "<nested tgd>"... --fact "R(a,b)"... [--egd "<egd>"...] [--core]
 //! ndl incr     <file> --edits <script.jsonl> [--json] [--stats] [--scratch] [--budget N]
 //! ndl implies  --premise "<tgd>"... [--egd "<egd>"...] --conclusion "<tgd>"
@@ -26,7 +26,7 @@
 //! machine-readable JSON (`--json`) or Graphviz DOT (`--dot`, or
 //! `--dot=positions`; `--dot=conflicts` renders the statement conflict
 //! graph, `--dot=dataflow` the relation-level dataflow graph).
-//! `analyze --schedule` prints the parallel-schedule
+//! `analyze --schedule` prints the schedule
 //! report — conflict-free stages, width, conflict edges — as a summary or,
 //! with `--json`, the machine-readable `ScheduleReport`; `analyze
 //! --dataflow` prints the whole-mapping dataflow report — sources,
@@ -39,15 +39,13 @@
 //! termination verdict. By default the **semi-naive delta engine** runs:
 //! each round matches only triggers reaching the previous round's delta
 //! frontier, with output bit-identical to the naive rescan engine
-//! (`--no-delta`, or `NDL_CHASE_DELTA=0`, selects the naive engine).
-//! `--parallel` runs the stage-parallel variant — with `--delta`, the
-//! sharded delta engine (`NDL_CHASE_SHARDS`); with `--no-delta`, the
-//! naive stage-parallel engine — firing the conflict-free statements of
-//! each schedule stage across worker threads (`NDL_CHASE_THREADS`), still
-//! with bit-identical output. `--budget N` bounds programs without a
-//! termination
-//! guarantee; `--stats` prints the engine's counters as JSON instead of the
-//! instance (`--no-timings` zeroes wall-clock fields for diffable output);
+//! (`--no-delta`, or `NDL_CHASE_DELTA=0`, selects the naive engine, the
+//! reference oracle). The retired `--parallel` flag and
+//! `NDL_CHASE_{THREADS,SHARDS,SEQUENTIAL_CUTOFF}` are accepted and ignored
+//! with one warning each on stderr. `--budget N` bounds programs without a
+//! termination guarantee; `--stats` prints the engine's counters as JSON
+//! instead of the instance (`--no-timings` zeroes wall-clock fields for
+//! diffable output);
 //! `--trace f.jsonl` appends one JSON event per round/statement to `f`.
 //! `lint`/`analyze` accept `--stats` for a one-line timing/size summary on
 //! stderr, with the wall time of each analysis pass under `passes_ns`.
@@ -146,7 +144,7 @@ const USAGE: &str = "usage:
   ndl lint <file> [--json] [--stats] [--max-depth N] [--max-skolem-arity N] [--max-findings N]
   ndl analyze <file> [--json|--dot[=positions|conflicts|dataflow]|--schedule [--json]|--dataflow [--json]] [--stats]
   ndl skolemize \"<nested tgd>\"
-  ndl chase <file> [--delta|--no-delta] [--parallel] [--no-cert] [--stats] [--no-timings] [--trace <out.jsonl>] [--budget N]
+  ndl chase <file> [--delta|--no-delta] [--no-cert] [--stats] [--no-timings] [--trace <out.jsonl>] [--budget N]
   ndl chase --tgd \"<tgd>\"... --fact \"R(a,b)\"... [--egd \"<egd>\"...] [--core]
   ndl incr <file> --edits <script.jsonl> [--json] [--stats] [--scratch] [--budget N]
   ndl implies --premise \"<tgd>\"... [--egd \"<egd>\"...] --conclusion \"<tgd>\"

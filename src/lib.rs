@@ -71,15 +71,11 @@ pub mod prelude {
         LintOptions, Severity, Termination, TerminationClass,
     };
     pub use ndl_chase::{
-        all_matches, chase_egds, chase_fixpoint, chase_fixpoint_delta,
-        chase_fixpoint_delta_parallel, chase_fixpoint_delta_parallel_with,
-        chase_fixpoint_delta_with, chase_fixpoint_parallel, chase_fixpoint_parallel_with,
+        all_matches, chase_egds, chase_fixpoint, chase_fixpoint_delta, chase_fixpoint_delta_with,
         chase_fixpoint_with, chase_mapping, chase_nested, chase_nested_planned, chase_so, chase_st,
-        dataflow_facts, derive_schedule, satisfies_egds, statement_footprints,
-        verify_dataflow_cert, verify_schedule, Binding, ChaseConfig, ChaseForest, ChasePlan,
-        ChaseResult, DataflowCert, EgdChase, EgdConflict, FixpointChase, FixpointError,
-        FixpointProgress, NullFactory, ParallelSchedule, Prepared, RigidPolicy, StmtFootprint,
-        Triggering,
+        dataflow_facts, satisfies_egds, verify_dataflow_cert, Binding, ChaseConfig, ChaseForest,
+        ChasePlan, ChaseResult, DataflowCert, EgdChase, EgdConflict, FixpointChase, FixpointError,
+        FixpointProgress, NullFactory, Prepared, RigidPolicy, Triggering,
     };
     pub use ndl_core::prelude::*;
     pub use ndl_gen::{

@@ -266,6 +266,46 @@ fn chase_file_reaches_fixpoint() {
     assert!(out.contains("R3(f(a),b)"));
 }
 
+/// The knobs of the removed parallel engines — `--parallel` and
+/// `NDL_CHASE_{THREADS,SHARDS,SEQUENTIAL_CUTOFF}` — are accepted and
+/// ignored: stdout is the plain run's, and each knob costs one warning
+/// line on stderr.
+#[test]
+fn chase_ignores_retired_parallel_knobs() {
+    let file = "examples/programs/running.ndl";
+    let (ok, plain, quiet) = ndl_err(&["chase", file]);
+    assert!(ok);
+    assert_eq!(quiet, "");
+    let (ok, out, err) = ndl_err(&["chase", "--parallel", file]);
+    assert!(ok);
+    assert_eq!(out, plain);
+    assert_eq!(
+        err,
+        "warning: ignoring --parallel: the parallel chase engines were removed, \
+         so it has no effect\n"
+    );
+    for key in [
+        "NDL_CHASE_THREADS",
+        "NDL_CHASE_SHARDS",
+        "NDL_CHASE_SEQUENTIAL_CUTOFF",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ndl"))
+            .args(["chase", file])
+            .env(key, "3")
+            .output()
+            .expect("ndl runs");
+        assert!(out.status.success());
+        assert_eq!(String::from_utf8_lossy(&out.stdout), plain);
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!(
+                "warning: ignoring {key}=\"3\": the parallel chase engines were removed, \
+                 so it has no effect\n"
+            )
+        );
+    }
+}
+
 /// `--stats` replaces the fact listing with the collected chase statistics
 /// as JSON on stdout; `--no-timings` zeroes the clock fields so the output
 /// is deterministic.

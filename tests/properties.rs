@@ -415,10 +415,10 @@ proptest! {
     }
 
     /// Certified dead-code elimination is invisible: on programs seeded
-    /// with provably dead statements, every engine's certified run is
-    /// bit-identical to the sequential uncertified baseline — same facts,
-    /// same `NullId`s, same round and derived counts — and budget
-    /// exhaustion/refusal outcomes agree too.
+    /// with provably dead statements, the naive and delta engines'
+    /// certified runs are bit-identical to the uncertified naive run —
+    /// same facts, same `NullId`s, same round and derived counts — and
+    /// budget exhaustion/refusal outcomes agree too.
     #[test]
     fn certified_dead_code_elimination_is_bit_identical(
         seed in 0u64..3_000,
@@ -466,12 +466,7 @@ proptest! {
             &ChasePlan,
             &mut NullFactory,
         ) -> std::result::Result<FixpointChase, FixpointError>;
-        let engines: [(&str, Engine); 4] = [
-            ("fixpoint", chase_fixpoint),
-            ("parallel", chase_fixpoint_parallel),
-            ("delta", chase_fixpoint_delta),
-            ("delta-parallel", chase_fixpoint_delta_parallel),
-        ];
+        let engines: [(&str, Engine); 2] = [("fixpoint", chase_fixpoint), ("delta", chase_fixpoint_delta)];
         let mut base_nulls = NullFactory::new();
         let baseline = chase_fixpoint(&source, &tgds, &uncertified, &mut base_nulls);
         for (name, engine) in engines {

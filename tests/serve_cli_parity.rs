@@ -229,38 +229,78 @@ fn concurrent_clients_get_bit_identical_responses() {
 }
 
 /// Server-side face of the PR 9 config fix: two requests on the same
-/// daemon with different shard counts both take effect (no process-wide
-/// freeze), and each matches the CLI run with the same settings.
+/// daemon with different engine settings both take effect (no
+/// process-wide freeze), and each matches the CLI run with the same
+/// settings.
 #[test]
 fn per_request_configs_both_take_effect_in_one_daemon() {
     let f = example("running");
     let (_sock, handle, mut client) = boot("cfg", None);
-    let base_env = [
-        ("NDL_CHASE_THREADS", "3"),
-        ("NDL_CHASE_SEQUENTIAL_CUTOFF", "1"),
-    ];
-    for shards in ["2", "3"] {
-        let mut envs = base_env.to_vec();
-        envs.push(("NDL_CHASE_SHARDS", shards));
+    let mut outputs = Vec::new();
+    for (delta, env) in [(false, "0"), (true, "1")] {
         let (stdout, _, exit) = cli(
-            &["chase", &f, "--parallel", "--stats", "--no-timings"],
-            &envs,
+            &["chase", &f, "--stats", "--no-timings"],
+            &[("NDL_CHASE_DELTA", env)],
         );
         assert_eq!(exit, 0);
-        let mut req = file_request("chase", &f, &["--parallel", "--stats", "--no-timings"]);
+        let mut req = file_request("chase", &f, &["--stats", "--no-timings"]);
         req.config = Some(RequestConfig {
-            threads: Some(3),
-            shards: Some(shards.parse().unwrap()),
-            sequential_cutoff: Some(1),
-            delta: None,
+            delta: Some(delta),
+            ..RequestConfig::default()
         });
         let resp = client.call(&req).expect("daemon response");
         assert!(resp.ok);
         assert_eq!(
             resp.output, stdout,
-            "per-request shards={shards} must match the CLI with the same env"
+            "per-request delta={delta} must match the CLI with NDL_CHASE_DELTA={env}"
         );
+        outputs.push(stdout);
     }
+    // The naive engine reports no delta frontiers; the delta engine does.
+    assert_ne!(outputs[0], outputs[1], "both requests ran the same engine");
+    shutdown(client, handle);
+}
+
+/// The knobs of the removed parallel engines are accepted and ignored:
+/// `--parallel` and the request config's `threads`, `shards` and
+/// `sequential_cutoff` leave stdout as it is without them, and each adds
+/// one warning line to that response's stderr — the `--parallel` one
+/// byte-equal to the CLI's.
+#[test]
+fn retired_parallel_knobs_are_ignored_with_one_warning() {
+    let f = example("running");
+    let (_sock, handle, mut client) = boot("retired", None);
+    let (plain, quiet, exit) = cli(&["chase", &f], &[]);
+    assert_eq!((quiet.as_str(), exit), ("", 0));
+
+    let (stdout, stderr, exit) = cli(&["chase", "--parallel", &f], &[]);
+    assert_eq!(exit, 0);
+    assert_eq!(stdout, plain);
+    assert_eq!(stderr.lines().count(), 1, "{stderr:?}");
+    let resp = client
+        .call(&file_request("chase", &f, &["--parallel"]))
+        .expect("daemon response");
+    assert!(resp.ok);
+    assert_eq!(
+        (resp.output.as_str(), resp.stderr.as_str()),
+        (plain.as_str(), stderr.as_str())
+    );
+
+    let mut req = file_request("chase", &f, &[]);
+    req.config = Some(RequestConfig {
+        retired: ["threads", "shards", "sequential_cutoff"]
+            .map(String::from)
+            .to_vec(),
+        ..RequestConfig::default()
+    });
+    let resp = client.call(&req).expect("daemon response");
+    assert!(resp.ok);
+    assert_eq!(resp.output, plain);
+    assert_eq!(
+        resp.stderr,
+        "warning: ignoring request config \"threads\", \"shards\", \"sequential_cutoff\": \
+         the parallel chase engines were removed, so it has no effect\n"
+    );
     shutdown(client, handle);
 }
 
