@@ -533,33 +533,69 @@ impl FactStore {
     /// The live ids in fully sorted `(relation, tuple)` order — the
     /// deterministic enumeration used for display, serialization and
     /// index builds. Allocates one id vector and one sort buffer.
-    ///
-    /// Each column sorts its live row numbers by their tuples directly
-    /// (no id → slot → row hop per comparison). A column of arity at most
-    /// 3 packs each row's tuple into one `u128` key (33 bits per value)
-    /// and sorts `(key, row)` pairs, comparing integers instead of `[Value]`
-    /// slices; wider columns compare the slices. A relation never holds
-    /// two rows with equal tuples, so the keys of a column are distinct
-    /// and an unstable sort yields the one sorted order.
     pub fn sorted_ids(&self) -> Vec<FactId> {
         let mut out = Vec::with_capacity(self.live_count);
         let mut rows: Vec<u32> = Vec::new();
         let mut keyed: Vec<(u128, u32)> = Vec::new();
         for col in self.columns() {
-            let live = (0..col.rows() as u32).filter(|&r| self.live[col.ids[r as usize].index()]);
-            if col.arity <= PACKED_ARITY {
-                keyed.clear();
-                keyed.extend(live.map(|r| (packed_key(col.row(r)), r)));
-                keyed.sort_unstable_by_key(|&(key, _)| key);
-                out.extend(keyed.iter().map(|&(_, r)| col.ids[r as usize]));
-            } else {
-                rows.clear();
-                rows.extend(live);
-                rows.sort_by(|&a, &b| col.row(a).cmp(col.row(b)));
-                out.extend(rows.iter().map(|&r| col.ids[r as usize]));
-            }
+            self.extend_sorted(col, &mut out, &mut rows, &mut keyed);
         }
         out
+    }
+
+    /// Appends the live ids of `rel` to `out` in sorted tuple order — one
+    /// relation's run of [`FactStore::sorted_ids`]. A column whose live
+    /// rows are already in sorted order (the common case for chase
+    /// output) is appended in row order after one linear check, with no
+    /// sort.
+    pub fn extend_sorted_rel_ids(&self, rel: RelId, out: &mut Vec<FactId>) {
+        let Some(col) = self.col(rel) else { return };
+        let start = out.len();
+        let mut sorted = true;
+        let mut prev: Option<&[Value]> = None;
+        for (row, &id) in col.ids.iter().enumerate() {
+            if self.live[id.index()] {
+                let t = col.row(row as u32);
+                sorted &= prev.is_none_or(|p| p < t);
+                prev = Some(t);
+                out.push(id);
+            }
+        }
+        if !sorted {
+            out.truncate(start);
+            self.extend_sorted(col, out, &mut Vec::new(), &mut Vec::new());
+        }
+    }
+
+    /// Appends the live ids of `col` to `out` in sorted tuple order.
+    ///
+    /// Sorts the live row numbers by their tuples directly (no id → slot
+    /// → row hop per comparison). A column of arity at most 3 packs each
+    /// row's tuple into one `u128` key (33 bits per value) and sorts
+    /// `(key, row)` pairs, comparing integers instead of `[Value]` slices;
+    /// wider columns compare the slices. A relation never holds two rows
+    /// with equal tuples, so the keys of a column are distinct and an
+    /// unstable sort yields the one sorted order. `rows` and `keyed` are
+    /// scratch buffers.
+    fn extend_sorted(
+        &self,
+        col: &Column,
+        out: &mut Vec<FactId>,
+        rows: &mut Vec<u32>,
+        keyed: &mut Vec<(u128, u32)>,
+    ) {
+        let live = (0..col.rows() as u32).filter(|&r| self.live[col.ids[r as usize].index()]);
+        if col.arity <= PACKED_ARITY {
+            keyed.clear();
+            keyed.extend(live.map(|r| (packed_key(col.row(r)), r)));
+            keyed.sort_unstable_by_key(|&(key, _)| key);
+            out.extend(keyed.iter().map(|&(_, r)| col.ids[r as usize]));
+        } else {
+            rows.clear();
+            rows.extend(live);
+            rows.sort_by(|&a, &b| col.row(a).cmp(col.row(b)));
+            out.extend(rows.iter().map(|&r| col.ids[r as usize]));
+        }
     }
 
     /// The store's event counters.

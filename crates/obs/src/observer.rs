@@ -140,6 +140,14 @@ pub trait HomObserver: Sync {
     fn threads_dispatched(&self, n: usize) {
         let _ = n;
     }
+
+    /// The core engine finished one of its phases, in order: `"index"`
+    /// (the search index over the input), `"blocks"` (the f-blocks and
+    /// the null tables), `"probes"` (the retraction loop) and `"result"`
+    /// (the core instance). A profiler reads its clock here.
+    fn core_phase(&self, phase: &'static str) {
+        let _ = phase;
+    }
 }
 
 /// The disabled sink: every event is dropped, `ENABLED` is `false`, and
@@ -220,6 +228,10 @@ impl<O: HomObserver> HomObserver for &O {
 
     fn threads_dispatched(&self, n: usize) {
         (**self).threads_dispatched(n);
+    }
+
+    fn core_phase(&self, phase: &'static str) {
+        (**self).core_phase(phase);
     }
 }
 
