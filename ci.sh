@@ -100,6 +100,11 @@ echo "==> incr golden: red-green replay of the committed edit script"
 ./target/release/ndl incr examples/programs/running.ndl \
   --edits examples/programs/running.edits.jsonl --json \
   | diff -u examples/programs/golden/running.incr.json -
+# A program whose core retracts: the flat Clio example's chase, core and
+# blocks before, during and after an edit that folds one more group.
+./target/release/ndl incr examples/programs/clio_flat.ndl \
+  --edits examples/programs/clio_flat.edits.jsonl --json \
+  | diff -u examples/programs/golden/clio_flat.incr.json -
 
 echo "==> incr parity: incremental replay is byte-identical to --scratch"
 # The committed script (real edits, churn, a compact, error paths) on the

@@ -120,9 +120,72 @@ fn chase_allocations_are_logarithmic() {
     }
 }
 
+/// The core of a Clio-nested chase (the `core` query of an incremental
+/// Clio session) allocates a bounded number of times more each time the
+/// departments double: its index, blocks and null tables are a fixed set
+/// of arrays, not an instance per block.
+fn core_allocations_are_logarithmic() {
+    let counts: Vec<(usize, u64, usize)> = [250, 500, 1_000, 2_000]
+        .into_iter()
+        .map(|depts| {
+            let art = ProgramArtifacts::build(&clio_program(depts, 1, false));
+            let plan = art.analysis.tgd_plan(None);
+            let mut nulls = NullFactory::new();
+            let res = ndl_chase::chase_fixpoint_delta(&art.source, &art.tgds, &plan, &mut nulls);
+            let inst = res.expect("terminates").instance;
+            let ((core, _), allocs) = counting(|| ndl_hom::core_with_f_block_size(&inst));
+            assert_eq!(
+                core.len(),
+                inst.len(),
+                "the nested Clio chase is its own core"
+            );
+            (depts, allocs, inst.len())
+        })
+        .collect();
+    let shown = format!("Clio-nested core: (departments, allocations, facts) {counts:?}");
+    for w in counts.windows(2) {
+        assert!(w[1].1 <= w[0].1 + 64, "{shown}");
+    }
+}
+
+/// Rendering a listing of `n` facts whose nulls are nested Skolem terms
+/// into a pre-sized buffer allocates a fixed number of times (the term
+/// memo and the walk's stack), whatever `n`.
+fn listing_allocations_are_constant() {
+    let counts: Vec<u64> = [1_000u32, 2_000, 5_000, 10_000]
+        .into_iter()
+        .map(|n| {
+            let mut syms = SymbolTable::new();
+            let (r, s) = (syms.rel("R"), syms.rel("S"));
+            let (f, g) = (syms.func("f"), syms.func("g"));
+            let mut nulls = NullFactory::new();
+            let mut inst = Instance::new();
+            for i in 0..n {
+                let c = Value::Const(syms.constant(&format!("c{i}")));
+                let inner = Value::Null(nulls.null_for_app_slice(f, &[c]));
+                let outer = Value::Null(nulls.null_for_app_slice(g, &[inner, c]));
+                inst.insert_tuple(r, [c, outer]);
+                inst.insert_tuple(s, [inner]);
+            }
+            let facts: Vec<FactRef<'_>> = inst.facts().collect();
+            let mut out = String::with_capacity(64 * facts.len());
+            let ((), allocs) = counting(|| {
+                nulls.write_fact_lines(facts.iter().copied(), &syms, "  ", &mut out);
+            });
+            assert_eq!(out.lines().count(), 2 * n as usize);
+            assert!(out.contains("R(c7,g(f(c7),c7))"), "nested terms render");
+            allocs
+        })
+        .collect();
+    assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
+    assert!(counts[0] <= 4, "{counts:?}");
+}
+
 #[test]
 fn allocations_are_bounded() {
     chase_allocations_are_logarithmic();
+    core_allocations_are_logarithmic();
+    listing_allocations_are_constant();
 
     // Lexing and parsing a fact against a warm symbol table allocates a
     // fixed number of times (the token buffer and the argument vector),

@@ -1,5 +1,5 @@
-//! Environment overrides for the engines' configuration types
-//! (`ChaseConfig`, `HomConfig`): one parse-and-warn rule for all of them.
+//! Environment overrides for the engines' configuration types (such as
+//! `ChaseConfig`): one parse-and-warn rule for all of them.
 //!
 //! A value that does not parse is ignored — the caller keeps its default —
 //! and reported once through [`crate::warn_once`], keyed by the variable
@@ -11,22 +11,6 @@
 //! cached process-wide).
 
 use crate::warn_once;
-
-/// The positive integer `key` holds, if it is set and parses; a set value
-/// that is not a positive integer warns and counts as unset.
-pub fn positive(key: &str, get: &dyn Fn(&str) -> Option<String>) -> Option<usize> {
-    let raw = get(key)?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            warn_once(
-                key,
-                format!("ignoring {key}={raw:?}: expected a positive integer, using the default"),
-            );
-            None
-        }
-    }
-}
 
 /// The boolean `key` holds (`1`/`true`/`on`/`yes` or
 /// `0`/`false`/`off`/`no`, any case), if it is set and parses; any other
@@ -59,12 +43,12 @@ mod tests {
     fn good_values_parse_without_warning() {
         let (got, warned) = with_warning_scope(|| {
             (
-                positive("N", &one("N", " 64 ")),
+                boolean("B", &one("B", " on ")),
                 boolean("B", &one("B", "Off")),
-                positive("N", &|_| None),
+                boolean("B", &|_| None),
             )
         });
-        assert_eq!(got, (Some(64), Some(false), None));
+        assert_eq!(got, (Some(true), Some(false), None));
         assert!(warned.is_empty());
     }
 
@@ -72,19 +56,15 @@ mod tests {
     fn bad_values_warn_once_and_count_as_unset() {
         let (got, warned) = with_warning_scope(|| {
             (
-                positive("N", &one("N", "0")),
-                positive("N", &one("N", "lots")),
                 boolean("B", &one("B", "maybe")),
+                boolean("B", &one("B", "2")),
             )
         });
-        assert_eq!(got, (None, None, None));
+        assert_eq!(got, (None, None));
         let lines: Vec<&str> = warned.iter().map(|w| w.message.as_str()).collect();
         assert_eq!(
             lines,
-            [
-                "ignoring N=\"0\": expected a positive integer, using the default",
-                "ignoring B=\"maybe\": expected a boolean (0/1), using the default",
-            ]
+            ["ignoring B=\"maybe\": expected a boolean (0/1), using the default"]
         );
     }
 }

@@ -17,10 +17,10 @@
 //! - [`ChaseObserver`] — sequential chase engines report per-round and
 //!   per-statement aggregates (`&mut self`: the chase is single-threaded);
 //! - [`HomObserver`] — the homomorphism/core engine reports fine-grained
-//!   search events (`&self` + `Sync`: block searches and retraction probes
-//!   run on scoped worker threads, so implementations count atomically);
-//! - the [`warn`] registry — one-time configuration warnings (e.g. an
-//!   ignored `NDL_HOM_THREADS` override) from code with no observer handle,
+//!   search events (`&self` + `Sync`, so one observer can be shared
+//!   across threads; implementations count atomically);
+//! - the [`warn`] registry — one-time configuration warnings (e.g. a
+//!   retired `NDL_HOM_THREADS` setting) from code with no observer handle,
 //!   plus per-request capture scopes ([`with_warning_scope`]) for the
 //!   multi-tenant daemon; [`env`](mod@env) is the one parse-and-warn rule the
 //!   configuration types read their environment overrides with;

@@ -1,8 +1,8 @@
 //! A process-wide, one-time warning registry.
 //!
 //! Configuration code often runs once, early, and with no observer in
-//! sight — e.g. `HomConfig::from_env` resolving `NDL_HOM_THREADS` before
-//! any engine entry point. When such code must report a problem it calls
+//! sight — e.g. the hom engine reporting a retired `NDL_HOM_THREADS`
+//! setting at its entry points. When such code must report a problem it calls
 //! [`warn_once`]; front ends ([`crate::take_warnings`]) surface the
 //! collected warnings at a convenient point (the `ndl` CLI prints them to
 //! stderr after each command). Each key warns at most once per process, so

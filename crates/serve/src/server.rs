@@ -544,7 +544,7 @@ fn stats_json(state: &ServerState) -> String {
 fn handle_request(state: &ServerState, req: &Request) -> Response {
     state.requests.fetch_add(1, Ordering::Relaxed);
     // Evaluate under a per-request warning scope: configuration warnings
-    // (e.g. a bad `NDL_HOM_THREADS` read by the hom engine) are captured on
+    // (e.g. a retired `NDL_HOM_THREADS` seen by the hom engine) are captured on
     // this worker thread and surfaced in *this* response's stderr. The
     // process-wide `warn_once` registry would dedup them away after the
     // first request — the second tenant would never learn its environment
@@ -818,6 +818,8 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, state: &ServerState) {
 pub struct Server {
     listener: Listener,
     opts: ServeOptions,
+    /// The engine configuration every request starts from.
+    base_cfg: ChaseConfig,
     /// Human-readable listening address (`unix:<path>` / `tcp:<addr>`).
     pub local: String,
 }
@@ -825,6 +827,13 @@ pub struct Server {
 impl Server {
     /// Binds the endpoint. For `Endpoint::Unix`, a stale socket file is
     /// removed first (the daemon owns its path).
+    ///
+    /// The daemon's CLI boundary: the environment is read once, here, and
+    /// every request gets an explicit config derived from it — never a
+    /// process-wide cached global. Problems with it (a typo'd
+    /// `NDL_CHASE_DELTA`, a retired `NDL_CHASE_THREADS` or
+    /// `NDL_HOM_THREADS`) go to the process warning registry, which the
+    /// caller can drain before it starts serving.
     pub fn bind(opts: ServeOptions) -> io::Result<Server> {
         let (listener, local) = match &opts.endpoint {
             Endpoint::Unix(path) => {
@@ -838,9 +847,12 @@ impl Server {
                 (Listener::Tcp(l), local)
             }
         };
+        let base_cfg = ChaseConfig::from_env();
+        ndl_hom::config::warn_retired_env();
         Ok(Server {
             listener,
             opts,
+            base_cfg,
             local,
         })
     }
@@ -859,6 +871,7 @@ impl Server {
         let Server {
             listener,
             opts,
+            base_cfg,
             local: _,
         } = self;
         listener.set_nonblocking(true)?;
@@ -879,10 +892,7 @@ impl Server {
             tenants: Mutex::new(BTreeMap::new()),
             telemetry,
             shutdown: AtomicBool::new(false),
-            // The daemon's CLI boundary: the environment is read once,
-            // here, and every request gets an explicit config derived
-            // from it — never a process-wide cached global.
-            base_cfg: ChaseConfig::from_env(),
+            base_cfg,
             budget_ceiling: opts.budget,
             workers: opts.workers.max(1),
             queue: opts.queue.max(1),

@@ -95,7 +95,7 @@ use std::time::Instant;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out = run(&args);
-    // Configuration problems (e.g. an unparsable NDL_HOM_THREADS override)
+    // Configuration problems (e.g. a retired NDL_HOM_THREADS setting)
     // are collected process-wide and surfaced here, once, on stderr.
     for w in obs::take_warnings() {
         eprintln!("warning: {}", w.message);
@@ -443,6 +443,11 @@ fn cmd_serve(args: &[String]) -> CliResult {
     };
     let srv = server::Server::bind(opts).map_err(err)?;
     eprintln!("ndl-serve: listening on {}", srv.local);
+    // The daemon's own environment warnings, before the first request:
+    // requests report only what their own evaluation warns about.
+    for w in obs::take_warnings() {
+        eprintln!("warning: {}", w.message);
+    }
     let summary = srv.run().map_err(err)?;
     eprintln!(
         "ndl-serve: exiting after {} requests ({} malformed), cache {} hits / {} misses / {} evictions",
